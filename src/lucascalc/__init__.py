@@ -33,6 +33,7 @@ from .scalars import (
     lucas_u,
     lucas_v,
     lucasnomial,
+    lucasnomial_row,
     lucastorial,
     magnitude,
     make_params,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -26,11 +27,12 @@ EXIT_NO_ROOT = 4
 
 
 def _number(text: str) -> float:
-    """Parse a float or a p/q rational literal into a float."""
+    """Parse a float or a p/q rational literal into a finite float."""
     text = text.strip()
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    value = float(Fraction(text)) if "/" in text else float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _exact_number(text: str) -> Fraction:
@@ -64,6 +66,9 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
 
 
 def _cmd_seq(args) -> int:
+    if args.n < 0:
+        print("--n must be nonnegative", file=sys.stderr)
+        return EXIT_USAGE
     if args.exact:
         params = make_params(_exact_number(args.s), _exact_number(args.t))
     else:

@@ -4,15 +4,21 @@ The degree-n deformed power of (x, y) with deformation pair (u, v) is the
 polynomial sum over k of  C(n,k) * u^T(n-k) * v^T(k) * x^(n-k) * y^k,
 where C is the Lucasnomial and T(m) = m(m-1)/2.  Zero deformations follow
 the limit convention 0^0 = 1, so the k in {0, 1} terms survive u = 0.
+
+Each degree-n row is built in O(n): the Lucasnomials come from one
+telescoped pass (:func:`lucasnomial_row`), and u^T(n-k), v^T(k) come from
+one :class:`PowerWeights` per deformation parameter, which callers building
+many rows (series, weight families) hold for all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange
 from .scalars import (
+    Backend,
     LucasParams,
     Scalar,
     backend_of,
@@ -20,9 +26,11 @@ from .scalars import (
     backend_zero,
     binom2,
     common_backend,
-    lucasnomial,
+    lucasnomial_row,
     lucastorial,
 )
+
+Weights = Callable[[int], Scalar]
 
 
 @dataclass(frozen=True)
@@ -35,15 +43,30 @@ class DeformedBinomial:
     coeffs: tuple
 
 
+def deformed_row(n: int, u_weights: Weights, v_weights: Weights, params: LucasParams) -> list:
+    """c_k = C(n,k) * u_weights(n-k) * v_weights(k), k = 0..n, in O(n).
+
+    With ``PowerWeights(u)`` and ``PowerWeights(v)`` these are the deformed
+    power coefficients; other weight families give the weighted binomial rows.
+    """
+    return [c * u_weights(n - k) * v_weights(k) for k, c in enumerate(lucasnomial_row(n, params))]
+
+
+def row_value(row: Sequence[Scalar], x: Scalar, y: Scalar, backend: Backend) -> Scalar:
+    """sum over k of row[k] * x^(n-k) * y^k, with n = len(row) - 1."""
+    n = len(row) - 1
+    total = backend_zero(backend)
+    for k, c in enumerate(row):
+        total = total + c * x ** (n - k) * y**k
+    return total
+
+
 def deformed_power_coeffs(n: int, u: Scalar, v: Scalar, params: LucasParams) -> DeformedBinomial:
     """Exact coefficients c_k = C(n,k) u^T(n-k) v^T(k), k = 0..n."""
     if n < 0:
         raise IndexOutOfRange("n must be nonnegative")
     common_backend(u, v, params.s)
-    coeffs = tuple(
-        lucasnomial(n, k, params) * u ** binom2(n - k) * v ** binom2(k) for k in range(n + 1)
-    )
-    return DeformedBinomial(n, u, v, coeffs)
+    return DeformedBinomial(n, u, v, tuple(deformed_row(n, PowerWeights(u), PowerWeights(v), params)))
 
 
 def deformed_power_value(
@@ -51,11 +74,7 @@ def deformed_power_value(
 ) -> Scalar:
     """Evaluate the degree-n deformed power at the point (x, y)."""
     common_backend(x, y, u, v, params.s)
-    row = deformed_power_coeffs(n, u, v, params).coeffs
-    total = backend_zero(params.backend)
-    for k, c in enumerate(row):
-        total = total + c * x ** (n - k) * y**k
-    return total
+    return row_value(deformed_power_coeffs(n, u, v, params).coeffs, x, y, params.backend)
 
 
 def phi_product_power(n: int, x: Scalar, y: Scalar, params: LucasParams) -> Scalar:
@@ -90,17 +109,22 @@ def multinomial_number(us: Sequence[Scalar], n: int, params: LucasParams) -> Sca
 
 
 class PowerWeights:
-    """Weight family w(n) = u^T(n) used by the plain one-deformation functions."""
+    """Weight family w(n) = u^T(n) used by the plain one-deformation functions.
+
+    Grows by w(m+1) = w(m) * u^m, keeping the running power u^m.
+    """
 
     def __init__(self, u: Scalar):
         self.u = u
-        self._values = [backend_one(backend_of(u))]
+        one = backend_one(backend_of(u))
+        self._values = [one]
+        self._power = one
 
     def __call__(self, n: int) -> Scalar:
         values = self._values
         while len(values) <= n:
-            m = len(values) - 1
-            values.append(values[-1] * self.u**m)
+            values.append(values[-1] * self._power)
+            self._power = self._power * self.u
         return values[n]
 
 
@@ -153,34 +177,29 @@ class MultinomialWeights:
         return values[n]
 
 
-class DeformedZeroWeights:
-    """Memoized weights w(n) = deformed zero of degree n for a fixed (u, v)."""
-
-    def __init__(self, u: Scalar, v: Scalar, params: LucasParams):
-        self.u = u
-        self.v = v
-        self.params = params
-        self._values: list[Scalar] = []
-
-    def __call__(self, n: int) -> Scalar:
-        values = self._values
-        while len(values) <= n:
-            values.append(deformed_zero(len(values), self.u, self.v, self.params))
-        return values[n]
-
-
 class DeformedPowerWeights:
     """Memoized weights w(n) = deformed power of (x, y) at degree n."""
 
     def __init__(self, x: Scalar, y: Scalar, u: Scalar, v: Scalar, params: LucasParams):
         self.x, self.y, self.u, self.v = x, y, u, v
         self.params = params
+        self._u_weights = PowerWeights(u)
+        self._v_weights = PowerWeights(v)
         self._values: list[Scalar] = []
 
     def __call__(self, n: int) -> Scalar:
         values = self._values
+        if len(values) <= n:
+            common_backend(self.x, self.y, self.u, self.v, self.params.s)
         while len(values) <= n:
-            values.append(
-                deformed_power_value(len(values), self.x, self.y, self.u, self.v, self.params)
-            )
+            row = deformed_row(len(values), self._u_weights, self._v_weights, self.params)
+            values.append(row_value(row, self.x, self.y, self.params.backend))
         return values[n]
+
+
+class DeformedZeroWeights(DeformedPowerWeights):
+    """Memoized weights w(n) = deformed zero of degree n for a fixed (u, v)."""
+
+    def __init__(self, u: Scalar, v: Scalar, params: LucasParams):
+        one = backend_one(params.backend)
+        super().__init__(one, -one, u, v, params)

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .deformed import (
     DeformedZeroWeights,
     MultinomialWeights,
     PowerWeights,
-    deformed_power_coeffs,
+    Weights,
+    deformed_row,
+    row_value,
 )
 from .errors import (
     DivisionByZeroValue,
@@ -41,7 +43,6 @@ from .scalars import (
     backend_zero,
     binom2,
     common_backend,
-    lucasnomial,
     magnitude,
 )
 from .series import TruncatedSeries, TruncatedSeries2
@@ -96,8 +97,6 @@ _QUOTIENTS = {
     FnKind.SECH: (None, FnKind.COSH),
     FnKind.CSCH: (None, FnKind.SINH),
 }
-
-Weights = Callable[[int], Scalar]
 
 _GROWTH_LIMIT = 8
 _SMALL_RUN = 3
@@ -318,7 +317,9 @@ def binomial_series2(
     """Bivariate series built from the deformed powers of (x, y)."""
     if kind not in _PRIMARY:
         raise PoleAtOrigin(f"{kind.value} has no bivariate series form")
+    common_backend(u, v, params.s)
     index, alternating = _PRIMARY[kind]
+    u_weights, v_weights = PowerWeights(u), PowerWeights(v)
     out: dict[tuple[int, int], Scalar] = {}
     j = 0
     while True:
@@ -326,7 +327,7 @@ def binomial_series2(
         if n > order:
             break
         fact = params.cache.factorial(n)
-        row = deformed_power_coeffs(n, u, v, params).coeffs
+        row = deformed_row(n, u_weights, v_weights, params)
         sign = -1 if (alternating and j % 2 == 1) else 1
         for k, c in enumerate(row):
             value = c / fact
@@ -366,16 +367,8 @@ def weighted_binomial_value(
         j = 0
         while True:
             n = index(j)
-            acc = backend_zero(params.backend)
-            for k in range(n + 1):
-                acc = acc + (
-                    lucasnomial(n, k, params)
-                    * x_weights(n - k)
-                    * y_weights(k)
-                    * x ** (n - k)
-                    * y**k
-                )
-            term = acc / params.cache.factorial(n)
+            row = deformed_row(n, x_weights, y_weights, params)
+            term = row_value(row, x, y, params.backend) / params.cache.factorial(n)
             if alternating and j % 2 == 1:
                 term = -term
             yield term

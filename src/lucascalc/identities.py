@@ -2037,7 +2037,10 @@ def run_suite(
 
     Identical (selection, trials, order, seed) produce identical outcomes;
     each record draws from its own stream seeded by (seed, id).
+    Raises ValueError when ``trials`` is below 1: a pass needs evidence.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     records = _resolve(selection)
     started = time.perf_counter()
     results = []

@@ -38,81 +38,94 @@ class Backend(enum.Enum):
 
 
 class GaussianRational:
-    """Exact element of Q(i), stored as a pair of Fractions.
+    """Exact element of Q(i), stored as an integer triple (a, b, d) meaning (a+bi)/d.
 
-    Arithmetic with ints and Fractions is supported; floats and complex
-    numbers are rejected so the exact backends cannot silently degrade.
+    The triple is canonical (d > 0 and gcd(a, b, d) = 1), so equality
+    compares integers and each operation reduces with one ``math.gcd``.
+    The real and imaginary parts are available as the Fractions ``re`` and
+    ``im``.  Arithmetic with ints and Fractions is supported; floats and
+    complex numbers are rejected so the exact backends cannot silently
+    degrade.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, GaussianRational):
             if im:
                 raise TypeError("imaginary part must be rational")
-            self.re, self.im = re.re, re.im
+            self._a, self._b, self._d = re._a, re._b, re._d
             return
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p * q // math.gcd(p, q)
+        self._a, self._b, self._d = re.numerator * (d // p), im.numerator * (d // q), d
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        a, b, d = o
+        sd = self._d
+        if d == sd:
+            return _reduced(self._a + a, self._b + b, d)
+        return _reduced(self._a * d + a * sd, self._b * d + b * sd, sd * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        a, b, d = o
+        sd = self._d
+        if d == sd:
+            return _reduced(self._a - a, self._b - b, d)
+        return _reduced(self._a * d - a * sd, self._b * d - b * sd, sd * d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        a, b, d = o
+        sd = self._d
+        return _reduced(a * sd - self._a * d, b * sd - self._b * d, d * sd)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        a, b, d = o
+        sa, sb = self._a, self._b
+        return _reduced(sa * a - sb * b, sa * b + sb * a, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
-            raise ZeroDivisionError("division by Gaussian zero")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
+        return _quotient(self._a, self._b, self._d, *o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _quotient(*o, self._a, self._b, self._d)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
@@ -120,46 +133,82 @@ class GaussianRational:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return (GaussianRational(1) / self) ** (-exponent)
-        result = GaussianRational(1)
-        base = self
-        n = exponent
+        base = self if exponent >= 0 else _quotient(1, 0, 1, self._a, self._b, self._d)
+        a, b, d = base._a, base._b, base._d
+        n = abs(exponent)
+        den = d**n
+        ra, rb = 1, 0
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                ra, rb = ra * a - rb * b, ra * b + rb * a
             n >>= 1
-        return result
+            if n:
+                a, b = a * a - b * b, 2 * a * b
+        return _reduced(ra, rb, den)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o[0] and self._b == o[1] and self._d == o[2]
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b == 0:
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        sign = "+" if im >= 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """The GaussianRational with an already canonical triple."""
+    out = object.__new__(GaussianRational)
+    out._a, out._b, out._d = a, b, d
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a+bi)/d for d > 0, reduced by one gcd."""
+    g = math.gcd(a, b, d)
+    if g == 1:
+        return _triple(a, b, d)
+    return _triple(a // g, b // g, d // g)
+
+
+def _quotient(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianRational:
+    """((a1+b1 i)/d1) / ((a2+b2 i)/d2) = (a1+b1 i)(a2-b2 i) d2 / (d1 (a2^2+b2^2))."""
+    norm = a2 * a2 + b2 * b2
+    if norm == 0:
+        raise ZeroDivisionError("division by Gaussian zero")
+    return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * norm)
+
+
+def _parts(value):
+    """Canonical triple of a Gaussian, int or Fraction operand; None for any other type."""
+    if isinstance(value, GaussianRational):
+        return value._a, value._b, value._d
+    if isinstance(value, int):
+        return int(value), 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return None
 
 
 Scalar = Union[int, Fraction, GaussianRational, float, complex]
@@ -319,13 +368,6 @@ class SeqCache:
         if self._first_zero is not None and self._first_zero <= n:
             raise VanishingFactor(self._first_zero)
         return self._fact[n]
-
-    def first_zero_index(self, upto: int) -> Optional[int]:
-        if upto >= len(self._fact):
-            self._extend(upto)
-        if self._first_zero is not None and self._first_zero <= upto:
-            return self._first_zero
-        return None
 
 
 @dataclass(frozen=True)
@@ -494,6 +536,27 @@ def lucasnomial(n: int, k: int, params: LucasParams) -> Scalar:
             raise DivisionByZeroFactor(f"{{{j}}} = 0 in the denominator")
         result = result * cache.u(n - k + j) / denom
     return result
+
+
+def lucasnomial_row(n: int, params: LucasParams) -> list:
+    """The row C(n,0..n) in O(n), by C(n,k) = C(n,k-1) * {n-k+1} / {k}.
+
+    The same telescoped product as :func:`lucasnomial`, shared along the row
+    (not the Pascal rule, which the suite verifies); the first vanishing
+    denominator {k} raises DivisionByZeroFactor as ``lucasnomial(n, k)`` does.
+    """
+    if n < 0:
+        raise IndexOutOfRange(f"need n >= 0, got n={n}")
+    cache = params.cache
+    c = backend_one(params.backend)
+    row = [c]
+    for k in range(1, n + 1):
+        denom = cache.u(k)
+        if denom == 0:
+            raise DivisionByZeroFactor(f"{{{k}}} = 0 in the denominator")
+        c = c * cache.u(n - k + 1) / denom
+        row.append(c)
+    return row
 
 
 def binom2(n: int) -> int:

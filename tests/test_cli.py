@@ -58,6 +58,12 @@ class TestSeq:
         code, _, _ = run_cli(capsys, "seq", "--s", "abc", "--t", "1", "--n", "3")
         assert code == 2
 
+    def test_negative_n_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "seq", "--s", "1", "--t", "1", "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--n" in err
+
 
 class TestEval:
     def test_cos_at_origin(self, capsys):
@@ -92,6 +98,16 @@ class TestEval:
             capsys, "eval", "--fn", "exp", "--s", "1", "--t", "1", "--u", "4", "--x", "2"
         )
         assert code == 3
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize("slot", ["--x", "--u", "--s"])
+    def test_non_finite_argument_exits_2(self, capsys, bad, slot):
+        argv = {"--fn": "sin", "--s": "1", "--t": "1", "--u": "1", "--x": "0.5"}
+        argv[slot] = bad
+        code, out, err = run_cli(capsys, "eval", *[f"{key}={value}" for key, value in argv.items()])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
 
 class TestTable:
@@ -142,6 +158,12 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "pascal-1", "--trials", "2")
         assert code == 0
         assert "PASS pascal-1" in out
+
+    def test_zero_trials_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "pascal", "--trials", "0")
+        assert code == 2
+        assert out == ""
+        assert "trials" in err
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nosuch")

@@ -1,5 +1,6 @@
 """Function families: series coefficients, adaptive values, and the sine zero."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from lucascalc import (
     Backend,
     DivisionByZeroValue,
     FnKind,
+    GaussianRational,
     NegativeNormalizer,
     NoRootFound,
     PoleAtOrigin,
@@ -130,6 +132,26 @@ class TestValues:
 
 
 class TestBivariate:
+    # sha256 over str() of every coefficient, computed with one telescoped
+    # lucasnomial product per entry; the O(n) rows must reproduce it exactly.
+    GOLDEN_SHA256 = "be08513a6b353283d36c806f19da7f50495a985a0a55ef60350fc554c288f78c"
+
+    def test_exact_coefficients_match_golden_digest(self):
+        G = GaussianRational
+        points = [
+            (params_from_roots(F(3, 2), F(-1, 3)), F(2, 3), F(-5, 4)),
+            (make_params(F(1), F(1)), F(1, 2), F(3)),
+            (params_from_roots(G(1, 1), G(F(1, 2), -2)), G(F(1, 3), 1), G(-2, F(1, 5))),
+            (make_params(G(2, -1), G(0, 3)), G(1, F(-1, 2)), G(F(3, 4), 0)),
+        ]
+        digest = hashlib.sha256()
+        for params, u, v in points:
+            for kind in (EXP, SIN, COS):
+                series = binomial_series2(kind, u, v, params, 16)
+                for key in sorted(series.coeffs):
+                    digest.update(f"{key}:{series.coeffs[key]};".encode())
+        assert digest.hexdigest() == self.GOLDEN_SHA256
+
     def test_exp_bivariate_equals_outer_product(self):
         u, v = F(2, 3), F(-1, 2)
         lhs = binomial_series2(EXP, u, v, FIB, 8)

@@ -70,6 +70,11 @@ class TestRunner:
         with pytest.raises(UnknownIdentityId):
             run_suite([], trials=1)
 
+    def test_trials_below_one_rejected(self):
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match="trials"):
+                run_suite("pascal-1", trials=trials)
+
     def test_single_id_and_group_selection(self):
         by_id = run_suite("pascal-1", trials=2, seed=1)
         assert [r.id for r in by_id.results] == ["pascal-1"]

@@ -1,5 +1,7 @@
 """Field backends, parameters, sequences, and binomial analogues."""
 
+import math
+import operator
 import random
 import threading
 from fractions import Fraction as F
@@ -23,6 +25,7 @@ from lucascalc import (
     lucas_u,
     lucas_v,
     lucasnomial,
+    lucasnomial_row,
     lucastorial,
     make_params,
     params_from_roots,
@@ -278,6 +281,172 @@ class TestLucasnomial:
             for k in range(n + 1):
                 quotient = lucastorial(n, p) / (lucastorial(k, p) * lucastorial(n - k, p))
                 assert lucasnomial(n, k, p) == quotient
+
+
+class TestLucasnomialRow:
+    POINTS = {
+        "rational": (F(3, 2), F(-2, 5)),
+        "gaussian": (GaussianRational(1, F(1, 2)), GaussianRational(F(-2, 3), 1)),
+        "float": (0.75, 1.25),
+    }
+
+    @pytest.mark.parametrize("backend", sorted(POINTS))
+    def test_row_matches_entries(self, backend):
+        p = make_params(*self.POINTS[backend])
+        for n in range(31):
+            row = lucasnomial_row(n, p)
+            entries = [lucasnomial(n, k, p) for k in range(n + 1)]
+            if backend == "float":
+                # the row shares one product along k, so rounding differs by a few ulps
+                assert row == pytest.approx(entries, rel=1e-12)
+            else:
+                assert row == entries
+                assert all(backend_of(c) is backend_of(e) for c, e in zip(row, entries))
+
+    def test_same_error_as_entries(self):
+        p = make_params(F(1), F(-1))  # {3} = 0
+        assert lucasnomial_row(2, p) == [1, 1, 1]
+        for n in (3, 4, 7):
+            with pytest.raises(DivisionByZeroFactor) as row_err:
+                lucasnomial_row(n, p)
+            with pytest.raises(DivisionByZeroFactor) as entry_err:
+                lucasnomial(n, 3, p)
+            assert str(row_err.value) == str(entry_err.value) == "{3} = 0 in the denominator"
+
+    def test_negative_degree(self):
+        with pytest.raises(IndexOutOfRange):
+            lucasnomial_row(-1, make_params(F(1), F(1)))
+
+
+class PairModel:
+    """Reference Gaussian rational: a plain pair of Fractions."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = F(re), F(im)
+
+    def __add__(self, o):
+        return PairModel(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return PairModel(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return PairModel(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        norm = o.re * o.re + o.im * o.im
+        return PairModel(
+            (self.re * o.re + self.im * o.im) / norm, (self.im * o.re - self.re * o.im) / norm
+        )
+
+    def __pow__(self, n):
+        base = self if n >= 0 else PairModel(1) / self
+        out = PairModel(1)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def str(self):
+        if self.im == 0:
+            return str(self.re)
+        sign = "+" if self.im >= 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+    def repr(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+wide_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+operands = st.one_of(
+    st.tuples(wide_fractions, wide_fractions).map(lambda p: ("gaussian", p)),
+    wide_fractions.map(lambda f: ("fraction", f)),
+    st.integers(-10**6, 10**6).map(lambda i: ("int", i)),
+)
+
+
+def _build(operand):
+    kind, value = operand
+    if kind == "gaussian":
+        return GaussianRational(*value), PairModel(*value)
+    return value, PairModel(value)
+
+
+def _agrees(g, m):
+    """Same value as the model, canonically stored, with unchanged str and repr."""
+    assert isinstance(g, GaussianRational)
+    assert (g.re, g.im) == (m.re, m.im)
+    assert type(g.re) is F and type(g.im) is F
+    assert g._d > 0 and math.gcd(g._a, g._b, g._d) == 1
+    assert str(g) == m.str() and repr(g) == m.repr()
+    return True
+
+
+class TestGaussianTripleAgainstPairModel:
+    @given(st.tuples(wide_fractions, wide_fractions), operands)
+    @settings(max_examples=200, deadline=None)
+    def test_ring_operations_and_division(self, pair, operand):
+        g, m = GaussianRational(*pair), PairModel(*pair)
+        o, om = _build(operand)
+        assert _agrees(g, m)
+        for op in (operator.add, operator.sub, operator.mul):
+            assert _agrees(op(g, o), op(m, om))
+            assert _agrees(op(o, g), op(om, m))
+        assert _agrees(-g, PairModel(-m.re, -m.im))
+        assert _agrees(g.conjugate(), PairModel(m.re, -m.im))
+        if om.re or om.im:
+            assert _agrees(g / o, m / om)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                g / o
+        if g:
+            assert _agrees(o / g, om / m)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                o / g
+
+    @given(st.tuples(wide_fractions, wide_fractions), st.integers(-7, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_powers(self, pair, n):
+        g, m = GaussianRational(*pair), PairModel(*pair)
+        if n < 0 and not g:
+            with pytest.raises(ZeroDivisionError):
+                g**n
+        else:
+            assert _agrees(g**n, m**n)
+
+    @given(wide_fractions, wide_fractions)
+    @settings(max_examples=100, deadline=None)
+    def test_equality_and_hash_with_rationals(self, re, im):
+        g = GaussianRational(re, im)
+        assert (g == re) == (im == 0) == (re == g)
+        assert g == GaussianRational(re, im) and hash(g) == hash(GaussianRational(re, im))
+        real = GaussianRational(re)
+        assert real == re and hash(real) == hash(re)
+        assert bool(g) == bool(re or im)
+        if re.denominator == 1:
+            assert real == int(re) and int(re) == real and hash(real) == hash(int(re))
+        assert g != GaussianRational(re + 1, im) and g != GaussianRational(re, im + 1)
+
+    def test_construction_forms_are_canonical(self):
+        assert _agrees(GaussianRational(F(2, 4), F(-6, 8)), PairModel(F(1, 2), F(-3, 4)))
+        assert _agrees(GaussianRational(0.5, "3/4"), PairModel(F(1, 2), F(3, 4)))
+        assert _agrees(GaussianRational(GaussianRational(F(1, 3), 2)), PairModel(F(1, 3), 2))
+        assert _agrees(GaussianRational(), PairModel(0))
+        assert (GaussianRational(6, 4)._a, GaussianRational(6, 4)._d) == (6, 1)
+        with pytest.raises(TypeError):
+            GaussianRational(GaussianRational(1), 1)
+
+    def test_float_and_complex_rejected(self):
+        g = GaussianRational(1, 2)
+        for bad in (1.5, 1j):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(TypeError):
+                    op(g, bad)
+                with pytest.raises(TypeError):
+                    op(bad, g)
+        with pytest.raises(TypeError):
+            g ** F(1, 2)
+        assert (g == 1 + 2j) is False
 
 
 class TestPascal:
