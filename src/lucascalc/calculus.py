@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import NonContractingNodes, NonConvergent, VanishingFactor
+from .errors import NonContractingNodes, NonConvergent, OrderMismatch, VanishingFactor
 from .scalars import Backend, LucasParams, Scalar, backend_zero, magnitude
 from .series import TruncatedSeries, TruncatedSeries2
 
@@ -38,10 +38,14 @@ def derivative_value(f: RealFn, x: Scalar, params: LucasParams) -> Scalar:
 
 
 def derivative_series(f: TruncatedSeries, params: LucasParams) -> TruncatedSeries:
-    """Power rule on coefficients: a_n z^n -> a_n {n} z^(n-1); order drops by one."""
+    """Power rule on coefficients: a_n z^n -> a_n {n} z^(n-1); order drops by one.
+
+    Raises OrderMismatch on an order-0 series, whose derivative has no
+    known coefficient.
+    """
     cache = params.cache
     if f.order == 0:
-        return TruncatedSeries.zero(0, f.backend)
+        raise OrderMismatch("the derivative of an order-0 series has no known coefficient")
     out = [f.coeffs[n] * cache.u(n) for n in range(1, f.order + 1)]
     return TruncatedSeries(out, f.backend)
 

@@ -19,6 +19,7 @@ from .errors import LucasError, NoRootFound, UnknownIdentityId
 from .functions import FnKind, find_pi_u, fn_value_info
 from .identities import run_suite
 from .scalars import GaussianRational, lucas_u, lucas_v, make_params
+from .series import TruncatedSeries
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,6 +33,14 @@ def _number(text: str) -> float:
     value = float(Fraction(text)) if "/" in text else float(text)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type for tolerances and bounds: a finite float above zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return value
 
 
@@ -159,13 +168,7 @@ def _cmd_integrate(args) -> int:
         print("--poly expects a comma-separated coefficient list, constant first", file=sys.stderr)
         return EXIT_USAGE
     params = make_params(_number(args.s), _number(args.t))
-
-    def poly(x):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
+    poly = TruncatedSeries(coeffs).eval_at
     value = integral_value(poly, _number(args.a), _number(args.b), params, args.eps)
     rows = [{"poly": args.poly, "s": params.s, "t": params.t, "a": _number(args.a), "b": _number(args.b), "value": value}]
     _emit(rows, args.format, sys.stdout)
@@ -198,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--fn", required=True, choices=[k.value for k in FnKind])
     _add_common(ev, u=True)
     ev.add_argument("--x", required=True, help="evaluation point")
-    ev.add_argument("--eps", type=float, default=1e-12)
+    ev.add_argument("--eps", type=_positive, default=1e-12)
     ev.set_defaults(func=_cmd_eval)
 
     table = subs.add_parser("table", help="tabulate a function over a grid")
@@ -207,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--from", required=True, help="grid start")
     table.add_argument("--to", required=True, help="grid end (inclusive)")
     table.add_argument("--step", required=True, help="grid step")
-    table.add_argument("--eps", type=float, default=1e-12)
+    table.add_argument("--eps", type=_positive, default=1e-12)
     table.set_defaults(func=_cmd_table)
 
     verify = subs.add_parser("verify", help="run the identity suite")
@@ -220,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     piu = subs.add_parser("piu", help="first positive zero of the sine family member")
     _add_common(piu, u=True)
-    piu.add_argument("--xmax", type=float, default=10.0)
+    piu.add_argument("--xmax", type=_positive, default=10.0)
     piu.set_defaults(func=_cmd_piu)
 
     integrate = subs.add_parser("integrate", help="definite node-series integral of a polynomial")
@@ -229,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     integrate.add_argument("--t", required=True)
     integrate.add_argument("--a", required=True, help="lower endpoint")
     integrate.add_argument("--b", required=True, help="upper endpoint")
-    integrate.add_argument("--eps", type=float, default=1e-12)
+    integrate.add_argument("--eps", type=_positive, default=1e-12)
     integrate.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     integrate.set_defaults(func=_cmd_integrate)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .deformed import (
     DeformedZeroWeights,
@@ -224,6 +224,28 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
         j += 1
 
 
+def _quotient(kind: FnKind, params: LucasParams, part: Callable[..., EvalInfo], *args) -> EvalInfo:
+    """Quotient ``kind`` from its primary parts, ``part(k, *args)`` for primary kind k.
+
+    The denominator is evaluated first, and a zero one raises
+    DivisionByZeroValue; a missing numerator is 1.  The terms of both parts
+    add up.
+    """
+    numerator, denominator = _QUOTIENTS[kind]
+    den = part(denominator, *args)
+    if den.value == 0:
+        raise DivisionByZeroValue(f"{denominator.value} vanished in a quotient")
+    if numerator is None:
+        return EvalInfo(backend_one(params.backend) / den.value, den.terms_used)
+    num = part(numerator, *args)
+    return EvalInfo(num.value / den.value, num.terms_used + den.terms_used)
+
+
+def _uncounted(evaluate: Callable[..., Scalar]) -> Callable[..., EvalInfo]:
+    """``evaluate`` as a ``_quotient`` part, for evaluators that report no terms."""
+    return lambda *args: EvalInfo(evaluate(*args), 0)
+
+
 def fn_value_info(
     kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float = 1e-12
 ) -> EvalInfo:
@@ -231,14 +253,7 @@ def fn_value_info(
     common_backend(x, u, params.s)
     if kind in _PRIMARY:
         return _adaptive_sum(_primary_value_terms(kind, x, u, params), eps)
-    numerator, denominator = _QUOTIENTS[kind]
-    den = fn_value_info(denominator, x, u, params, eps)
-    if den.value == 0:
-        raise DivisionByZeroValue(f"{denominator.value}({x}) = 0")
-    if numerator is None:
-        return EvalInfo(backend_one(params.backend) / den.value, den.terms_used)
-    num = fn_value_info(numerator, x, u, params, eps)
-    return EvalInfo(num.value / den.value, num.terms_used + den.terms_used)
+    return _quotient(kind, params, fn_value_info, x, u, params, eps)
 
 
 def fn_value(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float = 1e-12) -> Scalar:
@@ -290,13 +305,7 @@ def multinomial_value(
         weights = MultinomialWeights(tuple(us), params)
     if kind in _PRIMARY:
         return weighted_fn_value(kind, weights, x, params, eps)
-    numerator, denominator = _QUOTIENTS[kind]
-    den = weighted_fn_value(denominator, weights, x, params, eps)
-    if den == 0:
-        raise DivisionByZeroValue(f"{denominator.value} vanished in a quotient")
-    if numerator is None:
-        return backend_one(params.backend) / den
-    return weighted_fn_value(numerator, weights, x, params, eps) / den
+    return _quotient(kind, params, _uncounted(weighted_fn_value), weights, x, params, eps).value
 
 
 def deformed_zero_series(
@@ -351,16 +360,8 @@ def weighted_binomial_value(
     divided by {N}! and signed per the kind's pattern.
     """
     if kind in _QUOTIENTS:
-        numerator, denominator = _QUOTIENTS[kind]
-        den = weighted_binomial_value(denominator, x_weights, y_weights, x, y, params, eps)
-        if den == 0:
-            raise DivisionByZeroValue(f"{denominator.value} vanished in a quotient")
-        num = (
-            backend_one(params.backend)
-            if numerator is None
-            else weighted_binomial_value(numerator, x_weights, y_weights, x, y, params, eps)
-        )
-        return num / den
+        part = _uncounted(weighted_binomial_value)
+        return _quotient(kind, params, part, x_weights, y_weights, x, y, params, eps).value
     index, alternating = _PRIMARY[kind]
 
     def terms():

@@ -7,16 +7,25 @@ checks compare point evaluations against an independent route within a
 stated tolerance.  ``run_suite`` executes any selection reproducibly
 from a seed and reports per-identity outcomes with counterexample
 parameters on failure.
+
+A record declares its parameter sampler and a ``sides(rng, params, order)``
+generator.  The generator draws the record's remaining variables from
+``rng`` and yields ``(context, lhs, rhs)`` triples; it rejects an
+inadmissible draw by raising ``_Reject`` before its first triple.
+``run_suite`` owns everything else: drawing and retrying, skipping the
+domain errors of numeric records, comparing, the bivariate order clamp
+and timing.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .calculus import (
     antiderivative_series,
@@ -42,6 +51,7 @@ from .errors import (
     UnknownIdentityId,
 )
 from .functions import (
+    SERIES_KINDS,
     FnKind,
     binomial_series2,
     binomial_value,
@@ -62,7 +72,6 @@ from .scalars import (
     GAUSSIAN_I,
     GaussianRational,
     LucasParams,
-    Scalar,
     binom2,
     lucas_u,
     lucasnomial,
@@ -91,6 +100,22 @@ SINH, COSH, TANH = FnKind.SINH, FnKind.COSH, FnKind.TANH
 _RETRIES = 300
 
 
+class _Reject(Exception):
+    """An inadmissible draw: ``run_suite`` draws the record's variables again."""
+
+
+# A numeric record's draw is also rejected when its evaluation leaves the
+# domain; exact records retry only on _Reject.
+_NUMERIC_REJECTS = (
+    _Reject,
+    SeriesDiverging,
+    DivisionByZeroValue,
+    NegativeNormalizer,
+    NoRootFound,
+    ZeroDivisionError,
+)
+
+
 @dataclass(frozen=True)
 class Failure:
     """Reproducible counterexample: sampled parameters and both sides."""
@@ -100,33 +125,43 @@ class Failure:
     rhs: str
     delta: Optional[float]
 
-    def to_dict(self):
-        return {"params": self.params, "lhs": self.lhs, "rhs": self.rhs, "delta": self.delta}
 
-
-CheckFn = Callable[[random.Random, int], Optional[Failure]]
+Sides = Callable[[random.Random, LucasParams, int], Iterator[tuple]]
 
 
 @dataclass(frozen=True)
 class IdentityRecord:
+    """A catalogued statement and how to check it.
+
+    ``draw`` samples the sequence parameters, ``sides`` draws the rest and
+    yields the triples to compare, and ``min_order`` is the lowest series
+    order at which every coefficient the check compares is known.
+    """
+
     id: str
     group: str
     anchor: str
     check_kind: str
-    sampler: str
     tolerance: Optional[float]
-    fn: CheckFn
+    draw: Callable[[random.Random], LucasParams]
+    sides: Sides
+    min_order: int = 0
+
+    @property
+    def sampler(self) -> str:
+        """Name of the parameter sampler: rational-roots, gaussian or float."""
+        return _SAMPLER_NAMES[getattr(self.draw, "func", self.draw)]
 
 
 CATALOG: dict[str, IdentityRecord] = {}
 
 
-def _identity(id: str, group: str, anchor: str, kind: str, sampler: str, tolerance=None):
-    def wrap(fn: CheckFn):
+def _identity(id: str, group: str, anchor: str, kind: str, draw, tolerance=None, min_order=0):
+    def wrap(sides: Sides):
         if id in CATALOG:
             raise ValueError(f"duplicate identity id {id}")
-        CATALOG[id] = IdentityRecord(id, group, anchor, kind, sampler, tolerance, fn)
-        return fn
+        CATALOG[id] = IdentityRecord(id, group, anchor, kind, tolerance, draw, sides, min_order)
+        return sides
 
     return wrap
 
@@ -141,11 +176,10 @@ def _frac(rng: random.Random, span: int = 9) -> Fraction:
 
 
 def _root_params(rng: random.Random) -> LucasParams:
-    while True:
-        a, b = _frac(rng), _frac(rng)
-        if a == b or a + b == 0:
-            continue
-        return params_from_roots(a, b)
+    a, b = _frac(rng), _frac(rng)
+    if a == b or a + b == 0:
+        raise _Reject
+    return params_from_roots(a, b)
 
 
 def _gauss(rng: random.Random) -> GaussianRational:
@@ -159,12 +193,15 @@ def _gauss_params(rng: random.Random) -> LucasParams:
 def _float_params(
     rng: random.Random, ratio_max: float = 0.85, phi_min: float = 1.05, phi_max: float = 3.0
 ) -> LucasParams:
-    while True:
-        phi = rng.uniform(phi_min, phi_max) * rng.choice((-1.0, 1.0))
-        psi = rng.uniform(0.08, ratio_max) * abs(phi) * rng.choice((-1.0, 1.0))
-        if abs(phi + psi) < 0.05 or abs(phi * psi) < 0.02:
-            continue
-        return params_from_roots(phi, psi)
+    phi = rng.uniform(phi_min, phi_max) * rng.choice((-1.0, 1.0))
+    psi = rng.uniform(0.08, ratio_max) * abs(phi) * rng.choice((-1.0, 1.0))
+    if abs(phi + psi) < 0.05 or abs(phi * psi) < 0.02:
+        raise _Reject
+    return params_from_roots(phi, psi)
+
+
+_SAMPLER_NAMES = {_root_params: "rational-roots", _gauss_params: "gaussian", _float_params: "float"}
+_pi_params = partial(_float_params, ratio_max=0.75, phi_min=1.25, phi_max=2.4)
 
 
 def _float_u(rng: random.Random, params: LucasParams, cap: float = 0.8, lo: float = 0.05) -> float:
@@ -181,16 +218,6 @@ def _poly_series(rng: random.Random, degree: int, order: int) -> TruncatedSeries
     return TruncatedSeries(coeffs, Backend.RATIONAL)
 
 
-def _poly_fn(coeffs: Sequence[float]):
-    def f(x):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    return f
-
-
 @lru_cache(maxsize=512)
 def _multi_weights(us: tuple, params: LucasParams) -> MultinomialWeights:
     return MultinomialWeights(us, params)
@@ -201,81 +228,69 @@ def _pi_root(params: LucasParams, u: float):
     return find_pi_u(params, u)
 
 
+def _pi_setup(rng: random.Random, params: LucasParams):
+    """A deformation u whose sine has a sharp first zero pi_u <= 8, where the
+    deformed-zero cosine c0 exceeds 0.05: returns (u, the zero, c0)."""
+    u = rng.uniform(0.35, min(1.0, 0.8 * abs(params.phi)))
+    root = _pi_root(params, u)
+    if root.residual > 1e-10 or root.value > 8.0:
+        raise _Reject
+    c0 = deformed_zero_value(COS, u, u, root.value, params)
+    if not c0 > 0.05:
+        raise _Reject
+    return u, root, c0
+
+
 # --------------------------------------------------------------------------
-# comparison helpers
+# comparison
 # --------------------------------------------------------------------------
 
 
-def _series_check(lhs: TruncatedSeries, rhs: TruncatedSeries, ctx: dict) -> Optional[Failure]:
+def _compare(ctx: dict, lhs, rhs, tol: float) -> Optional[Failure]:
+    """None when the two sides agree, else the counterexample.
+
+    Float and complex sides agree within ``tol`` relative to
+    max(1, |lhs|, |rhs|).  Exact sides must be equal; a series or a
+    coefficient tuple reports its first differing coefficient.
+    """
+    if isinstance(lhs, (float, complex)):
+        delta = magnitude(lhs - rhs)
+        if delta <= tol * max(1.0, magnitude(lhs), magnitude(rhs)):
+            return None
+        return Failure(ctx, str(lhs), str(rhs), delta)
     if lhs == rhs:
         return None
-    common = min(lhs.order, rhs.order)
-    for n in range(common + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            return Failure(ctx, f"coeff[{n}]={lhs.coeffs[n]}", f"coeff[{n}]={rhs.coeffs[n]}", None)
-    return Failure(ctx, repr(lhs), repr(rhs), None)
-
-
-def _series2_check(lhs: TruncatedSeries2, rhs: TruncatedSeries2, ctx: dict) -> Optional[Failure]:
-    if lhs == rhs:
-        return None
-    common = min(lhs.order, rhs.order)
-    keys = {k for k in (*lhs.coeffs, *rhs.coeffs) if sum(k) <= common}
-    for key in sorted(keys):
-        a, b = lhs.coefficient(*key), rhs.coefficient(*key)
+    if isinstance(lhs, TruncatedSeries2):
+        common = min(lhs.order, rhs.order)
+        keys = sorted({k for k in (*lhs.coeffs, *rhs.coeffs) if sum(k) <= common})
+        pairs = [(key, (lhs.coefficient(*key), rhs.coefficient(*key))) for key in keys]
+    elif isinstance(lhs, TruncatedSeries):
+        pairs = enumerate(zip(lhs.coeffs, rhs.coeffs))
+    elif isinstance(lhs, tuple):
+        pairs = enumerate(zip(lhs, rhs))
+    else:
+        return Failure(ctx, str(lhs), str(rhs), None)
+    for key, (a, b) in pairs:
         if a != b:
             return Failure(ctx, f"coeff[{key}]={a}", f"coeff[{key}]={b}", None)
     return Failure(ctx, repr(lhs), repr(rhs), None)
-
-
-def _tuple_check(lhs: Sequence, rhs: Sequence, ctx: dict) -> Optional[Failure]:
-    for n, (a, b) in enumerate(zip(lhs, rhs)):
-        if a != b:
-            return Failure(ctx, f"coeff[{n}]={a}", f"coeff[{n}]={b}", None)
-    if len(lhs) != len(rhs):
-        return Failure(ctx, f"len={len(lhs)}", f"len={len(rhs)}", None)
-    return None
-
-
-def _close(lhs: Scalar, rhs: Scalar, tol: float, ctx: dict) -> Optional[Failure]:
-    delta = magnitude(lhs - rhs)
-    scale = max(1.0, magnitude(lhs), magnitude(rhs))
-    if delta <= tol * scale:
-        return None
-    return Failure(ctx, str(lhs), str(rhs), delta)
-
-
-def _exhausted(name: str) -> Failure:
-    return Failure({}, f"sampler for {name}", "no admissible draw found", None)
 
 
 def _ctx(**kwargs) -> dict:
     return {key: str(value) for key, value in kwargs.items()}
 
 
-def _deformed_series2(
-    n: int,
-    u: Scalar,
-    v: Scalar,
-    params: LucasParams,
-    x_scale: Optional[Scalar] = None,
-    y_scale: Optional[Scalar] = None,
-    minus: bool = False,
-) -> TruncatedSeries2:
-    """Degree-n deformed power as a bivariate polynomial, with optionally
-    scaled slots (x -> x_scale x, y -> y_scale y) or a negated second slot."""
+def _slot(var: int, c: Fraction) -> tuple:
+    """Dilation factors that scale variable ``var`` of a bivariate series by c."""
+    return (c, Fraction(1)) if var == 0 else (Fraction(1), c)
+
+
+def _power2(n, u, v, params, minus=False) -> TruncatedSeries2:
+    """Degree-n deformed power as a bivariate polynomial in (x, y), or with
+    ``minus`` the minus-power, y -> -y."""
     row = deformed_power_coeffs(n, u, v, params).coeffs
-    entries = {}
-    for k, c in enumerate(row):
-        value = c
-        if minus and k % 2 == 1:
-            value = -value
-        if x_scale is not None:
-            value = value * x_scale ** (n - k)
-        if y_scale is not None:
-            value = value * y_scale**k
-        entries[(n - k, k)] = value
-    return TruncatedSeries2(entries, n, params.backend)
+    power = TruncatedSeries2({(n - k, k): c for k, c in enumerate(row)}, n, params.backend)
+    return power.dilate(Fraction(1), Fraction(-1)) if minus else power
 
 
 # --------------------------------------------------------------------------
@@ -283,40 +298,21 @@ def _deformed_series2(
 # --------------------------------------------------------------------------
 
 
-@_identity(
-    "pascal-1",
-    "pascal",
-    "C(n+1,k) = phi^k C(n,k) + phi'^(n+1-k) C(n,k-1)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _pascal_1(rng, order):
-    params = _root_params(rng)
+def _pascal(swap, rng, params, order):
     phi, psi = params.phi, params.phi_prime
+    a, b = (psi, phi) if swap else (phi, psi)
     n = rng.randint(2, 12)
     k = rng.randint(1, n - 1)
     lhs = lucasnomial(n + 1, k, params)
-    rhs = phi**k * lucasnomial(n, k, params) + psi ** (n + 1 - k) * lucasnomial(n, k - 1, params)
-    ctx = _ctx(phi=phi, phi_prime=psi, n=n, k=k)
-    return None if lhs == rhs else Failure(ctx, str(lhs), str(rhs), None)
+    rhs = a**k * lucasnomial(n, k, params) + b ** (n + 1 - k) * lucasnomial(n, k - 1, params)
+    yield _ctx(phi=phi, phi_prime=psi, n=n, k=k), lhs, rhs
 
 
-@_identity(
-    "pascal-2",
-    "pascal",
-    "C(n+1,k) = phi'^k C(n,k) + phi^(n+1-k) C(n,k-1)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _pascal_2(rng, order):
-    params = _root_params(rng)
-    phi, psi = params.phi, params.phi_prime
-    n = rng.randint(2, 12)
-    k = rng.randint(1, n - 1)
-    lhs = lucasnomial(n + 1, k, params)
-    rhs = psi**k * lucasnomial(n, k, params) + phi ** (n + 1 - k) * lucasnomial(n, k - 1, params)
-    ctx = _ctx(phi=phi, phi_prime=psi, n=n, k=k)
-    return None if lhs == rhs else Failure(ctx, str(lhs), str(rhs), None)
+for _id, _anchor, _swap in (
+    ("pascal-1", "C(n+1,k) = phi^k C(n,k) + phi'^(n+1-k) C(n,k-1)", False),
+    ("pascal-2", "C(n+1,k) = phi'^k C(n,k) + phi^(n+1-k) C(n,k-1)", True),
+):
+    _identity(_id, "pascal", _anchor, SERIES_EXACT, _root_params)(partial(_pascal, _swap))
 
 
 # --------------------------------------------------------------------------
@@ -324,187 +320,84 @@ def _pascal_2(rng, order):
 # --------------------------------------------------------------------------
 
 
-@_identity(
-    "binom-neg-even",
-    "binom-neg",
-    "power(2n; -u,-v) = (-1)^n minus-power(2n; u,v)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _binom_neg_even(rng, order):
-    params = _root_params(rng)
+def _binom_neg(odd, rng, params, order):
     u, v = _frac(rng), _frac(rng)
     n = rng.randint(0, 8)
-    lhs = deformed_power_coeffs(2 * n, -u, -v, params).coeffs
-    base = deformed_power_coeffs(2 * n, u, v, params).coeffs
+    degree = 2 * n + 1 if odd else 2 * n
+    lhs = deformed_power_coeffs(degree, -u, -v, params).coeffs
+    base = deformed_power_coeffs(degree, u, v, params).coeffs
     sign = 1 if n % 2 == 0 else -1
-    rhs = tuple(c * sign * (-1) ** k for k, c in enumerate(base))
-    return _tuple_check(lhs, rhs, _ctx(params=params, u=u, v=v, n=n))
+    rhs = tuple(c * sign * (1 if odd else (-1) ** k) for k, c in enumerate(base))
+    yield _ctx(params=params, u=u, v=v, n=n), lhs, rhs
 
 
-@_identity(
-    "binom-neg-odd",
-    "binom-neg",
-    "power(2n+1; -u,-v) = (-1)^n power(2n+1; u,v)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _binom_neg_odd(rng, order):
-    params = _root_params(rng)
-    u, v = _frac(rng), _frac(rng)
-    n = rng.randint(0, 8)
-    lhs = deformed_power_coeffs(2 * n + 1, -u, -v, params).coeffs
-    base = deformed_power_coeffs(2 * n + 1, u, v, params).coeffs
-    sign = 1 if n % 2 == 0 else -1
-    rhs = tuple(c * sign for c in base)
-    return _tuple_check(lhs, rhs, _ctx(params=params, u=u, v=v, n=n))
+for _id, _anchor, _odd in (
+    ("binom-neg-even", "power(2n; -u,-v) = (-1)^n minus-power(2n; u,v)", False),
+    ("binom-neg-odd", "power(2n+1; -u,-v) = (-1)^n power(2n+1; u,v)", True),
+):
+    _identity(_id, "binom-neg", _anchor, SERIES_EXACT, _root_params)(partial(_binom_neg, _odd))
 
 
-@_identity(
-    "binom-props-1",
-    "binom-props",
-    "power(n+1; x,y) = x power(n; ux, phi y) + y power(n; phi' x, vy)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _binom_props_1(rng, order):
-    params = _root_params(rng)
+def _binom_props(item, rng, params, order):
     phi, psi = params.phi, params.phi_prime
     u, v, x, y = (_frac(rng) for _ in range(4))
+    # items 3 and 5 draw one more factor: a scales the parameters, z the slots
+    extra = {"a": _frac(rng)} if item == 3 else {"z": _frac(rng)} if item == 5 else {}
     n = rng.randint(0, 8)
-    lhs = deformed_power_value(n + 1, x, y, u, v, params)
-    rhs = x * deformed_power_value(n, u * x, phi * y, u, v, params) + y * deformed_power_value(
-        n, psi * x, v * y, u, v, params
+    if item in (1, 2):
+        a, b = (phi, psi) if item == 1 else (psi, phi)
+        lhs = deformed_power_value(n + 1, x, y, u, v, params)
+        rhs = x * deformed_power_value(n, u * x, a * y, u, v, params) + y * deformed_power_value(
+            n, b * x, v * y, u, v, params
+        )
+    elif item == 3:
+        # Scaling the deformation pair alone changes interior coefficients by
+        # a^(-k(n-k)); the identity is exact when the sequence parameters scale
+        # along with it, (s,t) -> (as, a^2 t), which multiplies the binomial
+        # analogue C(n,k) by exactly a^(k(n-k)).
+        a = extra["a"]
+        scaled = make_params(a * params.s, a * a * params.t)
+        lhs = deformed_power_value(n, x, y, a * u, a * v, scaled)
+        rhs = a ** binom2(n) * deformed_power_value(n, x, y, u, v, params)
+    elif item == 4:
+        lhs = deformed_power_value(n, x, y, u, v, params)
+        rhs = deformed_power_value(n, y, x, v, u, params)
+    else:
+        z = extra["z"]
+        lhs = z**n * deformed_power_value(n, x, y, u, v, params)
+        rhs = deformed_power_value(n, z * x, z * y, u, v, params)
+    yield _ctx(params=params, u=u, v=v, x=x, y=y, **extra, n=n), lhs, rhs
+
+
+for _item, _desc in (
+    (1, "power(n+1; x,y) = x power(n; ux, phi y) + y power(n; phi' x, vy)"),
+    (2, "power(n+1; x,y) = x power(n; ux, phi' y) + y power(n; phi x, vy)"),
+    (3, "power(n; x,y; au,av) over (as, a^2 t) = a^T(n) power(n; x,y; u,v) over (s,t)"),
+    (4, "power(n; x,y; u,v) = power(n; y,x; v,u)"),
+    (5, "z^n power(n; x,y) = power(n; zx, zy)"),
+):
+    _identity(f"binom-props-{_item}", "binom-props", _desc, SERIES_EXACT, _root_params)(
+        partial(_binom_props, _item)
     )
-    ctx = _ctx(params=params, u=u, v=v, x=x, y=y, n=n)
-    return None if lhs == rhs else Failure(ctx, str(lhs), str(rhs), None)
 
 
-@_identity(
-    "binom-props-2",
-    "binom-props",
-    "power(n+1; x,y) = x power(n; ux, phi' y) + y power(n; phi x, vy)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _binom_props_2(rng, order):
-    params = _root_params(rng)
-    phi, psi = params.phi, params.phi_prime
-    u, v, x, y = (_frac(rng) for _ in range(4))
-    n = rng.randint(0, 8)
-    lhs = deformed_power_value(n + 1, x, y, u, v, params)
-    rhs = x * deformed_power_value(n, u * x, psi * y, u, v, params) + y * deformed_power_value(
-        n, phi * x, v * y, u, v, params
+def _binom_derivative(var, minus, rng, params, order):
+    u, v = _frac(rng), _frac(rng)
+    n = rng.randint(1, 8)
+    lhs = derivative_series2(_power2(n, u, v, params, minus), params, var=var)
+    factor = -lucas_u(n, params) if minus else lucas_u(n, params)
+    lower = _power2(n - 1, u, v, params, minus).dilate(*_slot(var, (u, v)[var]))
+    yield _ctx(params=params, u=u, v=v, n=n), lhs, lower.scale(factor)
+
+
+for _id, _anchor, _var, _minus in (
+    ("binom-derivative-1", "D_x power(n; x,a) = {n} power(n-1; ux, a)", 0, False),
+    ("binom-derivative-2", "D_y power(n; a,y) = {n} power(n-1; a, vy)", 1, False),
+    ("binom-derivative-3", "D_y minus-power(n; a,y) = -{n} minus-power(n-1; a, vy)", 1, True),
+):
+    _identity(_id, "binom-derivative", _anchor, SERIES_EXACT, _root_params)(
+        partial(_binom_derivative, _var, _minus)
     )
-    ctx = _ctx(params=params, u=u, v=v, x=x, y=y, n=n)
-    return None if lhs == rhs else Failure(ctx, str(lhs), str(rhs), None)
-
-
-@_identity(
-    "binom-props-3",
-    "binom-props",
-    "power(n; x,y; au,av) over (as, a^2 t) = a^T(n) power(n; x,y; u,v) over (s,t)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _binom_props_3(rng, order):
-    # Scaling the deformation pair alone changes interior coefficients by
-    # a^(-k(n-k)); the identity is exact when the sequence parameters scale
-    # along with it, (s,t) -> (as, a^2 t), which multiplies the binomial
-    # analogue C(n,k) by exactly a^(k(n-k)).
-    params = _root_params(rng)
-    u, v, x, y, a = (_frac(rng) for _ in range(5))
-    n = rng.randint(0, 8)
-    scaled = make_params(a * params.s, a * a * params.t)
-    lhs = deformed_power_value(n, x, y, a * u, a * v, scaled)
-    rhs = a ** binom2(n) * deformed_power_value(n, x, y, u, v, params)
-    ctx = _ctx(params=params, u=u, v=v, x=x, y=y, a=a, n=n)
-    return None if lhs == rhs else Failure(ctx, str(lhs), str(rhs), None)
-
-
-@_identity(
-    "binom-props-4",
-    "binom-props",
-    "power(n; x,y; u,v) = power(n; y,x; v,u)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _binom_props_4(rng, order):
-    params = _root_params(rng)
-    u, v, x, y = (_frac(rng) for _ in range(4))
-    n = rng.randint(0, 8)
-    lhs = deformed_power_value(n, x, y, u, v, params)
-    rhs = deformed_power_value(n, y, x, v, u, params)
-    ctx = _ctx(params=params, u=u, v=v, x=x, y=y, n=n)
-    return None if lhs == rhs else Failure(ctx, str(lhs), str(rhs), None)
-
-
-@_identity(
-    "binom-props-5",
-    "binom-props",
-    "z^n power(n; x,y) = power(n; zx, zy)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _binom_props_5(rng, order):
-    params = _root_params(rng)
-    u, v, x, y, z = (_frac(rng) for _ in range(5))
-    n = rng.randint(0, 8)
-    lhs = z**n * deformed_power_value(n, x, y, u, v, params)
-    rhs = deformed_power_value(n, z * x, z * y, u, v, params)
-    ctx = _ctx(params=params, u=u, v=v, x=x, y=y, z=z, n=n)
-    return None if lhs == rhs else Failure(ctx, str(lhs), str(rhs), None)
-
-
-@_identity(
-    "binom-derivative-1",
-    "binom-derivative",
-    "D_x power(n; x,a) = {n} power(n-1; ux, a)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _binom_derivative_1(rng, order):
-    params = _root_params(rng)
-    u, v = _frac(rng), _frac(rng)
-    n = rng.randint(1, 8)
-    P = _deformed_series2(n, u, v, params)
-    lhs = derivative_series2(P, params, var=0)
-    rhs = _deformed_series2(n - 1, u, v, params, x_scale=u).scale(lucas_u(n, params))
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v, n=n))
-
-
-@_identity(
-    "binom-derivative-2",
-    "binom-derivative",
-    "D_y power(n; a,y) = {n} power(n-1; a, vy)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _binom_derivative_2(rng, order):
-    params = _root_params(rng)
-    u, v = _frac(rng), _frac(rng)
-    n = rng.randint(1, 8)
-    P = _deformed_series2(n, u, v, params)
-    lhs = derivative_series2(P, params, var=1)
-    rhs = _deformed_series2(n - 1, u, v, params, y_scale=v).scale(lucas_u(n, params))
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v, n=n))
-
-
-@_identity(
-    "binom-derivative-3",
-    "binom-derivative",
-    "D_y minus-power(n; a,y) = -{n} minus-power(n-1; a, vy)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _binom_derivative_3(rng, order):
-    params = _root_params(rng)
-    u, v = _frac(rng), _frac(rng)
-    n = rng.randint(1, 8)
-    P = _deformed_series2(n, u, v, params, minus=True)
-    lhs = derivative_series2(P, params, var=1)
-    rhs = _deformed_series2(n - 1, u, v, params, y_scale=v, minus=True).scale(-lucas_u(n, params))
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v, n=n))
 
 
 # --------------------------------------------------------------------------
@@ -517,15 +410,13 @@ def _binom_derivative_3(rng, order):
     "exp-pantograph",
     "D exp(z,u) = exp(uz,u): the proportional-delay equation",
     SERIES_EXACT,
-    "rational-roots",
+    _root_params,
+    min_order=1,
 )
-def _exp_ode(rng, order):
-    params = _root_params(rng)
+def _exp_ode(rng, params, order):
     u = _frac(rng)
     e = fn_series(EXP, u, params, order)
-    lhs = derivative_series(e, params)
-    rhs = e.dilate(u)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
+    yield _ctx(params=params, u=u), derivative_series(e, params), e.dilate(u)
 
 
 @_identity(
@@ -533,10 +424,10 @@ def _exp_ode(rng, order):
     "exp-dk",
     "D^k exp(az,u) = a^k u^T(k) exp(a u^k z, u)",
     SERIES_EXACT,
-    "rational-roots",
+    _root_params,
+    min_order=4,
 )
-def _exp_dk(rng, order):
-    params = _root_params(rng)
+def _exp_dk(rng, params, order):
     u, a = _frac(rng), _frac(rng)
     k = rng.randint(1, 4)
     e = fn_series(EXP, u, params, order)
@@ -544,7 +435,7 @@ def _exp_dk(rng, order):
     for _ in range(k):
         lhs = derivative_series(lhs, params)
     rhs = e.dilate(a * u**k).scale(a**k * u ** binom2(k))
-    return _series_check(lhs, rhs, _ctx(params=params, u=u, a=a, k=k))
+    yield _ctx(params=params, u=u, a=a, k=k), lhs, rhs
 
 
 @_identity(
@@ -552,31 +443,22 @@ def _exp_dk(rng, order):
     "exp-product",
     "exp of the binomial combination equals exp(x,u) exp(y,v)",
     BIVARIATE_EXACT,
-    "rational-roots",
+    _root_params,
 )
-def _exp_product(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _root_params(rng)
+def _exp_product(rng, params, order):
     u, v = _frac(rng), _frac(rng)
-    lhs = binomial_series2(EXP, u, v, params, border)
-    rhs = outer(fn_series(EXP, u, params, border), fn_series(EXP, v, params, border))
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v))
+    lhs = binomial_series2(EXP, u, v, params, order)
+    rhs = outer(fn_series(EXP, u, params, order), fn_series(EXP, v, params, order))
+    yield _ctx(params=params, u=u, v=v), lhs, rhs
 
 
-@_identity(
-    "exp-recip-pair",
-    "exp-recip",
-    "exp(z,phi) exp(-z,phi') = 1",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _exp_recip_pair(rng, order):
-    params = _root_params(rng)
+@_identity("exp-recip-pair", "exp-recip", "exp(z,phi) exp(-z,phi') = 1", SERIES_EXACT, _root_params)
+def _exp_recip_pair(rng, params, order):
     one = TruncatedSeries.constant(Fraction(1), order)
     lhs = fn_series(EXP, params.phi, params, order) * fn_series(
         EXP, params.phi_prime, params, order
     ).dilate(Fraction(-1))
-    return _series_check(lhs, one, _ctx(params=params))
+    yield _ctx(params=params), lhs, one
 
 
 @_identity(
@@ -584,93 +466,57 @@ def _exp_recip_pair(rng, order):
     "exp-recip",
     "exp(-x,u) exp(x,v) = deformed-zero exp series with weights (v,u)",
     SERIES_EXACT,
-    "rational-roots",
+    _root_params,
 )
-def _exp_recip_general(rng, order):
-    params = _root_params(rng)
+def _exp_recip_general(rng, params, order):
     u, v = _frac(rng), _frac(rng)
     lhs = fn_series(EXP, u, params, order).dilate(Fraction(-1)) * fn_series(EXP, v, params, order)
     rhs = deformed_zero_series(EXP, v, u, params, order)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u, v=v))
+    yield _ctx(params=params, u=u, v=v), lhs, rhs
 
 
-@_identity(
-    "exp-binom-deriv-1",
-    "exp-binom-calculus",
-    "D_x exp(ax (+) c) = a exp(aux (+) c)",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)
-def _exp_binom_deriv_1(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _root_params(rng)
-    u, v, a = _frac(rng), _frac(rng), _frac(rng)
-    one = Fraction(1)
-    F = binomial_series2(EXP, u, v, params, border)
-    lhs = derivative_series2(F.dilate(a, one), params, var=0)
-    rhs = F.dilate(a * u, one).scale(a)
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v, a=a))
-
-
-@_identity(
-    "exp-binom-deriv-2",
-    "exp-binom-calculus",
-    "D_y exp(a (+) cy) = c exp(a (+) cvy)",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)
-def _exp_binom_deriv_2(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _root_params(rng)
+def _exp_binom_calculus(var, integrate, rng, params, order):
     u, v, c = _frac(rng), _frac(rng), _frac(rng)
-    one = Fraction(1)
-    F = binomial_series2(EXP, u, v, params, border)
-    lhs = derivative_series2(F.dilate(one, c), params, var=1)
-    rhs = F.dilate(one, c * v).scale(c)
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v, c=c))
+    w = (u, v)[var]
+    # the anchors name the dilation a on x and c on y
+    ctx = _ctx(params=params, u=u, v=v, **{"a" if var == 0 else "c": c})
+    F = binomial_series2(EXP, u, v, params, order)
+    if not integrate:
+        lhs = derivative_series2(F.dilate(*_slot(var, c)), params, var=var)
+        yield ctx, lhs, F.dilate(*_slot(var, c * w)).scale(c)
+        return
+    lhs = antiderivative_series2(F.dilate(*_slot(var, c)), params, var=var)
+    G = binomial_series2(EXP, u, v, params, order + 1).dilate(*_slot(var, c / w))
+    sliced = TruncatedSeries2(
+        {k: g for k, g in G.coeffs.items() if k[var] != 0}, G.order, G.backend
+    )
+    yield ctx, lhs, sliced.scale(w / c)
 
 
-def _strip_slice(F: TruncatedSeries2, var: int) -> TruncatedSeries2:
-    keep = {key: val for key, val in F.coeffs.items() if key[var] != 0}
-    return TruncatedSeries2(keep, F.order, F.backend)
-
-
-@_identity(
-    "exp-binom-int-1",
-    "exp-binom-calculus",
-    "int exp(ax (+) c) dx = (u/a)[exp((a/u)x (+) c) minus its x-constant slice]",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)
-def _exp_binom_int_1(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _root_params(rng)
-    u, v, a = _frac(rng), _frac(rng), _frac(rng)
-    one = Fraction(1)
-    F = binomial_series2(EXP, u, v, params, border)
-    lhs = antiderivative_series2(F.dilate(a, one), params, var=0)
-    G = binomial_series2(EXP, u, v, params, border + 1).dilate(a / u, one)
-    rhs = _strip_slice(G, 0).scale(u / a)
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v, a=a))
-
-
-@_identity(
-    "exp-binom-int-2",
-    "exp-binom-calculus",
-    "int exp(a (+) cy) dy = (v/c)[exp(a (+) (c/v)y) minus its y-constant slice]",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)
-def _exp_binom_int_2(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _root_params(rng)
-    u, v, c = _frac(rng), _frac(rng), _frac(rng)
-    one = Fraction(1)
-    F = binomial_series2(EXP, u, v, params, border)
-    lhs = antiderivative_series2(F.dilate(one, c), params, var=1)
-    G = binomial_series2(EXP, u, v, params, border + 1).dilate(one, c / v)
-    rhs = _strip_slice(G, 1).scale(v / c)
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v, c=c))
+for _id, _anchor, _var, _integrate in (
+    ("exp-binom-deriv-1", "D_x exp(ax (+) c) = a exp(aux (+) c)", 0, False),
+    ("exp-binom-deriv-2", "D_y exp(a (+) cy) = c exp(a (+) cvy)", 1, False),
+    (
+        "exp-binom-int-1",
+        "int exp(ax (+) c) dx = (u/a)[exp((a/u)x (+) c) minus its x-constant slice]",
+        0,
+        True,
+    ),
+    (
+        "exp-binom-int-2",
+        "int exp(a (+) cy) dy = (v/c)[exp(a (+) (c/v)y) minus its y-constant slice]",
+        1,
+        True,
+    ),
+):
+    _identity(
+        _id,
+        "exp-binom-calculus",
+        _anchor,
+        BIVARIATE_EXACT,
+        _root_params,
+        min_order=0 if _integrate else 1,
+    )(partial(_exp_binom_calculus, _var, _integrate))
 
 
 @_identity(
@@ -678,10 +524,10 @@ def _exp_binom_int_2(rng, order):
     "exp-alpha-beta",
     "D f = alpha f(phi x) + beta f(phi' x) for the weighted-pair exp series",
     SERIES_EXACT,
-    "rational-roots",
+    _root_params,
+    min_order=1,
 )
-def _exp_alpha_beta_functional(rng, order):
-    params = _root_params(rng)
+def _exp_alpha_beta_functional(rng, params, order):
     phi, psi = params.phi, params.phi_prime
     u, v, alpha, beta = (_frac(rng) for _ in range(4))
     ctx = _ctx(params=params, u=u, v=v, alpha=alpha, beta=beta)
@@ -693,14 +539,11 @@ def _exp_alpha_beta_functional(rng, order):
     ).scale(alpha) + weighted_fn_series(
         EXP, DeformedPowerWeights(alpha * psi, beta * v, u, v, params), params, order
     ).scale(beta)
-    failure = _series_check(lhs, rhs, ctx)
-    if failure is not None:
-        return failure
+    yield ctx, lhs, rhs
     # root deformations solve the proportional functional equation
     S2 = weighted_fn_series(EXP, DeformedPowerWeights(alpha, beta, phi, psi, params), params, order)
     lhs2 = derivative_series(S2, params)
-    rhs2 = S2.dilate(phi).scale(alpha) + S2.dilate(psi).scale(beta)
-    return _series_check(lhs2, rhs2, ctx)
+    yield ctx, lhs2, S2.dilate(phi).scale(alpha) + S2.dilate(psi).scale(beta)
 
 
 @_identity(
@@ -708,34 +551,27 @@ def _exp_alpha_beta_functional(rng, order):
     "exp-alpha-beta",
     "int exp((alpha (+) beta)x) = phi phi'/(alpha phi' + beta phi) exp((alpha/phi (+) beta/phi')x) + C",
     NUMERIC,
-    "float",
+    partial(_float_params, ratio_max=0.8, phi_min=1.1, phi_max=2.5),
     NUMERIC_TOL,
 )
-def _exp_alpha_beta_integral(rng, order):
+def _exp_alpha_beta_integral(rng, params, order):
     # Constant follows from solving I = (phi/alpha) E - (phi beta / alpha phi') I
     # for I: the prefactor is phi phi' / (alpha phi' + beta phi).
-    for _ in range(_RETRIES):
-        params = _float_params(rng, ratio_max=0.8, phi_min=1.1, phi_max=2.5)
-        phi, psi = params.phi, params.phi_prime
-        alpha = rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0))
-        beta = rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0))
-        denom = alpha * psi + beta * phi
-        if abs(denom) < 0.05 * (abs(alpha * psi) + abs(beta * phi)):
-            continue
-        b = rng.uniform(0.1, 0.3)
-        weights = DeformedPowerWeights(alpha, beta, phi, psi, params)
-        closed = DeformedPowerWeights(alpha / phi, beta / psi, phi, psi, params)
-        c = phi * psi / denom
-        try:
-            integral = integral_value(
-                lambda x: weighted_fn_value(EXP, weights, x, params), 0.0, b, params, eps=5e-13
-            )
-            rhs = c * weighted_fn_value(EXP, closed, b, params) - c
-        except (SeriesDiverging, DivisionByZeroValue):
-            continue
-        ctx = _ctx(params=params, alpha=alpha, beta=beta, b=b)
-        return _close(integral, rhs, NUMERIC_TOL, ctx)
-    return _exhausted("exp-alpha-beta-integral")
+    phi, psi = params.phi, params.phi_prime
+    alpha = rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0))
+    beta = rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0))
+    denom = alpha * psi + beta * phi
+    if abs(denom) < 0.05 * (abs(alpha * psi) + abs(beta * phi)):
+        raise _Reject
+    b = rng.uniform(0.1, 0.3)
+    weights = DeformedPowerWeights(alpha, beta, phi, psi, params)
+    closed = DeformedPowerWeights(alpha / phi, beta / psi, phi, psi, params)
+    c = phi * psi / denom
+    integral = integral_value(
+        lambda x: weighted_fn_value(EXP, weights, x, params), 0.0, b, params, eps=5e-13
+    )
+    rhs = c * weighted_fn_value(EXP, closed, b, params) - c
+    yield _ctx(params=params, alpha=alpha, beta=beta, b=b), integral, rhs
 
 
 @_identity(
@@ -743,24 +579,18 @@ def _exp_alpha_beta_integral(rng, order):
     "exp-multinomial",
     "product of exp(x,u_k) equals the multinomial-weighted exp value",
     NUMERIC,
-    "float",
+    _float_params,
     NUMERIC_TOL,
 )
-def _exp_multinomial_product(rng, order):
-    for _ in range(_RETRIES):
-        params = _float_params(rng)
-        m = rng.randint(1, 3)
-        us = tuple(_float_u(rng, params, cap=0.7) for _ in range(m))
-        x = _x(rng)
-        try:
-            lhs = multinomial_value(EXP, us, x, params, weights=_multi_weights(us, params))
-            rhs = 1.0
-            for u in us:
-                rhs *= fn_value(EXP, x, u, params)
-        except SeriesDiverging:
-            continue
-        return _close(lhs, rhs, NUMERIC_TOL, _ctx(params=params, us=us, x=x))
-    return _exhausted("exp-multinomial-product")
+def _exp_multinomial_product(rng, params, order):
+    m = rng.randint(1, 3)
+    us = tuple(_float_u(rng, params, cap=0.7) for _ in range(m))
+    x = _x(rng)
+    lhs = multinomial_value(EXP, us, x, params, weights=_multi_weights(us, params))
+    rhs = 1.0
+    for u in us:
+        rhs *= fn_value(EXP, x, u, params)
+    yield _ctx(params=params, us=us, x=x), lhs, rhs
 
 
 @_identity(
@@ -768,16 +598,15 @@ def _exp_multinomial_product(rng, order):
     "exp-antiderivative",
     "antiderivative of exp(z,u) is u exp(z/u, u) minus its constant",
     SERIES_EXACT,
-    "rational-roots",
+    _root_params,
 )
-def _exp_antiderivative(rng, order):
-    params = _root_params(rng)
+def _exp_antiderivative(rng, params, order):
     u = _frac(rng)
     e = fn_series(EXP, u, params, order)
     lhs = antiderivative_series(e, params)
     big = fn_series(EXP, u, params, order + 1).dilate(1 / u).scale(u)
     rhs = big - TruncatedSeries.constant(big.coeffs[0], order + 1)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
+    yield _ctx(params=params, u=u), lhs, rhs
 
 
 # --------------------------------------------------------------------------
@@ -785,61 +614,50 @@ def _exp_antiderivative(rng, order):
 # --------------------------------------------------------------------------
 
 
-@_identity("euler-i", "euler", "exp(iz,u) = cos(z,u) + i sin(z,u)", SERIES_EXACT, "gaussian")
-def _euler_i(rng, order):
-    params = _gauss_params(rng)
-    u = _gauss(rng)
-    lhs = fn_series(EXP, u, params, order).dilate(GAUSSIAN_I)
-    rhs = fn_series(COS, u, params, order) + fn_series(SIN, u, params, order).scale(GAUSSIAN_I)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
+def _cos_plus_sin(v, params, order):
+    """cos(z,v) + i sin(z,v) over Gaussian values, which is exp(iz,v), and
+    cos(z,v) + sin(z,v) over rational ones, which is exp(z,-v)."""
+    sin = fn_series(SIN, v, params, order)
+    if params.backend is Backend.GAUSSIAN:
+        sin = sin.scale(GAUSSIAN_I)
+    return fn_series(COS, v, params, order) + sin
 
 
-@_identity("euler-neg", "euler", "exp(z,-u) = cos(z,u) + sin(z,u)", SERIES_EXACT, "rational-roots")
-def _euler_neg(rng, order):
-    params = _root_params(rng)
-    u = _frac(rng)
-    lhs = fn_series(EXP, -u, params, order)
-    rhs = fn_series(COS, u, params, order) + fn_series(SIN, u, params, order)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
+def _euler(rng, params, order):
+    if params.backend is Backend.GAUSSIAN:
+        u = _gauss(rng)
+        lhs = fn_series(EXP, u, params, order).dilate(GAUSSIAN_I)
+    else:
+        u = _frac(rng)
+        lhs = fn_series(EXP, -u, params, order)
+    yield _ctx(params=params, u=u), lhs, _cos_plus_sin(u, params, order)
 
 
-@_identity(
-    "exp-x-plus-iy-1",
-    "exp-x-plus-iy",
-    "exp(x (+) iy) = exp(x,u)(cos(y,v) + i sin(y,v))",
-    BIVARIATE_EXACT,
-    "gaussian",
-)
-def _exp_x_plus_iy_1(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _gauss_params(rng)
-    u, v = _gauss(rng), _gauss(rng)
-    one = GaussianRational(1)
-    lhs = binomial_series2(EXP, u, v, params, border).dilate(one, GAUSSIAN_I)
-    rhs = outer(
-        fn_series(EXP, u, params, border),
-        fn_series(COS, v, params, border) + fn_series(SIN, v, params, border).scale(GAUSSIAN_I),
-    )
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v))
+for _id, _anchor, _draw in (
+    ("euler-i", "exp(iz,u) = cos(z,u) + i sin(z,u)", _gauss_params),
+    ("euler-neg", "exp(z,-u) = cos(z,u) + sin(z,u)", _root_params),
+):
+    _identity(_id, "euler", _anchor, SERIES_EXACT, _draw)(_euler)
 
 
-@_identity(
-    "exp-x-plus-iy-2",
-    "exp-x-plus-iy",
-    "exp(x (+)_{u,-v} y) = exp(x,u)(cos(y,v) + sin(y,v))",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)
-def _exp_x_plus_iy_2(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _root_params(rng)
-    u, v = _frac(rng), _frac(rng)
-    lhs = binomial_series2(EXP, u, -v, params, border)
-    rhs = outer(
-        fn_series(EXP, u, params, border),
-        fn_series(COS, v, params, border) + fn_series(SIN, v, params, border),
-    )
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v))
+def _exp_x_plus_iy(rng, params, order):
+    """The two-variable ``_euler``: exp(x (+) iy) over Gaussian draws, and
+    exp(x (+)_{u,-v} y) over rational ones."""
+    if params.backend is Backend.GAUSSIAN:
+        u, v = _gauss(rng), _gauss(rng)
+        lhs = binomial_series2(EXP, u, v, params, order).dilate(GaussianRational(1), GAUSSIAN_I)
+    else:
+        u, v = _frac(rng), _frac(rng)
+        lhs = binomial_series2(EXP, u, -v, params, order)
+    rhs = outer(fn_series(EXP, u, params, order), _cos_plus_sin(v, params, order))
+    yield _ctx(params=params, u=u, v=v), lhs, rhs
+
+
+for _id, _anchor, _draw in (
+    ("exp-x-plus-iy-1", "exp(x (+) iy) = exp(x,u)(cos(y,v) + i sin(y,v))", _gauss_params),
+    ("exp-x-plus-iy-2", "exp(x (+)_{u,-v} y) = exp(x,u)(cos(y,v) + sin(y,v))", _root_params),
+):
+    _identity(_id, "exp-x-plus-iy", _anchor, BIVARIATE_EXACT, _draw)(_exp_x_plus_iy)
 
 
 @_identity(
@@ -847,54 +665,35 @@ def _exp_x_plus_iy_2(rng, order):
     "exp-binom-neg-uv",
     "exp(x (+)_{-u,-v} y) = cos(x (-) y) + sin(x (+) y)",
     BIVARIATE_EXACT,
-    "rational-roots",
+    _root_params,
 )
-def _exp_binom_neg_uv(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _root_params(rng)
+def _exp_binom_neg_uv(rng, params, order):
     u, v = _frac(rng), _frac(rng)
     one = Fraction(1)
-    lhs = binomial_series2(EXP, -u, -v, params, border)
-    rhs = binomial_series2(COS, u, v, params, border).dilate(one, -one) + binomial_series2(
-        SIN, u, v, params, border
+    lhs = binomial_series2(EXP, -u, -v, params, order)
+    rhs = binomial_series2(COS, u, v, params, order).dilate(one, -one) + binomial_series2(
+        SIN, u, v, params, order
     )
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v))
+    yield _ctx(params=params, u=u, v=v), lhs, rhs
 
 
-@_identity(
-    "rep-sin",
-    "rep",
-    "sin(x (+) y) = [exp(ix (+) iy) - exp(-ix (+) -iy)] / 2i",
-    BIVARIATE_EXACT,
-    "gaussian",
-)
-def _rep_sin(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _gauss_params(rng)
+def _rep(kind, rng, params, order):
     u, v = _gauss(rng), _gauss(rng)
-    E = binomial_series2(EXP, u, v, params, border)
+    E = binomial_series2(EXP, u, v, params, order)
     i = GAUSSIAN_I
-    lhs = binomial_series2(SIN, u, v, params, border)
-    rhs = (E.dilate(i, i) - E.dilate(-i, -i)).scale(GaussianRational(1) / (2 * i))
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v))
+    lhs = binomial_series2(kind, u, v, params, order)
+    if kind is SIN:
+        rhs = (E.dilate(i, i) - E.dilate(-i, -i)).scale(GaussianRational(1) / (2 * i))
+    else:
+        rhs = (E.dilate(i, i) + E.dilate(-i, -i)).scale(GaussianRational(Fraction(1, 2)))
+    yield _ctx(params=params, u=u, v=v), lhs, rhs
 
 
-@_identity(
-    "rep-cos",
-    "rep",
-    "cos(x (+) y) = [exp(ix (+) iy) + exp(-ix (+) -iy)] / 2",
-    BIVARIATE_EXACT,
-    "gaussian",
-)
-def _rep_cos(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _gauss_params(rng)
-    u, v = _gauss(rng), _gauss(rng)
-    E = binomial_series2(EXP, u, v, params, border)
-    i = GAUSSIAN_I
-    lhs = binomial_series2(COS, u, v, params, border)
-    rhs = (E.dilate(i, i) + E.dilate(-i, -i)).scale(GaussianRational(Fraction(1, 2)))
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v))
+for _id, _anchor, _kind in (
+    ("rep-sin", "sin(x (+) y) = [exp(ix (+) iy) - exp(-ix (+) -iy)] / 2i", SIN),
+    ("rep-cos", "cos(x (+) y) = [exp(ix (+) iy) + exp(-ix (+) -iy)] / 2", COS),
+):
+    _identity(_id, "rep", _anchor, BIVARIATE_EXACT, _gauss_params)(partial(_rep, _kind))
 
 
 # --------------------------------------------------------------------------
@@ -902,53 +701,38 @@ def _rep_cos(rng, order):
 # --------------------------------------------------------------------------
 
 
-def _parity_series(kind: FnKind, odd: bool):
-    def check(rng, order):
-        params = _root_params(rng)
-        u = _frac(rng)
-        S = fn_series(kind, u, params, order)
-        lhs = S.dilate(Fraction(-1))
-        rhs = S.scale(Fraction(-1)) if odd else S
-        return _series_check(lhs, rhs, _ctx(params=params, u=u))
-
-    return check
+def _parity_series(kind, odd, rng, params, order):
+    u = _frac(rng)
+    S = fn_series(kind, u, params, order)
+    rhs = S.scale(Fraction(-1)) if odd else S
+    yield _ctx(params=params, u=u), S.dilate(Fraction(-1)), rhs
 
 
-def _parity_value(kind: FnKind, odd: bool):
-    def check(rng, order):
-        for _ in range(_RETRIES):
-            params = _float_params(rng)
-            u = _float_u(rng, params)
-            x = _x(rng, lo=0.1)
-            try:
-                lhs = fn_value(kind, -x, u, params)
-                rhs = -fn_value(kind, x, u, params) if odd else fn_value(kind, x, u, params)
-            except (SeriesDiverging, DivisionByZeroValue):
-                continue
-            return _close(lhs, rhs, NUMERIC_TOL, _ctx(params=params, u=u, x=x))
-        return _exhausted(f"parity {kind.value}")
-
-    return check
+def _parity_value(kind, odd, rng, params, order):
+    u = _float_u(rng, params)
+    x = _x(rng, lo=0.1)
+    lhs = fn_value(kind, -x, u, params)
+    rhs = -fn_value(kind, x, u, params) if odd else fn_value(kind, x, u, params)
+    yield _ctx(params=params, u=u, x=x), lhs, rhs
 
 
-_identity("parity-1", "parity", "sin(-z,u) = -sin(z,u)", SERIES_EXACT, "rational-roots")(
-    _parity_series(SIN, True)
-)
-_identity("parity-2", "parity", "cos(-z,u) = cos(z,u)", SERIES_EXACT, "rational-roots")(
-    _parity_series(COS, False)
-)
-_identity("parity-3", "parity", "tan(-z,u) = -tan(z,u)", SERIES_EXACT, "rational-roots")(
-    _parity_series(TAN, True)
-)
-_identity(
-    "parity-4", "parity", "cot(-z,u) = -cot(z,u) (odd, from cos/sin)", NUMERIC, "float", NUMERIC_TOL
-)(_parity_value(COT, True))
-_identity("parity-5", "parity", "sec(-z,u) = sec(z,u)", SERIES_EXACT, "rational-roots")(
-    _parity_series(SEC, False)
-)
-_identity("parity-6", "parity", "csc(-z,u) = -csc(z,u)", NUMERIC, "float", NUMERIC_TOL)(
-    _parity_value(CSC, True)
-)
+for _id, _anchor, _kind, _odd in (
+    ("parity-1", "sin(-z,u) = -sin(z,u)", SIN, True),
+    ("parity-2", "cos(-z,u) = cos(z,u)", COS, False),
+    ("parity-3", "tan(-z,u) = -tan(z,u)", TAN, True),
+    ("parity-4", "cot(-z,u) = -cot(z,u) (odd, from cos/sin)", COT, True),
+    ("parity-5", "sec(-z,u) = sec(z,u)", SEC, False),
+    ("parity-6", "csc(-z,u) = -csc(z,u)", CSC, True),
+):
+    # cot and csc have a pole at 0 and no series: compare their values instead
+    if _kind in SERIES_KINDS:
+        _identity(_id, "parity", _anchor, SERIES_EXACT, _root_params)(
+            partial(_parity_series, _kind, _odd)
+        )
+    else:
+        _identity(_id, "parity", _anchor, NUMERIC, _float_params, NUMERIC_TOL)(
+            partial(_parity_value, _kind, _odd)
+        )
 
 
 # --------------------------------------------------------------------------
@@ -956,140 +740,100 @@ _identity("parity-6", "parity", "csc(-z,u) = -csc(z,u)", NUMERIC, "float", NUMER
 # --------------------------------------------------------------------------
 
 
-def _addition_series(kind_lhs: FnKind, minus: bool, combo):
-    def check(rng, order):
-        border = min(order, BIVARIATE_ORDER)
-        params = _root_params(rng)
-        u, v = _frac(rng), _frac(rng)
-        one = Fraction(1)
-        lhs = binomial_series2(kind_lhs, u, v, params, border)
-        if minus:
-            lhs = lhs.dilate(one, -one)
-        sin_u = fn_series(SIN, u, params, border)
-        cos_u = fn_series(COS, u, params, border)
-        sin_v = fn_series(SIN, v, params, border)
-        cos_v = fn_series(COS, v, params, border)
-        rhs = combo(sin_u, cos_u, sin_v, cos_v)
-        return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v))
-
-    return check
-
-
-_identity(
-    "add-sin-plus",
-    "add-sin",
-    "sin(x (+) y) = sin(x,u)cos(y,v) + cos(x,u)sin(y,v)",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)(_addition_series(SIN, False, lambda su, cu, sv, cv: outer(su, cv) + outer(cu, sv)))
-_identity(
-    "add-sin-minus",
-    "add-sin",
-    "sin(x (-) y) = sin(x,u)cos(y,v) - cos(x,u)sin(y,v)",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)(_addition_series(SIN, True, lambda su, cu, sv, cv: outer(su, cv) - outer(cu, sv)))
-_identity(
-    "add-cos-plus",
-    "add-cos",
-    "cos(x (+) y) = cos(x,u)cos(y,v) - sin(x,u)sin(y,v)",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)(_addition_series(COS, False, lambda su, cu, sv, cv: outer(cu, cv) - outer(su, sv)))
-_identity(
-    "add-cos-minus",
-    "add-cos",
-    "cos(x (-) y) = cos(x,u)cos(y,v) + sin(x,u)sin(y,v)",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)(_addition_series(COS, True, lambda su, cu, sv, cv: outer(cu, cv) + outer(su, sv)))
+def _product_form(kind, minus, u, v, params, order, bivariate=False):
+    """Product side of the addition theorem for kind(x (+) y), or for
+    kind(x (-) y) with ``minus``, at deformations (u, v) and in the kind's
+    own family: odd(u)even(v) +/- even(u)odd(v) for sin and sinh,
+    even(u)even(v) -/+ odd(u)odd(v) for cos, +/- for cosh.  ``bivariate``
+    takes outer products (u in x, v in y); otherwise the products are on
+    the diagonal, where v = u shares one pair of series."""
+    odd, even = (SINH, COSH) if kind in (SINH, COSH) else (SIN, COS)
+    plus = minus if kind is COS else not minus
+    odd_u, even_u = fn_series(odd, u, params, order), fn_series(even, u, params, order)
+    if v is u:
+        odd_v, even_v = odd_u, even_u
+    else:
+        odd_v, even_v = fn_series(odd, v, params, order), fn_series(even, v, params, order)
+    product = outer if bivariate else operator.mul
+    if kind is odd:
+        first, second = product(odd_u, even_v), product(even_u, odd_v)
+    else:
+        first, second = product(even_u, even_v), product(odd_u, odd_v)
+    return first + second if plus else first - second
 
 
-def _tan_addition(minus: bool, hyperbolic: bool):
+def _addition(kind, minus, rng, params, order):
+    u, v = _frac(rng), _frac(rng)
+    lhs = binomial_series2(kind, u, v, params, order)
+    if minus:
+        lhs = lhs.dilate(Fraction(1), Fraction(-1))
+    rhs = _product_form(kind, minus, u, v, params, order, bivariate=True)
+    yield _ctx(params=params, u=u, v=v), lhs, rhs
+
+
+for _id, _group, _anchor, _kind, _minus in (
+    ("add-sin-plus", "add-sin", "sin(x (+) y) = sin(x,u)cos(y,v) + cos(x,u)sin(y,v)", SIN, False),
+    ("add-sin-minus", "add-sin", "sin(x (-) y) = sin(x,u)cos(y,v) - cos(x,u)sin(y,v)", SIN, True),
+    ("add-cos-plus", "add-cos", "cos(x (+) y) = cos(x,u)cos(y,v) - sin(x,u)sin(y,v)", COS, False),
+    ("add-cos-minus", "add-cos", "cos(x (-) y) = cos(x,u)cos(y,v) + sin(x,u)sin(y,v)", COS, True),
+):
+    _identity(_id, _group, _anchor, BIVARIATE_EXACT, _root_params)(
+        partial(_addition, _kind, _minus)
+    )
+
+
+def _tan_addition(minus, hyperbolic, rng, params, order):
     kind = TANH if hyperbolic else TAN
     sign = -1.0 if minus else 1.0
-
-    def check(rng, order):
-        for _ in range(_RETRIES):
-            params = _float_params(rng)
-            u, v = _float_u(rng, params, cap=0.7), _float_u(rng, params, cap=0.7)
-            x, y = _x(rng), _x(rng)
-            try:
-                tx = fn_value(kind, x, u, params)
-                ty = fn_value(kind, y, v, params)
-                if hyperbolic:
-                    den = 1.0 + sign * tx * ty
-                else:
-                    den = 1.0 - sign * tx * ty
-                if abs(den) < 0.1:
-                    continue
-                lhs = binomial_value(kind, x, sign * y, u, v, params)
-            except (SeriesDiverging, DivisionByZeroValue):
-                continue
-            rhs = (tx + sign * ty) / den
-            return _close(lhs, rhs, NUMERIC_TOL, _ctx(params=params, u=u, v=v, x=x, y=y))
-        return _exhausted("tangent addition")
-
-    return check
+    u, v = _float_u(rng, params, cap=0.7), _float_u(rng, params, cap=0.7)
+    x, y = _x(rng), _x(rng)
+    tx = fn_value(kind, x, u, params)
+    ty = fn_value(kind, y, v, params)
+    den = 1.0 + sign * tx * ty if hyperbolic else 1.0 - sign * tx * ty
+    if abs(den) < 0.1:
+        raise _Reject
+    lhs = binomial_value(kind, x, sign * y, u, v, params)
+    yield _ctx(params=params, u=u, v=v, x=x, y=y), lhs, (tx + sign * ty) / den
 
 
-_identity(
-    "add-tan-plus",
-    "add-tan",
-    "tan(x (+) y) = (tan x + tan y) / (1 - tan x tan y)",
-    NUMERIC,
-    "float",
-    NUMERIC_TOL,
-)(_tan_addition(False, False))
-_identity(
-    "add-tan-minus",
-    "add-tan",
-    "tan(x (-) y) = (tan x - tan y) / (1 + tan x tan y)",
-    NUMERIC,
-    "float",
-    NUMERIC_TOL,
-)(_tan_addition(True, False))
+for _id, _anchor, _minus in (
+    ("add-tan-plus", "tan(x (+) y) = (tan x + tan y) / (1 - tan x tan y)", False),
+    ("add-tan-minus", "tan(x (-) y) = (tan x - tan y) / (1 + tan x tan y)", True),
+):
+    _identity(_id, "add-tan", _anchor, NUMERIC, _float_params, NUMERIC_TOL)(
+        partial(_tan_addition, _minus, False)
+    )
 
 
-@_identity(
-    "coro4-1",
-    "coro4",
-    "sin(x,u)cos(x,v) - cos(x,u)sin(x,v) = deformed-zero sine series",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _coro4_1(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _root_params(rng)
-    u, v = _frac(rng), _frac(rng)
-    ctx = _ctx(params=params, u=u, v=v)
-    lhs = fn_series(SIN, u, params, order) * fn_series(COS, v, params, order) - fn_series(
-        COS, u, params, order
-    ) * fn_series(SIN, v, params, order)
-    rhs = deformed_zero_series(SIN, u, v, params, order)
-    failure = _series_check(lhs, rhs, ctx)
-    if failure is not None:
-        return failure
-    # the y = -x diagonal of the bivariate sine is the same series
-    diag = binomial_series2(SIN, u, v, params, border).substitute_diagonal(Fraction(-1))
-    return _series_check(diag, deformed_zero_series(SIN, u, v, params, border), ctx)
+def _deformed_zero_form(kind, at, rng, params, order):
+    """The deformed-zero kind series is kind(x (-) x): it equals the diagonal
+    product side of that addition theorem at two drawn deformations ("uv"),
+    at one ("uu"), or at the root pair ("roots"), where it is the constant
+    1 for cos and 0 for sin."""
+    if at == "roots":
+        lhs = _product_form(kind, True, params.phi, params.phi_prime, params, order)
+        value = Fraction(1) if kind is COS else Fraction(0)
+        yield _ctx(params=params), lhs, TruncatedSeries.constant(value, order)
+        return
+    u = _frac(rng)
+    v = u if at == "uu" else _frac(rng)
+    ctx = _ctx(params=params, u=u) if at == "uu" else _ctx(params=params, u=u, v=v)
+    lhs = _product_form(kind, True, u, v, params, order)
+    yield ctx, lhs, deformed_zero_series(kind, u, v, params, order)
+    if kind is SIN:
+        # the y = -x diagonal of the bivariate sine is the same series
+        border = min(order, BIVARIATE_ORDER)
+        diag = binomial_series2(SIN, u, v, params, border).substitute_diagonal(Fraction(-1))
+        yield ctx, diag, deformed_zero_series(SIN, u, v, params, border)
 
 
-@_identity(
-    "coro4-2",
-    "coro4",
-    "sin(x,phi)cos(x,phi') - cos(x,phi)sin(x,phi') = 0",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _coro4_2(rng, order):
-    params = _root_params(rng)
-    phi, psi = params.phi, params.phi_prime
-    lhs = fn_series(SIN, phi, params, order) * fn_series(COS, psi, params, order) - fn_series(
-        COS, phi, params, order
-    ) * fn_series(SIN, psi, params, order)
-    rhs = TruncatedSeries.zero(order, params.backend)
-    return _series_check(lhs, rhs, _ctx(params=params))
+for _id, _anchor, _at in (
+    ("coro4-1", "sin(x,u)cos(x,v) - cos(x,u)sin(x,v) = deformed-zero sine series", "uv"),
+    ("coro4-2", "sin(x,phi)cos(x,phi') - cos(x,phi)sin(x,phi') = 0", "roots"),
+):
+    _identity(_id, "coro4", _anchor, SERIES_EXACT, _root_params)(
+        partial(_deformed_zero_form, SIN, _at)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1097,104 +841,35 @@ def _coro4_2(rng, order):
 # --------------------------------------------------------------------------
 
 
-@_identity(
-    "pytha-1",
-    "pytha",
-    "sin(x,u)sin(x,v) + cos(x,u)cos(x,v) = deformed-zero cosine series",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _pytha_1(rng, order):
-    params = _root_params(rng)
-    u, v = _frac(rng), _frac(rng)
-    lhs = fn_series(SIN, u, params, order) * fn_series(SIN, v, params, order) + fn_series(
-        COS, u, params, order
-    ) * fn_series(COS, v, params, order)
-    rhs = deformed_zero_series(COS, u, v, params, order)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u, v=v))
-
-
-@_identity(
-    "pytha-2",
-    "pytha",
-    "sin^2(x,u) + cos^2(x,u) = deformed-zero cosine series at (u,u)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _pytha_2(rng, order):
-    params = _root_params(rng)
-    u = _frac(rng)
-    s = fn_series(SIN, u, params, order)
-    c = fn_series(COS, u, params, order)
-    lhs = s * s + c * c
-    rhs = deformed_zero_series(COS, u, u, params, order)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
-
-
-@_identity(
-    "pytha-3",
-    "pytha",
-    "sin(x,phi)sin(x,phi') + cos(x,phi)cos(x,phi') = 1",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _pytha_3(rng, order):
-    params = _root_params(rng)
-    phi, psi = params.phi, params.phi_prime
-    lhs = fn_series(SIN, phi, params, order) * fn_series(SIN, psi, params, order) + fn_series(
-        COS, phi, params, order
-    ) * fn_series(COS, psi, params, order)
-    rhs = TruncatedSeries.constant(Fraction(1), order)
-    return _series_check(lhs, rhs, _ctx(params=params))
-
-
-def _tilde_pytha(items):
-    def check(rng, order):
-        for _ in range(_RETRIES):
-            params = _float_params(rng)
-            u = _float_u(rng, params, cap=0.7)
-            x = _x(rng, lo=0.1)
-            try:
-                lhs, rhs = items(params, u, x)
-            except (SeriesDiverging, DivisionByZeroValue, NegativeNormalizer):
-                continue
-            return _close(lhs, rhs, NUMERIC_TOL, _ctx(params=params, u=u, x=x))
-        return _exhausted("tilde pythagorean")
-
-    return check
-
-
-_identity(
-    "tilde-pytha-1", "tilde-pytha", "normalized sin^2 + cos^2 = 1", NUMERIC, "float", NUMERIC_TOL
-)(
-    _tilde_pytha(
-        lambda p, u, x: (tilde_value(SIN, x, u, p) ** 2 + tilde_value(COS, x, u, p) ** 2, 1.0)
+for _id, _anchor, _at in (
+    ("pytha-1", "sin(x,u)sin(x,v) + cos(x,u)cos(x,v) = deformed-zero cosine series", "uv"),
+    ("pytha-2", "sin^2(x,u) + cos^2(x,u) = deformed-zero cosine series at (u,u)", "uu"),
+    ("pytha-3", "sin(x,phi)sin(x,phi') + cos(x,phi)cos(x,phi') = 1", "roots"),
+):
+    _identity(_id, "pytha", _anchor, SERIES_EXACT, _root_params)(
+        partial(_deformed_zero_form, COS, _at)
     )
-)
-_identity(
-    "tilde-pytha-2",
-    "tilde-pytha",
-    "normalized tan^2 + 1 = normalized sec^2",
-    NUMERIC,
-    "float",
-    NUMERIC_TOL,
-)(
-    _tilde_pytha(
-        lambda p, u, x: (tilde_value(TAN, x, u, p) ** 2 + 1.0, tilde_value(SEC, x, u, p) ** 2)
+
+
+def _tilde_pytha(a, b, c, rng, params, order):
+    """Normalized a^2 + b^2 = c^2, where a missing kind stands for 1."""
+    u = _float_u(rng, params, cap=0.7)
+    x = _x(rng, lo=0.1)
+
+    def square(kind):
+        return 1.0 if kind is None else tilde_value(kind, x, u, params) ** 2
+
+    yield _ctx(params=params, u=u, x=x), square(a) + square(b), square(c)
+
+
+for _id, _anchor, _a, _b, _c in (
+    ("tilde-pytha-1", "normalized sin^2 + cos^2 = 1", SIN, COS, None),
+    ("tilde-pytha-2", "normalized tan^2 + 1 = normalized sec^2", TAN, None, SEC),
+    ("tilde-pytha-3", "1 + normalized cot^2 = normalized csc^2", None, COT, CSC),
+):
+    _identity(_id, "tilde-pytha", _anchor, NUMERIC, _float_params, NUMERIC_TOL)(
+        partial(_tilde_pytha, _a, _b, _c)
     )
-)
-_identity(
-    "tilde-pytha-3",
-    "tilde-pytha",
-    "1 + normalized cot^2 = normalized csc^2",
-    NUMERIC,
-    "float",
-    NUMERIC_TOL,
-)(
-    _tilde_pytha(
-        lambda p, u, x: (1.0 + tilde_value(COT, x, u, p) ** 2, tilde_value(CSC, x, u, p) ** 2)
-    )
-)
 
 
 # --------------------------------------------------------------------------
@@ -1202,113 +877,52 @@ _identity(
 # --------------------------------------------------------------------------
 
 
-@_identity(
-    "double-angle-1",
-    "double-angle",
-    "two-part sine series = sin(x,u)cos(x,v) + cos(x,u)sin(x,v)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _double_angle_1(rng, order):
-    params = _root_params(rng)
-    u, v = _frac(rng), _frac(rng)
-    lhs = multinomial_series(SIN, (u, v), params, order)
-    rhs = fn_series(SIN, u, params, order) * fn_series(COS, v, params, order) + fn_series(
-        COS, u, params, order
-    ) * fn_series(SIN, v, params, order)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u, v=v))
-
-
-@_identity(
-    "double-angle-2",
-    "double-angle",
-    "two-part sine series at (u,u) = 2 sin(x,u)cos(x,u)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _double_angle_2(rng, order):
-    params = _root_params(rng)
+def _double_angle(kind, same_u, rng, params, order):
     u = _frac(rng)
-    lhs = multinomial_series(SIN, (u, u), params, order)
-    rhs = (fn_series(SIN, u, params, order) * fn_series(COS, u, params, order)).scale(Fraction(2))
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
+    v = u if same_u else _frac(rng)
+    lhs = multinomial_series(kind, (u, v), params, order)
+    if kind is SIN and same_u:
+        rhs = (fn_series(SIN, u, params, order) * fn_series(COS, u, params, order)).scale(
+            Fraction(2)
+        )
+    else:
+        rhs = _product_form(kind, False, u, v, params, order)
+    yield (_ctx(params=params, u=u) if same_u else _ctx(params=params, u=u, v=v)), lhs, rhs
 
 
-@_identity(
-    "double-angle-3",
-    "double-angle",
-    "two-part cosine series = cos(x,u)cos(x,v) - sin(x,u)sin(x,v)",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _double_angle_3(rng, order):
-    params = _root_params(rng)
-    u, v = _frac(rng), _frac(rng)
-    lhs = multinomial_series(COS, (u, v), params, order)
-    rhs = fn_series(COS, u, params, order) * fn_series(COS, v, params, order) - fn_series(
-        SIN, u, params, order
-    ) * fn_series(SIN, v, params, order)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u, v=v))
+for _id, _anchor, _kind, _same_u in (
+    ("double-angle-1", "two-part sine series = sin(x,u)cos(x,v) + cos(x,u)sin(x,v)", SIN, False),
+    ("double-angle-2", "two-part sine series at (u,u) = 2 sin(x,u)cos(x,u)", SIN, True),
+    ("double-angle-3", "two-part cosine series = cos(x,u)cos(x,v) - sin(x,u)sin(x,v)", COS, False),
+    ("double-angle-4", "two-part cosine series at (u,u) = cos^2 - sin^2", COS, True),
+):
+    _identity(_id, "double-angle", _anchor, SERIES_EXACT, _root_params)(
+        partial(_double_angle, _kind, _same_u)
+    )
 
 
-@_identity(
-    "double-angle-4",
-    "double-angle",
-    "two-part cosine series at (u,u) = cos^2 - sin^2",
-    SERIES_EXACT,
-    "rational-roots",
-)
-def _double_angle_4(rng, order):
-    params = _root_params(rng)
-    u = _frac(rng)
-    s = fn_series(SIN, u, params, order)
-    c = fn_series(COS, u, params, order)
-    lhs = multinomial_series(COS, (u, u), params, order)
-    rhs = c * c - s * s
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
+def _double_angle_tan(same_u, rng, params, order):
+    u = _float_u(rng, params, cap=0.7)
+    v = u if same_u else _float_u(rng, params, cap=0.7)
+    x = _x(rng)
+    us = (u, v)
+    weights = _multi_weights(us, params)
+    lhs = multinomial_value(TAN, us, x, params, weights=weights)
+    tu = fn_value(TAN, x, u, params)
+    tv = fn_value(TAN, x, v, params)
+    den = 1.0 - tu * tv
+    if abs(den) < 0.1:
+        raise _Reject
+    yield _ctx(params=params, u=u, v=v, x=x), lhs, (tu + tv) / den
 
 
-def _double_angle_tan(same_u: bool):
-    def check(rng, order):
-        for _ in range(_RETRIES):
-            params = _float_params(rng)
-            u = _float_u(rng, params, cap=0.7)
-            v = u if same_u else _float_u(rng, params, cap=0.7)
-            x = _x(rng)
-            us = (u, v)
-            try:
-                weights = _multi_weights(us, params)
-                lhs = multinomial_value(TAN, us, x, params, weights=weights)
-                tu = fn_value(TAN, x, u, params)
-                tv = fn_value(TAN, x, v, params)
-            except (SeriesDiverging, DivisionByZeroValue):
-                continue
-            den = 1.0 - tu * tv
-            if abs(den) < 0.1:
-                continue
-            rhs = (tu + tv) / den
-            return _close(lhs, rhs, NUMERIC_TOL, _ctx(params=params, u=u, v=v, x=x))
-        return _exhausted("double-angle tangent")
-
-    return check
-
-
-_identity(
-    "double-angle-5",
-    "double-angle",
-    "two-part tangent = (tan(x,u) + tan(x,v)) / (1 - tan(x,u)tan(x,v))",
-    NUMERIC,
-    "float",
-    NUMERIC_TOL,
-)(_double_angle_tan(False))
-_identity(
-    "double-angle-6",
-    "double-angle",
-    "two-part tangent at (u,u) = 2 tan / (1 - tan^2)",
-    NUMERIC,
-    "float",
-    NUMERIC_TOL,
-)(_double_angle_tan(True))
+for _id, _anchor, _same_u in (
+    ("double-angle-5", "two-part tangent = (tan(x,u) + tan(x,v)) / (1 - tan(x,u)tan(x,v))", False),
+    ("double-angle-6", "two-part tangent at (u,u) = 2 tan / (1 - tan^2)", True),
+):
+    _identity(_id, "double-angle", _anchor, NUMERIC, _float_params, NUMERIC_TOL)(
+        partial(_double_angle_tan, _same_u)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1321,56 +935,37 @@ _identity(
     "multi-euler",
     "exp of multinomial weights at ix = cos + i sin of the same weights",
     NUMERIC,
-    "float",
+    _float_params,
     NUMERIC_TOL,
 )
-def _multi_euler(rng, order):
-    for _ in range(_RETRIES):
-        params = _float_params(rng)
-        m = rng.randint(1, 3)
-        us = tuple(_float_u(rng, params, cap=0.7) for _ in range(m))
-        x = _x(rng)
-        try:
-            weights = _multi_weights(us, params)
-            lhs = multinomial_value(EXP, us, complex(0.0, x), params, weights=weights)
-            rhs = multinomial_value(COS, us, x, params, weights=weights) + 1j * multinomial_value(
-                SIN, us, x, params, weights=weights
-            )
-        except SeriesDiverging:
-            continue
-        return _close(lhs, rhs, NUMERIC_TOL, _ctx(params=params, us=us, x=x))
-    return _exhausted("multi-euler")
+def _multi_euler(rng, params, order):
+    m = rng.randint(1, 3)
+    us = tuple(_float_u(rng, params, cap=0.7) for _ in range(m))
+    x = _x(rng)
+    weights = _multi_weights(us, params)
+    lhs = multinomial_value(EXP, us, complex(0.0, x), params, weights=weights)
+    rhs = multinomial_value(COS, us, x, params, weights=weights) + 1j * multinomial_value(
+        SIN, us, x, params, weights=weights
+    )
+    yield _ctx(params=params, us=us, x=x), lhs, rhs
 
 
-def _multi_add_n1(item: int):
+def _multi_add_n1(item, rng, params, order):
     # item 1: sin(+), 2: sin(-), 3: cos(+), 4: cos(-)
     kind = SIN if item in (1, 2) else COS
     sign = 1.0 if item in (1, 3) else -1.0
-
-    def check(rng, order):
-        for _ in range(_RETRIES):
-            params = _float_params(rng)
-            n = rng.randint(1, 3)
-            u = _float_u(rng, params, cap=0.7)
-            us = (u,) * n
-            x, y = _x(rng), _x(rng)
-            try:
-                weights = _multi_weights(us, params)
-                lhs = weighted_binomial_value(kind, weights, PowerWeights(u), x, sign * y, params)
-                sm = multinomial_value(SIN, us, x, params, weights=weights)
-                cm = multinomial_value(COS, us, x, params, weights=weights)
-                sy = fn_value(SIN, y, u, params)
-                cy = fn_value(COS, y, u, params)
-            except (SeriesDiverging, DivisionByZeroValue):
-                continue
-            if kind is SIN:
-                rhs = sm * cy + sign * cm * sy
-            else:
-                rhs = cm * cy - sign * sm * sy
-            return _close(lhs, rhs, NUMERIC_TOL, _ctx(params=params, n=n, u=u, x=x, y=y))
-        return _exhausted("multinomial addition")
-
-    return check
+    n = rng.randint(1, 3)
+    u = _float_u(rng, params, cap=0.7)
+    us = (u,) * n
+    x, y = _x(rng), _x(rng)
+    weights = _multi_weights(us, params)
+    lhs = weighted_binomial_value(kind, weights, PowerWeights(u), x, sign * y, params)
+    sm = multinomial_value(SIN, us, x, params, weights=weights)
+    cm = multinomial_value(COS, us, x, params, weights=weights)
+    sy = fn_value(SIN, y, u, params)
+    cy = fn_value(COS, y, u, params)
+    rhs = sm * cy + sign * cm * sy if kind is SIN else cm * cy - sign * sm * sy
+    yield _ctx(params=params, n=n, u=u, x=x, y=y), lhs, rhs
 
 
 for _item, _desc in (
@@ -1379,41 +974,28 @@ for _item, _desc in (
     (3, "cos(multi x (+)_{1,u} y) = cos(multi x)cos(y,u) - sin(multi x)sin(y,u)"),
     (4, "cos(multi x (-)_{1,u} y) = cos(multi x)cos(y,u) + sin(multi x)sin(y,u)"),
 ):
-    _identity(f"multi-add-n1-{_item}", "multi-add-n1", _desc, NUMERIC, "float", NUMERIC_TOL)(
-        _multi_add_n1(_item)
-    )
+    _identity(
+        f"multi-add-n1-{_item}", "multi-add-n1", _desc, NUMERIC, _float_params, NUMERIC_TOL
+    )(partial(_multi_add_n1, _item))
 
 
-def _multi_add_nm(item: int):
+def _multi_add_nm(item, rng, params, order):
     kind = SIN if item in (1, 2) else COS
     sign = 1.0 if item in (1, 3) else -1.0
-
-    def check(rng, order):
-        for _ in range(_RETRIES):
-            params = _float_params(rng)
-            n, m = rng.randint(1, 2), rng.randint(1, 2)
-            u = _float_u(rng, params, cap=0.7)
-            v = _float_u(rng, params, cap=0.7)
-            us, vs = (u,) * n, (v,) * m
-            x, y = _x(rng), _x(rng)
-            try:
-                wu = _multi_weights(us, params)
-                wv = _multi_weights(vs, params)
-                lhs = weighted_binomial_value(kind, wu, wv, x, sign * y, params)
-                sn = multinomial_value(SIN, us, x, params, weights=wu)
-                cn = multinomial_value(COS, us, x, params, weights=wu)
-                sm = multinomial_value(SIN, vs, y, params, weights=wv)
-                cm = multinomial_value(COS, vs, y, params, weights=wv)
-            except (SeriesDiverging, DivisionByZeroValue):
-                continue
-            if kind is SIN:
-                rhs = sn * cm + sign * cn * sm
-            else:
-                rhs = cn * cm - sign * sn * sm
-            return _close(lhs, rhs, NUMERIC_TOL, _ctx(params=params, n=n, m=m, u=u, v=v, x=x, y=y))
-        return _exhausted("multinomial pair addition")
-
-    return check
+    n, m = rng.randint(1, 2), rng.randint(1, 2)
+    u = _float_u(rng, params, cap=0.7)
+    v = _float_u(rng, params, cap=0.7)
+    us, vs = (u,) * n, (v,) * m
+    x, y = _x(rng), _x(rng)
+    wu = _multi_weights(us, params)
+    wv = _multi_weights(vs, params)
+    lhs = weighted_binomial_value(kind, wu, wv, x, sign * y, params)
+    sn = multinomial_value(SIN, us, x, params, weights=wu)
+    cn = multinomial_value(COS, us, x, params, weights=wu)
+    sm = multinomial_value(SIN, vs, y, params, weights=wv)
+    cm = multinomial_value(COS, vs, y, params, weights=wv)
+    rhs = sn * cm + sign * cn * sm if kind is SIN else cn * cm - sign * sn * sm
+    yield _ctx(params=params, n=n, m=m, u=u, v=v, x=x, y=y), lhs, rhs
 
 
 for _item, _desc in (
@@ -1422,9 +1004,9 @@ for _item, _desc in (
     (3, "cos(n-multi x (+)_{1,1} m-multi y): cosine addition for two weight tuples"),
     (4, "cos(n-multi x (-)_{1,1} m-multi y): cosine difference for two weight tuples"),
 ):
-    _identity(f"multi-add-nm-{_item}", "multi-add-nm", _desc, NUMERIC, "float", NUMERIC_TOL)(
-        _multi_add_nm(_item)
-    )
+    _identity(
+        f"multi-add-nm-{_item}", "multi-add-nm", _desc, NUMERIC, _float_params, NUMERIC_TOL
+    )(partial(_multi_add_nm, _item))
 
 
 # --------------------------------------------------------------------------
@@ -1432,136 +1014,56 @@ for _item, _desc in (
 # --------------------------------------------------------------------------
 
 
-def _draw_pi_setup(rng):
-    for _ in range(_RETRIES):
-        params = _float_params(rng, ratio_max=0.75, phi_min=1.25, phi_max=2.4)
-        u = rng.uniform(0.35, min(1.0, 0.8 * abs(params.phi)))
-        try:
-            root = _pi_root(params, u)
-        except NoRootFound:
-            continue
-        if root.residual > 1e-10 or root.value > 8.0:
-            continue
-        try:
-            c0 = deformed_zero_value(COS, u, u, root.value, params)
-        except SeriesDiverging:
-            continue
-        if not c0 > 0.05:
-            continue
-        return params, u, root, c0
-    return None
+# counterexample texts when the n-fold value at the zero cannot be evaluated
+_UNEVALUABLE = {
+    SIN: ("sin diverged", "0"), COS: ("cos diverged", ""), TAN: ("tan not evaluable", "0")
+}
 
 
-@_identity(
-    "piu-special-1",
-    "piu-special",
-    "sine of the n-fold multinomial at its first zero vanishes, n <= 4",
-    NUMERIC,
-    "float",
-    PI_TOL,
-)
-def _piu_special_1(rng, order):
-    setup = _draw_pi_setup(rng)
-    if setup is None:
-        return _exhausted("piu-special-1")
-    params, u, root, _ = setup
+def _piu_special(kind, rng, params, order):
+    u, root, c0 = _pi_setup(rng, params)
     for n in range(1, 5):
         us = (u,) * n
         try:
-            value = multinomial_value(SIN, us, root.value, params, weights=_multi_weights(us, params))
-        except SeriesDiverging:
-            return Failure(_ctx(params=params, u=u, n=n), "sin diverged", "0", None)
-        failure = _close(value, 0.0, PI_TOL, _ctx(params=params, u=u, piu=root.value, n=n))
-        if failure is not None:
-            return failure
-    return None
-
-
-@_identity(
-    "piu-special-2",
-    "piu-special",
-    "|cos of the n-fold multinomial at the zero| = normalizer^(n/2)",
-    NUMERIC,
-    "float",
-    PI_TOL,
-)
-def _piu_special_2(rng, order):
-    setup = _draw_pi_setup(rng)
-    if setup is None:
-        return _exhausted("piu-special-2")
-    params, u, root, c0 = setup
-    for n in range(1, 5):
-        us = (u,) * n
-        try:
-            value = multinomial_value(COS, us, root.value, params, weights=_multi_weights(us, params))
-        except SeriesDiverging:
-            return Failure(_ctx(params=params, u=u, n=n), "cos diverged", "", None)
-        failure = _close(
-            abs(value), c0 ** (n / 2.0), PI_TOL, _ctx(params=params, u=u, piu=root.value, n=n)
-        )
-        if failure is not None:
-            return failure
-    return None
-
-
-@_identity(
-    "piu-special-3",
-    "piu-special",
-    "tangent of the n-fold multinomial at the zero vanishes, n <= 4",
-    NUMERIC,
-    "float",
-    PI_TOL,
-)
-def _piu_special_3(rng, order):
-    setup = _draw_pi_setup(rng)
-    if setup is None:
-        return _exhausted("piu-special-3")
-    params, u, root, _ = setup
-    for n in range(1, 5):
-        us = (u,) * n
-        try:
-            value = multinomial_value(TAN, us, root.value, params, weights=_multi_weights(us, params))
-        except (SeriesDiverging, DivisionByZeroValue):
-            return Failure(_ctx(params=params, u=u, n=n), "tan not evaluable", "0", None)
-        failure = _close(value, 0.0, PI_TOL, _ctx(params=params, u=u, piu=root.value, n=n))
-        if failure is not None:
-            return failure
-    return None
-
-
-def _periodic(item: int):
-    # item 1: sin, 2: cos, 3: tan, 4: cot
-    def check(rng, order):
-        for _ in range(_RETRIES):
-            setup = _draw_pi_setup(rng)
-            if setup is None:
-                return _exhausted(f"periodic-{item}")
-            params, u, root, _ = setup
-            n = rng.randint(1, 4)
-            us = (u,) * n
-            v = _float_u(rng, params, cap=0.7)
-            x = _x(rng, lo=0.1)
             weights = _multi_weights(us, params)
-            try:
-                cos_n = multinomial_value(COS, us, root.value, params, weights=weights)
-                if item in (1, 2):
-                    kind = SIN if item == 1 else COS
-                    lhs = weighted_binomial_value(
-                        kind, weights, PowerWeights(v), root.value, x, params
-                    )
-                    rhs = cos_n * fn_value(kind, x, v, params)
-                else:
-                    kind = TAN if item == 3 else COT
-                    lhs = weighted_binomial_value(
-                        kind, weights, PowerWeights(v), root.value, x, params
-                    )
-                    rhs = fn_value(kind, x, v, params)
-            except (SeriesDiverging, DivisionByZeroValue):
-                continue
-            return _close(lhs, rhs, PI_TOL, _ctx(params=params, u=u, v=v, n=n, x=x, piu=root.value))
-        return _exhausted(f"periodic-{item}")
+            value = multinomial_value(kind, us, root.value, params, weights=weights)
+        except (SeriesDiverging, DivisionByZeroValue):
+            # after the setup this is a counterexample, not an inadmissible draw
+            lhs_text, rhs_text = _UNEVALUABLE[kind]
+            yield _ctx(params=params, u=u, n=n), lhs_text, rhs_text
+            return
+        ctx = _ctx(params=params, u=u, piu=root.value, n=n)
+        if kind is COS:
+            yield ctx, abs(value), c0 ** (n / 2.0)
+        else:
+            yield ctx, value, 0.0
 
-    return check
+
+for _id, _anchor, _kind in (
+    ("piu-special-1", "sine of the n-fold multinomial at its first zero vanishes, n <= 4", SIN),
+    ("piu-special-2", "|cos of the n-fold multinomial at the zero| = normalizer^(n/2)", COS),
+    ("piu-special-3", "tangent of the n-fold multinomial at the zero vanishes, n <= 4", TAN),
+):
+    _identity(_id, "piu-special", _anchor, NUMERIC, _pi_params, PI_TOL)(
+        partial(_piu_special, _kind)
+    )
+
+
+def _periodic(item, rng, params, order):
+    # item 1: sin, 2: cos, 3: tan, 4: cot
+    kind = (SIN, COS, TAN, COT)[item - 1]
+    u, root, _ = _pi_setup(rng, params)
+    n = rng.randint(1, 4)
+    us = (u,) * n
+    v = _float_u(rng, params, cap=0.7)
+    x = _x(rng, lo=0.1)
+    weights = _multi_weights(us, params)
+    cos_n = multinomial_value(COS, us, root.value, params, weights=weights)
+    lhs = weighted_binomial_value(kind, weights, PowerWeights(v), root.value, x, params)
+    rhs = fn_value(kind, x, v, params)
+    if item in (1, 2):
+        rhs = cos_n * rhs
+    yield _ctx(params=params, u=u, v=v, n=n, x=x, piu=root.value), lhs, rhs
 
 
 for _item, _desc in (
@@ -1570,7 +1072,9 @@ for _item, _desc in (
     (3, "tan(n-fold zero-multiple (+)_{1,v} x) = tan(x,v)"),
     (4, "cot(n-fold zero-multiple (+)_{1,v} x) = cot(x,v)"),
 ):
-    _identity(f"periodic-{_item}", "periodic", _desc, NUMERIC, "float", PI_TOL)(_periodic(_item))
+    _identity(f"periodic-{_item}", "periodic", _desc, NUMERIC, _pi_params, PI_TOL)(
+        partial(_periodic, _item)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1578,157 +1082,67 @@ for _item, _desc in (
 # --------------------------------------------------------------------------
 
 
-@_identity("hyp-bridge-1", "hyp-bridge", "sin(ix,u) = i sinh(x,u)", SERIES_EXACT, "gaussian")
-def _hyp_bridge_1(rng, order):
-    params = _gauss_params(rng)
-    u = _gauss(rng)
-    lhs = fn_series(SIN, u, params, order).dilate(GAUSSIAN_I)
-    rhs = fn_series(SINH, u, params, order).scale(GAUSSIAN_I)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
+def _hyp_bridge(trig, hyp, rng, params, order):
+    """Gaussian draws: trig(ix,u) = i^odd hyp(x,u); rational: trig(x,-u) = hyp(x,u)."""
+    if params.backend is Backend.GAUSSIAN:
+        u = _gauss(rng)
+        lhs = fn_series(trig, u, params, order).dilate(GAUSSIAN_I)
+        rhs = fn_series(hyp, u, params, order)
+        if trig is not COS:
+            rhs = rhs.scale(GAUSSIAN_I)
+    else:
+        u = _frac(rng)
+        lhs = fn_series(trig, -u, params, order)
+        rhs = fn_series(hyp, u, params, order)
+    yield _ctx(params=params, u=u), lhs, rhs
 
 
-@_identity("hyp-bridge-2", "hyp-bridge", "sin(x,-u) = sinh(x,u)", SERIES_EXACT, "rational-roots")
-def _hyp_bridge_2(rng, order):
-    params = _root_params(rng)
-    u = _frac(rng)
-    lhs = fn_series(SIN, -u, params, order)
-    rhs = fn_series(SINH, u, params, order)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
+for _id, _anchor, _trig, _hyp, _draw in (
+    ("hyp-bridge-1", "sin(ix,u) = i sinh(x,u)", SIN, SINH, _gauss_params),
+    ("hyp-bridge-2", "sin(x,-u) = sinh(x,u)", SIN, SINH, _root_params),
+    ("hyp-bridge-3", "cos(ix,u) = cosh(x,u)", COS, COSH, _gauss_params),
+    ("hyp-bridge-4", "cos(x,-u) = cosh(x,u)", COS, COSH, _root_params),
+    ("hyp-bridge-5", "tan(ix,u) = i tanh(x,u)", TAN, TANH, _gauss_params),
+    ("hyp-bridge-6", "tan(x,-u) = tanh(x,u)", TAN, TANH, _root_params),
+):
+    _identity(_id, "hyp-bridge", _anchor, SERIES_EXACT, _draw)(partial(_hyp_bridge, _trig, _hyp))
 
 
-@_identity("hyp-bridge-3", "hyp-bridge", "cos(ix,u) = cosh(x,u)", SERIES_EXACT, "gaussian")
-def _hyp_bridge_3(rng, order):
-    params = _gauss_params(rng)
-    u = _gauss(rng)
-    lhs = fn_series(COS, u, params, order).dilate(GAUSSIAN_I)
-    rhs = fn_series(COSH, u, params, order)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
-
-
-@_identity("hyp-bridge-4", "hyp-bridge", "cos(x,-u) = cosh(x,u)", SERIES_EXACT, "rational-roots")
-def _hyp_bridge_4(rng, order):
-    params = _root_params(rng)
-    u = _frac(rng)
-    lhs = fn_series(COS, -u, params, order)
-    rhs = fn_series(COSH, u, params, order)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
-
-
-@_identity("hyp-bridge-5", "hyp-bridge", "tan(ix,u) = i tanh(x,u)", SERIES_EXACT, "gaussian")
-def _hyp_bridge_5(rng, order):
-    params = _gauss_params(rng)
-    u = _gauss(rng)
-    lhs = fn_series(TAN, u, params, order).dilate(GAUSSIAN_I)
-    rhs = fn_series(TANH, u, params, order).scale(GAUSSIAN_I)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
-
-
-@_identity("hyp-bridge-6", "hyp-bridge", "tan(x,-u) = tanh(x,u)", SERIES_EXACT, "rational-roots")
-def _hyp_bridge_6(rng, order):
-    params = _root_params(rng)
-    u = _frac(rng)
-    lhs = fn_series(TAN, -u, params, order)
-    rhs = fn_series(TANH, u, params, order)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
-
-
-@_identity(
-    "hyp-binom-bridge-1",
-    "hyp-binom-bridge",
-    "sin(x (+)_{-u,-v} y) = sinh(x (+)_{u,v} y)",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)
-def _hyp_binom_bridge_1(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _root_params(rng)
+def _hyp_binom_bridge(trig, hyp, rng, params, order):
     u, v = _frac(rng), _frac(rng)
-    lhs = binomial_series2(SIN, -u, -v, params, border)
-    rhs = binomial_series2(SINH, u, v, params, border)
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v))
+    lhs = binomial_series2(trig, -u, -v, params, order)
+    rhs = binomial_series2(hyp, u, v, params, order)
+    if trig is COS:
+        rhs = rhs.dilate(Fraction(1), Fraction(-1))
+    yield _ctx(params=params, u=u, v=v), lhs, rhs
 
 
-@_identity(
-    "hyp-binom-bridge-2",
-    "hyp-binom-bridge",
-    "cos(x (+)_{-u,-v} y) = cosh(x (-)_{u,v} y)",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)
-def _hyp_binom_bridge_2(rng, order):
-    border = min(order, BIVARIATE_ORDER)
-    params = _root_params(rng)
-    u, v = _frac(rng), _frac(rng)
-    one = Fraction(1)
-    lhs = binomial_series2(COS, -u, -v, params, border)
-    rhs = binomial_series2(COSH, u, v, params, border).dilate(one, -one)
-    return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v))
+for _id, _anchor, _trig, _hyp in (
+    ("hyp-binom-bridge-1", "sin(x (+)_{-u,-v} y) = sinh(x (+)_{u,v} y)", SIN, SINH),
+    ("hyp-binom-bridge-2", "cos(x (+)_{-u,-v} y) = cosh(x (-)_{u,v} y)", COS, COSH),
+):
+    _identity(_id, "hyp-binom-bridge", _anchor, BIVARIATE_EXACT, _root_params)(
+        partial(_hyp_binom_bridge, _trig, _hyp)
+    )
 
 
-def _hyp_addition(kind_lhs: FnKind, minus: bool, combo):
-    def check(rng, order):
-        border = min(order, BIVARIATE_ORDER)
-        params = _root_params(rng)
-        u, v = _frac(rng), _frac(rng)
-        one = Fraction(1)
-        lhs = binomial_series2(kind_lhs, u, v, params, border)
-        if minus:
-            lhs = lhs.dilate(one, -one)
-        sh_u = fn_series(SINH, u, params, border)
-        ch_u = fn_series(COSH, u, params, border)
-        sh_v = fn_series(SINH, v, params, border)
-        ch_v = fn_series(COSH, v, params, border)
-        rhs = combo(sh_u, ch_u, sh_v, ch_v)
-        return _series2_check(lhs, rhs, _ctx(params=params, u=u, v=v))
+for _id, _anchor, _kind, _minus in (
+    ("hyp-add-1", "sinh(x (+) y) = sinh(x,u)cosh(y,v) + cosh(x,u)sinh(y,v)", SINH, False),
+    ("hyp-add-2", "sinh(x (-) y) = sinh(x,u)cosh(y,v) - cosh(x,u)sinh(y,v)", SINH, True),
+    ("hyp-add-3", "cosh(x (+) y) = cosh(x,u)cosh(y,v) + sinh(x,u)sinh(y,v)", COSH, False),
+    ("hyp-add-4", "cosh(x (-) y) = cosh(x,u)cosh(y,v) - sinh(x,u)sinh(y,v)", COSH, True),
+):
+    _identity(_id, "hyp-add", _anchor, BIVARIATE_EXACT, _root_params)(
+        partial(_addition, _kind, _minus)
+    )
 
-    return check
-
-
-_identity(
-    "hyp-add-1",
-    "hyp-add",
-    "sinh(x (+) y) = sinh(x,u)cosh(y,v) + cosh(x,u)sinh(y,v)",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)(_hyp_addition(SINH, False, lambda su, cu, sv, cv: outer(su, cv) + outer(cu, sv)))
-_identity(
-    "hyp-add-2",
-    "hyp-add",
-    "sinh(x (-) y) = sinh(x,u)cosh(y,v) - cosh(x,u)sinh(y,v)",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)(_hyp_addition(SINH, True, lambda su, cu, sv, cv: outer(su, cv) - outer(cu, sv)))
-_identity(
-    "hyp-add-3",
-    "hyp-add",
-    "cosh(x (+) y) = cosh(x,u)cosh(y,v) + sinh(x,u)sinh(y,v)",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)(_hyp_addition(COSH, False, lambda su, cu, sv, cv: outer(cu, cv) + outer(su, sv)))
-_identity(
-    "hyp-add-4",
-    "hyp-add",
-    "cosh(x (-) y) = cosh(x,u)cosh(y,v) - sinh(x,u)sinh(y,v)",
-    BIVARIATE_EXACT,
-    "rational-roots",
-)(_hyp_addition(COSH, True, lambda su, cu, sv, cv: outer(cu, cv) - outer(su, sv)))
-
-_identity(
-    "tanh-add-1",
-    "tanh-add",
-    "tanh(x (+) y) = (tanh x + tanh y) / (1 + tanh x tanh y)",
-    NUMERIC,
-    "float",
-    NUMERIC_TOL,
-)(_tan_addition(False, True))
-_identity(
-    "tanh-add-2",
-    "tanh-add",
-    "tanh(x (-) y) = (tanh x - tanh y) / (1 - tanh x tanh y)",
-    NUMERIC,
-    "float",
-    NUMERIC_TOL,
-)(_tan_addition(True, True))
+for _id, _anchor, _minus in (
+    ("tanh-add-1", "tanh(x (+) y) = (tanh x + tanh y) / (1 + tanh x tanh y)", False),
+    ("tanh-add-2", "tanh(x (-) y) = (tanh x - tanh y) / (1 - tanh x tanh y)", True),
+):
+    _identity(_id, "tanh-add", _anchor, NUMERIC, _float_params, NUMERIC_TOL)(
+        partial(_tan_addition, _minus, True)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1736,93 +1150,72 @@ _identity(
 # --------------------------------------------------------------------------
 
 
-@_identity("trig-deriv-1", "trig-deriv", "D sin(x,u) = cos(ux,u)", SERIES_EXACT, "rational-roots")
-def _trig_deriv_1(rng, order):
-    params = _root_params(rng)
+def _trig_deriv(kind, rng, params, order):
     u = _frac(rng)
-    lhs = derivative_series(fn_series(SIN, u, params, order), params)
-    rhs = fn_series(COS, u, params, order).dilate(u)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
+    lhs = derivative_series(fn_series(kind, u, params, order), params)
+    if kind is SIN:
+        rhs = fn_series(COS, u, params, order).dilate(u)
+    else:
+        rhs = fn_series(SIN, u, params, order).dilate(u).scale(Fraction(-1))
+    yield _ctx(params=params, u=u), lhs, rhs
 
 
-@_identity("trig-deriv-2", "trig-deriv", "D cos(x,u) = -sin(ux,u)", SERIES_EXACT, "rational-roots")
-def _trig_deriv_2(rng, order):
-    params = _root_params(rng)
-    u = _frac(rng)
-    lhs = derivative_series(fn_series(COS, u, params, order), params)
-    rhs = fn_series(SIN, u, params, order).dilate(u).scale(Fraction(-1))
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
-
-
-def _trig_deriv_quotient(item: int):
-    def check(rng, order):
-        for _ in range(_RETRIES):
-            params = _float_params(rng)
-            phi, psi = params.phi, params.phi_prime
-            u = _float_u(rng, params, cap=0.7)
-            x = _x(rng, lo=0.12, hi=0.4)
-            try:
-                if item == 3:
-                    lhs = derivative_value(lambda w: fn_value(TAN, w, u, params), x, params)
-                    ca = fn_value(COS, phi * x, u, params)
-                    rhs = fn_value(COS, u * x, u, params) / ca + fn_value(
-                        TAN, psi * x, u, params
-                    ) * fn_value(SIN, u * x, u, params) / ca
-                elif item == 4:
-                    lhs = derivative_value(lambda w: fn_value(COT, w, u, params), x, params)
-                    sa = fn_value(SIN, phi * x, u, params)
-                    rhs = -fn_value(SIN, u * x, u, params) / sa - fn_value(
-                        COT, psi * x, u, params
-                    ) * fn_value(COS, u * x, u, params) / sa
-                elif item == 5:
-                    lhs = derivative_value(lambda w: fn_value(SEC, w, u, params), x, params)
-                    rhs = fn_value(SIN, u * x, u, params) / (
-                        fn_value(COS, phi * x, u, params) * fn_value(COS, psi * x, u, params)
-                    )
-                else:
-                    lhs = derivative_value(lambda w: fn_value(CSC, w, u, params), x, params)
-                    rhs = -fn_value(COS, u * x, u, params) / (
-                        fn_value(SIN, phi * x, u, params) * fn_value(SIN, psi * x, u, params)
-                    )
-            except (SeriesDiverging, DivisionByZeroValue, ZeroDivisionError):
-                continue
-            return _close(lhs, rhs, QUOTIENT_TOL, _ctx(params=params, u=u, x=x))
-        return _exhausted(f"trig-deriv-{item}")
-
-    return check
-
-
-for _item, _desc in (
-    (3, "D tan(x,u) = cos(ux,u)/cos(phi x,u) + tan(phi' x,u) sin(ux,u)/cos(phi x,u)"),
-    (4, "D cot(x,u) = -sin(ux,u)/sin(phi x,u) - cot(phi' x,u) cos(ux,u)/sin(phi x,u)"),
-    (5, "D sec(x,u) = sin(ux,u) / (cos(phi x,u) cos(phi' x,u))"),
-    (6, "D csc(x,u) = -cos(ux,u) / (sin(phi x,u) sin(phi' x,u))"),
+for _id, _anchor, _kind in (
+    ("trig-deriv-1", "D sin(x,u) = cos(ux,u)", SIN),
+    ("trig-deriv-2", "D cos(x,u) = -sin(ux,u)", COS),
 ):
-    _identity(f"trig-deriv-{_item}", "trig-deriv", _desc, NUMERIC, "float", QUOTIENT_TOL)(
-        _trig_deriv_quotient(_item)
+    _identity(_id, "trig-deriv", _anchor, SERIES_EXACT, _root_params, min_order=1)(
+        partial(_trig_deriv, _kind)
     )
 
 
-@_identity(
-    "trig-d2-1", "trig-d2", "D^2 sin(x,u) = -u sin(u^2 x, u)", SERIES_EXACT, "rational-roots"
-)
-def _trig_d2_1(rng, order):
-    params = _root_params(rng)
-    u = _frac(rng)
-    lhs = derivative_series(derivative_series(fn_series(SIN, u, params, order), params), params)
-    rhs = fn_series(SIN, u, params, order).dilate(u * u).scale(-u)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
+def _trig_deriv_quotient(kind, rng, params, order):
+    phi, psi = params.phi, params.phi_prime
+    u = _float_u(rng, params, cap=0.7)
+    x = _x(rng, lo=0.12, hi=0.4)
+
+    def at(other, c):
+        return fn_value(other, c * x, u, params)
+
+    lhs = derivative_value(lambda w: fn_value(kind, w, u, params), x, params)
+    if kind is TAN:
+        ca = at(COS, phi)
+        rhs = at(COS, u) / ca + at(TAN, psi) * at(SIN, u) / ca
+    elif kind is COT:
+        sa = at(SIN, phi)
+        rhs = -at(SIN, u) / sa - at(COT, psi) * at(COS, u) / sa
+    elif kind is SEC:
+        rhs = at(SIN, u) / (at(COS, phi) * at(COS, psi))
+    else:
+        rhs = -at(COS, u) / (at(SIN, phi) * at(SIN, psi))
+    yield _ctx(params=params, u=u, x=x), lhs, rhs
 
 
-@_identity(
-    "trig-d2-2", "trig-d2", "D^2 cos(x,u) = -u cos(u^2 x, u)", SERIES_EXACT, "rational-roots"
-)
-def _trig_d2_2(rng, order):
-    params = _root_params(rng)
+for _item, _kind, _desc in (
+    (3, TAN, "D tan(x,u) = cos(ux,u)/cos(phi x,u) + tan(phi' x,u) sin(ux,u)/cos(phi x,u)"),
+    (4, COT, "D cot(x,u) = -sin(ux,u)/sin(phi x,u) - cot(phi' x,u) cos(ux,u)/sin(phi x,u)"),
+    (5, SEC, "D sec(x,u) = sin(ux,u) / (cos(phi x,u) cos(phi' x,u))"),
+    (6, CSC, "D csc(x,u) = -cos(ux,u) / (sin(phi x,u) sin(phi' x,u))"),
+):
+    _identity(f"trig-deriv-{_item}", "trig-deriv", _desc, NUMERIC, _float_params, QUOTIENT_TOL)(
+        partial(_trig_deriv_quotient, _kind)
+    )
+
+
+def _trig_d2(kind, rng, params, order):
     u = _frac(rng)
-    lhs = derivative_series(derivative_series(fn_series(COS, u, params, order), params), params)
-    rhs = fn_series(COS, u, params, order).dilate(u * u).scale(-u)
-    return _series_check(lhs, rhs, _ctx(params=params, u=u))
+    lhs = derivative_series(derivative_series(fn_series(kind, u, params, order), params), params)
+    rhs = fn_series(kind, u, params, order).dilate(u * u).scale(-u)
+    yield _ctx(params=params, u=u), lhs, rhs
+
+
+for _id, _anchor, _kind in (
+    ("trig-d2-1", "D^2 sin(x,u) = -u sin(u^2 x, u)", SIN),
+    ("trig-d2-2", "D^2 cos(x,u) = -u cos(u^2 x, u)", COS),
+):
+    _identity(_id, "trig-d2", _anchor, SERIES_EXACT, _root_params, min_order=2)(
+        partial(_trig_d2, _kind)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1830,96 +1223,66 @@ def _trig_d2_2(rng, order):
 # --------------------------------------------------------------------------
 
 
-def _product_rule(swapped: bool):
-    def check(rng, order):
-        params = _root_params(rng)
-        phi, psi = params.phi, params.phi_prime
-        f = _poly_series(rng, 5, order)
-        g = _poly_series(rng, 5, order)
-        first, second = (psi, phi) if swapped else (phi, psi)
-        lhs = derivative_series(f * g, params)
-        rhs = f.dilate(first) * derivative_series(g, params) + g.dilate(second) * derivative_series(
-            f, params
-        )
-        ctx = _ctx(params=params, f=f.coeffs[:6], g=g.coeffs[:6])
-        failure = _series_check(lhs, rhs, ctx)
-        if failure is not None:
-            return failure
-        # numeric spot check of the same statement
-        fparams = promote_params(params, Backend.COMPLEX)
-        fc = [float(c) for c in f.coeffs[:6]]
-        gc = [float(c) for c in g.coeffs[:6]]
-        ff, gg = _poly_fn(fc), _poly_fn(gc)
-        x = _x(rng, lo=0.1)
-        lhs_n = derivative_value(lambda w: ff(w) * gg(w), x, fparams)
-        a, b = (fparams.phi_prime, fparams.phi) if swapped else (fparams.phi, fparams.phi_prime)
-        rhs_n = ff(a * x) * derivative_value(gg, x, fparams) + gg(b * x) * derivative_value(
-            ff, x, fparams
-        )
-        return _close(lhs_n, rhs_n, QUOTIENT_TOL, ctx)
-
-    return check
+def _product_rule(swapped, rng, params, order):
+    phi, psi = params.phi, params.phi_prime
+    f = _poly_series(rng, 5, order)
+    g = _poly_series(rng, 5, order)
+    first, second = (psi, phi) if swapped else (phi, psi)
+    lhs = derivative_series(f * g, params)
+    rhs = f.dilate(first) * derivative_series(g, params) + g.dilate(second) * derivative_series(
+        f, params
+    )
+    ctx = _ctx(params=params, f=f.coeffs[:6], g=g.coeffs[:6])
+    yield ctx, lhs, rhs
+    # numeric spot check of the same statement, compared within QUOTIENT_TOL
+    fparams = promote_params(params, Backend.COMPLEX)
+    ff = TruncatedSeries([float(c) for c in f.coeffs[:6]]).eval_at
+    gg = TruncatedSeries([float(c) for c in g.coeffs[:6]]).eval_at
+    x = _x(rng, lo=0.1)
+    lhs_n = derivative_value(lambda w: ff(w) * gg(w), x, fparams)
+    a, b = (fparams.phi_prime, fparams.phi) if swapped else (fparams.phi, fparams.phi_prime)
+    rhs_n = ff(a * x) * derivative_value(gg, x, fparams) + gg(b * x) * derivative_value(
+        ff, x, fparams
+    )
+    yield ctx, lhs_n, rhs_n
 
 
-_identity(
-    "calc-product-rule-1",
-    "calc-product-rule",
-    "D(fg)(x) = f(phi x)(Dg)(x) + g(phi' x)(Df)(x)",
-    SERIES_EXACT,
-    "rational-roots",
-)(_product_rule(False))
-_identity(
-    "calc-product-rule-2",
-    "calc-product-rule",
-    "D(fg)(x) = f(phi' x)(Dg)(x) + g(phi x)(Df)(x)",
-    SERIES_EXACT,
-    "rational-roots",
-)(_product_rule(True))
+for _id, _anchor, _swapped in (
+    ("calc-product-rule-1", "D(fg)(x) = f(phi x)(Dg)(x) + g(phi' x)(Df)(x)", False),
+    ("calc-product-rule-2", "D(fg)(x) = f(phi' x)(Dg)(x) + g(phi x)(Df)(x)", True),
+):
+    _identity(_id, "calc-product-rule", _anchor, SERIES_EXACT, _root_params, min_order=1)(
+        partial(_product_rule, _swapped)
+    )
 
 
-def _quotient_rule(form: int):
-    def check(rng, order):
-        for _ in range(_RETRIES):
-            params = _float_params(rng)
-            phi, psi = params.phi, params.phi_prime
-            fc = [rng.uniform(-2, 2) for _ in range(4)]
-            gc = [rng.uniform(-2, 2) for _ in range(4)]
-            gc[0] = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
-            f, g = _poly_fn(fc), _poly_fn(gc)
-            x = _x(rng, lo=0.1, hi=0.4)
-            g_phi, g_psi = g(phi * x), g(psi * x)
-            if abs(g_phi) < 0.1 or abs(g_psi) < 0.1:
-                continue
-            lhs = derivative_value(lambda w: f(w) / g(w), x, params)
-            df = derivative_value(f, x, params)
-            dg = derivative_value(g, x, params)
-            if form == 1:
-                num = g_phi * df - f(phi * x) * dg
-            else:
-                num = g_psi * df - f(psi * x) * dg
-            rhs = num / (g_phi * g_psi)
-            return _close(lhs, rhs, QUOTIENT_TOL, _ctx(params=params, f=fc, g=gc, x=x))
-        return _exhausted("quotient rule")
-
-    return check
+def _quotient_rule(form, rng, params, order):
+    phi, psi = params.phi, params.phi_prime
+    fc = [rng.uniform(-2, 2) for _ in range(4)]
+    gc = [rng.uniform(-2, 2) for _ in range(4)]
+    gc[0] = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
+    f, g = TruncatedSeries(fc).eval_at, TruncatedSeries(gc).eval_at
+    x = _x(rng, lo=0.1, hi=0.4)
+    g_phi, g_psi = g(phi * x), g(psi * x)
+    if abs(g_phi) < 0.1 or abs(g_psi) < 0.1:
+        raise _Reject
+    lhs = derivative_value(lambda w: f(w) / g(w), x, params)
+    df = derivative_value(f, x, params)
+    dg = derivative_value(g, x, params)
+    if form == 1:
+        num = g_phi * df - f(phi * x) * dg
+    else:
+        num = g_psi * df - f(psi * x) * dg
+    yield _ctx(params=params, f=fc, g=gc, x=x), lhs, num / (g_phi * g_psi)
 
 
-_identity(
-    "calc-quotient-rule-1",
-    "calc-quotient-rule",
-    "D(f/g) = [g(phi x)Df - f(phi x)Dg] / (g(phi x) g(phi' x))",
-    NUMERIC,
-    "float",
-    QUOTIENT_TOL,
-)(_quotient_rule(1))
-_identity(
-    "calc-quotient-rule-2",
-    "calc-quotient-rule",
-    "D(f/g) = [g(phi' x)Df - f(phi' x)Dg] / (g(phi x) g(phi' x))",
-    NUMERIC,
-    "float",
-    QUOTIENT_TOL,
-)(_quotient_rule(2))
+for _id, _anchor, _form in (
+    ("calc-quotient-rule-1", "D(f/g) = [g(phi x)Df - f(phi x)Dg] / (g(phi x) g(phi' x))", 1),
+    ("calc-quotient-rule-2", "D(f/g) = [g(phi' x)Df - f(phi' x)Dg] / (g(phi x) g(phi' x))", 2),
+):
+    _identity(_id, "calc-quotient-rule", _anchor, NUMERIC, _float_params, QUOTIENT_TOL)(
+        partial(_quotient_rule, _form)
+    )
 
 
 @_identity(
@@ -1927,16 +1290,14 @@ _identity(
     "calc-fundamental",
     "integral of x^n from 0 to b = b^(n+1) / {n+1}",
     NUMERIC,
-    "float",
+    partial(_float_params, ratio_max=0.8),
     INTEGRAL_TOL,
 )
-def _calc_fundamental(rng, order):
-    params = _float_params(rng, ratio_max=0.8)
+def _calc_fundamental(rng, params, order):
     n = rng.randint(0, 6)
     b = rng.choice((0.5, 1.0))
     lhs = integral_value(lambda x: x**n, 0.0, b, params, eps=1e-13)
-    rhs = b ** (n + 1) / lucas_u(n + 1, params)
-    return _close(lhs, rhs, INTEGRAL_TOL, _ctx(params=params, n=n, b=b))
+    yield _ctx(params=params, n=n, b=b), lhs, b ** (n + 1) / lucas_u(n + 1, params)
 
 
 @_identity(
@@ -1944,17 +1305,15 @@ def _calc_fundamental(rng, order):
     "calc-parts",
     "int (Df) g(phi' x) = [fg] - int f(phi x) (Dg): residual vanishes",
     NUMERIC,
-    "float",
+    partial(_float_params, ratio_max=0.8),
     INTEGRAL_TOL,
 )
-def _calc_parts(rng, order):
-    params = _float_params(rng, ratio_max=0.8)
+def _calc_parts(rng, params, order):
     fc = [rng.uniform(-2, 2) for _ in range(4)]
     gc = [rng.uniform(-2, 2) for _ in range(4)]
-    residual = integration_by_parts_residual(
-        _poly_fn(fc), _poly_fn(gc), 0.0, 1.0, params, eps=1e-13
-    )
-    return _close(residual, 0.0, INTEGRAL_TOL, _ctx(params=params, f=fc, g=gc))
+    f, g = TruncatedSeries(fc).eval_at, TruncatedSeries(gc).eval_at
+    residual = integration_by_parts_residual(f, g, 0.0, 1.0, params, eps=1e-13)
+    yield _ctx(params=params, f=fc, g=gc), residual, 0.0
 
 
 # --------------------------------------------------------------------------
@@ -1974,16 +1333,7 @@ class IdentityOutcome:
     wall_time_s: float
 
     def to_dict(self):
-        return {
-            "id": self.id,
-            "group": self.group,
-            "anchor": self.anchor,
-            "status": self.status,
-            "trials": self.trials,
-            "seed": self.seed,
-            "failures": [f.to_dict() for f in self.failures],
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -2027,6 +1377,33 @@ def _resolve(selection) -> list[IdentityRecord]:
     return list(chosen.values())
 
 
+def _trial(record: IdentityRecord, rng: random.Random, order: int) -> Optional[Failure]:
+    """Draw until ``record`` admits a draw, then compare its sides in turn.
+
+    Only errors raised before the first triple reject a draw.  The first
+    mismatch ends the trial, so the sides after it are neither evaluated
+    nor drawn.
+    """
+    skip = _NUMERIC_REJECTS if record.check_kind == NUMERIC else (_Reject,)
+    # an exact record's float sides (the product rule's spot check) use QUOTIENT_TOL
+    tol = QUOTIENT_TOL if record.tolerance is None else record.tolerance
+    if record.check_kind == BIVARIATE_EXACT:
+        order = min(order, BIVARIATE_ORDER)
+    for _ in range(_RETRIES):
+        try:
+            checks = record.sides(rng, record.draw(rng), order)
+            pending = next(checks)
+        except skip:
+            continue
+        while pending is not None:
+            failure = _compare(*pending, tol)
+            if failure is not None:
+                return failure
+            pending = next(checks, None)
+        return None
+    return Failure({}, f"sampler for {record.id}", "no admissible draw found", None)
+
+
 def run_suite(
     selection: Union[str, Iterable[str], None] = "all",
     trials: int = 25,
@@ -2037,11 +1414,17 @@ def run_suite(
 
     Identical (selection, trials, order, seed) produce identical outcomes;
     each record draws from its own stream seeded by (seed, id).
-    Raises ValueError when ``trials`` is below 1: a pass needs evidence.
+    Raises ValueError when ``trials`` is below 1, since a pass needs
+    evidence, or when ``order`` is below the largest ``min_order`` of the
+    selected records, where a check would compare coefficients that
+    truncation cannot know.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     records = _resolve(selection)
+    floor = max(record.min_order for record in records)
+    if order < floor:
+        raise ValueError(f"order must be at least {floor} for this selection, got {order}")
     started = time.perf_counter()
     results = []
     for record in records:
@@ -2049,7 +1432,7 @@ def run_suite(
         failures = []
         t0 = time.perf_counter()
         for _ in range(trials):
-            failure = record.fn(rng, order)
+            failure = _trial(record, rng, order)
             if failure is not None:
                 failures.append(failure)
         elapsed = time.perf_counter() - t0

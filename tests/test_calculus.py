@@ -8,6 +8,7 @@ import pytest
 from lucascalc import (
     Backend,
     NonContractingNodes,
+    OrderMismatch,
     TruncatedSeries,
     TruncatedSeries2,
     VanishingFactor,
@@ -75,6 +76,12 @@ class TestSeriesOperators:
         p = make_params(F(1), F(1))
         f = TruncatedSeries.constant(F(5), 4)
         assert derivative_series(f, p) == TruncatedSeries.zero(3, RAT)
+
+    def test_order_zero_derivative_rejected(self):
+        # an order-0 series knows only a_0; its derivative would start at a_1
+        p = make_params(F(1), F(1))
+        with pytest.raises(OrderMismatch):
+            derivative_series(TruncatedSeries.constant(F(5), 0), p)
 
     def test_iterated_derivative_of_power(self):
         p = make_params(F(2), F(3))

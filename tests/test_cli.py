@@ -12,6 +12,8 @@ import pytest
 from lucascalc.cli import main
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
+# values --eps and --xmax reject: they must be finite and positive
+BAD_POSITIVE = ["nan", "inf", "-1", "0"]
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +111,16 @@ class TestEval:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("bad", BAD_POSITIVE)
+    def test_bad_eps_exits_2(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "eval", "--fn", "sin", "--s", "1", "--t", "1", "--u", "1", "--x", "0.5",
+            f"--eps={bad}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--eps" in err
+
 
 class TestTable:
     def test_grid_count(self, capsys):
@@ -152,6 +164,16 @@ class TestTable:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("bad", BAD_POSITIVE)
+    def test_bad_eps_exits_2(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "table", "--fn", "sin", "--s", "1", "--t", "1", "--u", "1",
+            "--from", "0", "--to", "1", "--step", "0.5", f"--eps={bad}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--eps" in err
+
 
 class TestVerify:
     def test_single_group_passes(self, capsys):
@@ -169,6 +191,17 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "nosuch")
         assert code == 2
         assert "nosuch" in err
+
+    @pytest.mark.parametrize("suite, order", [("exp-dk", "3"), ("trig-d2", "1"), ("all", "0")])
+    def test_order_below_record_minimum_exits_2(self, capsys, suite, order):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", "1", "--order", order)
+        assert code == 2
+        assert out == ""
+        assert "order" in err
+
+    def test_order_at_record_minimum_passes(self, capsys):
+        code, _, _ = run_cli(capsys, "verify", "--suite", "exp-dk,trig-d2", "--order", "4")
+        assert code == 0
 
     def test_json_report_matches_schema(self, capsys):
         code, out, _ = run_cli(
@@ -202,6 +235,15 @@ class TestPiU:
     def test_no_root_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "piu", "--s", "1", "--t", "1", "--u", "3")
         assert code == 4
+
+    @pytest.mark.parametrize("bad", BAD_POSITIVE)
+    def test_bad_xmax_exits_2(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "piu", "--s", "2", "--t", "-1", "--u", "1", f"--xmax={bad}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--xmax" in err
 
     def test_residual_always_reported(self, capsys):
         code, out, _ = run_cli(
@@ -239,3 +281,13 @@ class TestIntegrate:
             capsys, "integrate", "--poly", "1,,x", "--s", "1", "--t", "1", "--a", "0", "--b", "1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("bad", BAD_POSITIVE)
+    def test_bad_eps_exits_2(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "integrate", "--poly", "0,1", "--s", "1", "--t", "1", "--a", "0", "--b", "1",
+            f"--eps={bad}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--eps" in err

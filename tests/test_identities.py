@@ -1,10 +1,29 @@
 """Identity catalog coverage, runner determinism, and report shape."""
 
+import hashlib
 import json
+import random
+from dataclasses import replace
+from fractions import Fraction as F
 
 import pytest
 
-from lucascalc import CATALOG, UnknownIdentityId, run_suite
+from lucascalc import (
+    CATALOG,
+    Backend,
+    SeriesDiverging,
+    TruncatedSeries,
+    TruncatedSeries2,
+    UnknownIdentityId,
+    run_suite,
+)
+from lucascalc.identities import _Reject
+
+SAMPLER_BACKENDS = {
+    "rational-roots": Backend.RATIONAL,
+    "gaussian": Backend.GAUSSIAN,
+    "float": Backend.COMPLEX,
+}
 
 # every id the suite must expose, one entry per catalogued statement
 REQUIRED_IDS = [
@@ -41,6 +60,14 @@ REQUIRED_IDS = [
     "calc-quotient-rule-1", "calc-quotient-rule-2",
     "calc-fundamental", "calc-parts",
 ]
+
+
+def _stripped(report) -> str:
+    data = report.to_dict()
+    data.pop("wall_time_s")
+    for result in data["results"]:
+        result.pop("wall_time_s")
+    return json.dumps(data, sort_keys=True)
 
 
 class TestCatalog:
@@ -83,16 +110,9 @@ class TestRunner:
         assert {r.id for r in by_group.results} == {"pytha-1", "pytha-2", "pytha-3"}
 
     def test_determinism(self):
-        def stripped(report):
-            data = report.to_dict()
-            data.pop("wall_time_s")
-            for result in data["results"]:
-                result.pop("wall_time_s")
-            return json.dumps(data, sort_keys=True)
-
         a = run_suite(["pascal", "euler", "add-tan", "calc-fundamental"], trials=4, seed=99)
         b = run_suite(["pascal", "euler", "add-tan", "calc-fundamental"], trials=4, seed=99)
-        assert stripped(a) == stripped(b)
+        assert _stripped(a) == _stripped(b)
 
     def test_report_counts(self):
         report = run_suite("euler", trials=3, seed=7)
@@ -106,3 +126,103 @@ class TestRunner:
         report = run_suite("all", trials=2, order=10, seed=5)
         failed = [r.id for r in report.results if r.status != "pass"]
         assert not failed, f"failing identities: {failed}"
+
+
+# sha256 of the stripped reports, frozen before the catalog became declarative:
+# every record must draw the same variables and reach the same verdicts.
+GOLDEN = {
+    (16, 7): "86beebec20897c2b881866d2eec52697305f2cb7c4275a9ca5dc99234aed7f50",
+    (24, 2024): "7eab737cc4edd20f0a1a881379052f5a325b6d247706969e8c48f95fff5e894a",
+}
+
+
+@pytest.mark.parametrize("order, seed", sorted(GOLDEN))
+def test_golden_outcomes(order, seed):
+    report = run_suite("all", trials=3, order=order, seed=seed)
+    assert hashlib.sha256(_stripped(report).encode()).hexdigest() == GOLDEN[(order, seed)]
+
+
+def _register(monkeypatch, base_id, **changes):
+    """Add a copy of catalog record ``base_id`` under the id "probe"."""
+    record = replace(CATALOG[base_id], id="probe", group="probe", **changes)
+    monkeypatch.setitem(CATALOG, "probe", record)
+    return record
+
+
+class TestDeclarations:
+    def test_sampler_name_matches_drawn_backend(self):
+        rng = random.Random(0)
+        for record in CATALOG.values():
+            accepted = 0
+            while accepted < 5:
+                try:
+                    params = record.draw(rng)
+                except _Reject:
+                    continue
+                accepted += 1
+                assert params.backend is SAMPLER_BACKENDS[record.sampler], record.id
+
+    @pytest.mark.parametrize("base_id", ["pascal-1", "add-tan-plus"])
+    def test_always_rejecting_sampler_fails_once_per_trial(self, monkeypatch, base_id):
+        def reject(rng):
+            raise _Reject
+
+        _register(monkeypatch, base_id, draw=reject)
+        (result,) = run_suite("probe", trials=3, seed=1).results
+        assert result.status == "fail"
+        texts = [(f.params, f.lhs, f.rhs, f.delta) for f in result.failures]
+        assert texts == [({}, "sampler for probe", "no admissible draw found", None)] * 3
+
+    def test_exact_records_do_not_skip_domain_errors(self, monkeypatch):
+        def sides(rng, params, order):
+            raise SeriesDiverging("not a rejection for an exact record")
+            yield
+
+        _register(monkeypatch, "pascal-1", sides=sides)
+        with pytest.raises(SeriesDiverging):
+            run_suite("probe", trials=1)
+
+    def test_first_mismatch_ends_the_trial(self, monkeypatch):
+        def sides(rng, params, order):
+            yield {"n": "1"}, F(1), F(2)
+            raise AssertionError("sides evaluated past the first mismatch")
+
+        _register(monkeypatch, "pascal-1", sides=sides)
+        (result,) = run_suite("probe", trials=2).results
+        assert [(f.lhs, f.rhs) for f in result.failures] == [("1", "2")] * 2
+
+    @pytest.mark.parametrize(
+        "lhs, rhs, expected",
+        [
+            (
+                TruncatedSeries([F(1), F(2), F(3)]),
+                TruncatedSeries([F(1), F(2), F(4)]),
+                ("coeff[2]=3", "coeff[2]=4", None),
+            ),
+            (
+                TruncatedSeries2({(0, 1): F(1)}, 2, Backend.RATIONAL),
+                TruncatedSeries2({(0, 1): F(2)}, 2, Backend.RATIONAL),
+                ("coeff[(0, 1)]=1", "coeff[(0, 1)]=2", None),
+            ),
+            ((F(1), F(2)), (F(1), F(3)), ("coeff[1]=2", "coeff[1]=3", None)),
+            (F(1, 2), F(1, 3), ("1/2", "1/3", None)),
+            (1.0, 1.5, ("1.0", "1.5", 0.5)),
+        ],
+    )
+    def test_counterexample_texts(self, monkeypatch, lhs, rhs, expected):
+        def sides(rng, params, order):
+            yield {"n": "1"}, lhs, rhs
+
+        _register(monkeypatch, "pascal-1", sides=sides)
+        (result,) = run_suite("probe", trials=1).results
+        (failure,) = result.failures
+        assert (failure.lhs, failure.rhs, failure.delta) == expected
+        assert failure.params == {"n": "1"}
+
+    def test_order_below_selection_minimum_rejected(self):
+        with pytest.raises(ValueError, match="order"):
+            run_suite("exp-dk", trials=1, order=3)
+        with pytest.raises(ValueError, match="order"):
+            run_suite(["pascal", "trig-d2"], trials=1, order=1)
+        assert run_suite("exp-dk", trials=2, order=4).all_passed
+        assert run_suite("pascal", trials=2, order=0).all_passed
