@@ -63,7 +63,12 @@ def antiderivative_series(f: TruncatedSeries, params: LucasParams) -> TruncatedS
 
 
 def derivative_series2(F: TruncatedSeries2, params: LucasParams, var: int = 0) -> TruncatedSeries2:
-    """Partial divided-difference derivative of a bivariate series in one variable."""
+    """Partial divided-difference derivative of a bivariate series in one variable.
+
+    Raises OrderMismatch on an order-0 series, as :func:`derivative_series` does.
+    """
+    if F.order == 0:
+        raise OrderMismatch("the derivative of an order-0 series has no known coefficient")
     cache = params.cache
     out = {}
     for (j, k), c in F.coeffs.items():
@@ -71,7 +76,7 @@ def derivative_series2(F: TruncatedSeries2, params: LucasParams, var: int = 0) -
             out[(j - 1, k)] = c * cache.u(j)
         elif var == 1 and k > 0:
             out[(j, k - 1)] = c * cache.u(k)
-    return TruncatedSeries2(out, max(F.order - 1, 0), F.backend)
+    return TruncatedSeries2(out, F.order - 1, F.backend)
 
 
 def antiderivative_series2(F: TruncatedSeries2, params: LucasParams, var: int = 0) -> TruncatedSeries2:

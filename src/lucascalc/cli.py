@@ -130,6 +130,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.order < 1:
+        # the report schema's order floor; run_suite itself accepts 0
+        print("--order must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     selection = "all" if args.suite == "all" else [token.strip() for token in args.suite.split(",")]
     report = run_suite(selection, trials=args.trials, order=args.order, seed=args.seed)
     if args.format == "json":

@@ -8,7 +8,8 @@ the limit convention 0^0 = 1, so the k in {0, 1} terms survive u = 0.
 Each degree-n row is built in O(n): the Lucasnomials come from one
 telescoped pass (:func:`lucasnomial_row`), and u^T(n-k), v^T(k) come from
 one :class:`PowerWeights` per deformation parameter, which callers building
-many rows (series, weight families) hold for all of them.
+many rows (series, weight families) hold for all of them.  Multinomial
+numbers multiply the parts' rows u_i^T(k) / {k}! one degree at a time.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def deformed_zero(n: int, u: Scalar, v: Scalar, params: LucasParams) -> Scalar:
 
 
 def multinomial_number(us: Sequence[Scalar], n: int, params: LucasParams) -> Scalar:
-    """Direct multinomial sum over compositions of n into len(us) parts.
+    """Multinomial sum over the compositions of n into len(us) parts.
 
     Each composition (k_1, ..., k_m) contributes
     {n}! / ({k_1}! ... {k_m}!) * prod_i u_i^T(k_i).
@@ -131,9 +132,9 @@ class PowerWeights:
 class MultinomialWeights:
     """Memoized multinomial numbers for a fixed deformation tuple.
 
-    The value at n is the direct sum over compositions, computed by
-    enumerating compositions with a pruned depth-first walk; the factor
-    rows u_i^T(k) / {k}! are shared across n.
+    {n}! times the degree-n coefficient of the product of the parts' rows
+    sum_k u_i^T(k) z^k / {k}!.  Each degree costs O(parts * n); the rows and,
+    for every part but the last, the product of the rows up to it are kept.
     """
 
     def __init__(self, us: Sequence[Scalar], params: LucasParams):
@@ -143,15 +144,22 @@ class MultinomialWeights:
         self.params = params
         common_backend(params.s, *self.us)
         self._rows: list[list[Scalar]] = [[] for _ in self.us]
+        self._products: list[list[Scalar]] = [[] for _ in self.us[2:]]
         self._values: list[Scalar] = [backend_one(params.backend)]
 
     def _row(self, i: int, upto: int) -> list[Scalar]:
         row = self._rows[i]
         u = self.us[i]
-        while len(row) <= upto:
-            k = len(row)
+        for k in range(len(row), upto + 1):
             row.append(u ** binom2(k) / lucastorial(k, self.params))
         return row
+
+    def _cauchy(self, left: list[Scalar], right: list[Scalar], n: int) -> Scalar:
+        """Degree-n coefficient of the product of two rows."""
+        total = backend_zero(self.params.backend)
+        for k in range(n + 1):
+            total = total + left[n - k] * right[k]
+        return total
 
     def __call__(self, n: int) -> Scalar:
         if n < 0:
@@ -159,21 +167,15 @@ class MultinomialWeights:
         values = self._values
         while len(values) <= n:
             m = len(values)
-            rows = [self._row(i, m) for i in range(len(self.us))]
-            total = backend_zero(self.params.backend)
-            last = len(rows) - 1
-
-            def walk(i: int, remaining: int, acc: Scalar):
-                nonlocal total
-                if i == last:
-                    total = total + acc * rows[i][remaining]
-                    return
-                row = rows[i]
-                for k in range(remaining + 1):
-                    walk(i + 1, remaining - k, acc * row[k])
-
-            walk(0, m, backend_one(self.params.backend))
-            values.append(total * lucastorial(m, self.params))
+            product = self._row(0, m)
+            for i, partial in enumerate(self._products, 1):
+                row = self._row(i, m)
+                for k in range(len(partial), m + 1):
+                    partial.append(self._cauchy(product, row, k))
+                product = partial
+            last = len(self.us) - 1
+            value = self._cauchy(product, self._row(last, m), m) if last else product[m]
+            values.append(value * lucastorial(m, self.params))
         return values[n]
 
 

@@ -8,14 +8,17 @@ deformation weight w(m) divided by the factorial analogue {m}!:
 * cos:   m = 2j,      sign (-1)^j         cosh: same without signs
 
 With power weights w(m) = u^T(m) these are the one-parameter functions;
-multinomial, deformed-zero, and binomial-combination variants substitute
-the corresponding weight families.  tan/sec (and tanh/sech) are series
-quotients; cot/csc/coth/csch have a pole at 0 and exist as values only.
+the multinomial, deformed-zero and binomial-combination variants swap in
+another weight family and share one path, :func:`weighted_fn_series` and
+:func:`weighted_fn_value`.  tan/sec (and tanh/sech) are series quotients;
+cot/csc/coth/csch have a pole at 0 and exist as values only.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -41,7 +44,6 @@ from .scalars import (
     Scalar,
     backend_one,
     backend_zero,
-    binom2,
     common_backend,
     magnitude,
 )
@@ -77,13 +79,13 @@ SERIES_KINDS = {
     FnKind.SECH,
 }
 
-# primary kinds: (degree of sub-term j, alternating sign?)
+# primary kinds: (first degree, degree step, alternating sign?)
 _PRIMARY = {
-    FnKind.EXP: (lambda j: j, False),
-    FnKind.SIN: (lambda j: 2 * j + 1, True),
-    FnKind.COS: (lambda j: 2 * j, True),
-    FnKind.SINH: (lambda j: 2 * j + 1, False),
-    FnKind.COSH: (lambda j: 2 * j, False),
+    FnKind.EXP: (0, 1, False),
+    FnKind.SIN: (1, 2, True),
+    FnKind.COS: (0, 2, True),
+    FnKind.SINH: (1, 2, False),
+    FnKind.COSH: (0, 2, False),
 }
 
 # quotient kinds expressed over the primary ones: (numerator, denominator)
@@ -116,8 +118,9 @@ def _adaptive_sum(terms, eps: float) -> EvalInfo:
 
     scale is the running maximum magnitude of the partial sums.  Eight
     consecutive strictly growing term magnitudes raise SeriesDiverging, as
-    does exhausting the term budget.
+    do exhausting the term budget and a non-finite term or partial sum.
     """
+    inf = math.inf
     total = None
     scale = 0.0
     small_run = 0
@@ -128,9 +131,10 @@ def _adaptive_sum(terms, eps: float) -> EvalInfo:
         count += 1
         total = term if total is None else total + term
         mag = magnitude(term)
-        if mag != mag:  # NaN: arithmetic broke down, treat as divergence
-            raise SeriesDiverging("non-finite term encountered")
-        scale = max(scale, magnitude(total))
+        total_mag = magnitude(total)
+        if not (mag < inf and total_mag < inf):  # inf or NaN: every later term looks small
+            raise SeriesDiverging("non-finite term or partial sum encountered")
+        scale = max(scale, total_mag)
         if mag <= eps * scale:
             small_run += 1
             if small_run >= _SMALL_RUN:
@@ -154,22 +158,24 @@ def _adaptive_sum(terms, eps: float) -> EvalInfo:
 def weighted_fn_series(
     kind: FnKind, weights: Weights, params: LucasParams, order: int
 ) -> TruncatedSeries:
-    """Series of the given primary kind with an arbitrary weight family."""
-    if kind not in _PRIMARY:
-        raise PoleAtOrigin(f"{kind.value} has no series with general weights")
-    index, alternating = _PRIMARY[kind]
-    zero = backend_zero(params.backend)
-    coeffs = [zero] * (order + 1)
-    j = 0
-    while True:
-        m = index(j)
-        if m > order:
-            break
+    """Series of a kind with an arbitrary weight family.
+
+    Quotient kinds multiply the numerator series by the reciprocal of the
+    denominator series, both with the same weights.
+    """
+    if kind not in SERIES_KINDS:
+        raise PoleAtOrigin(f"{kind.value} has a pole at 0; evaluate it pointwise instead")
+    if kind in _QUOTIENTS:
+        numerator, denominator = _QUOTIENTS[kind]
+        recip = weighted_fn_series(denominator, weights, params, order).reciprocal()
+        if numerator is None:
+            return recip
+        return weighted_fn_series(numerator, weights, params, order) * recip
+    first, step, alternating = _PRIMARY[kind]
+    coeffs = [backend_zero(params.backend)] * (order + 1)
+    for j, m in enumerate(range(first, order + 1, step)):
         c = weights(m) / params.cache.factorial(m)
-        if alternating and j % 2 == 1:
-            c = -c
-        coeffs[m] = c
-        j += 1
+        coeffs[m] = -c if alternating and j % 2 else c
     return TruncatedSeries(coeffs, params.backend)
 
 
@@ -180,15 +186,7 @@ def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> Trunc
     convention: only the degree 0 and 1 weights survive.
     """
     common_backend(u, params.s)
-    if kind not in SERIES_KINDS:
-        raise PoleAtOrigin(f"{kind.value} has a pole at 0; evaluate it pointwise instead")
-    if kind in _PRIMARY:
-        return weighted_fn_series(kind, PowerWeights(u), params, order)
-    numerator, denominator = _QUOTIENTS[kind]
-    recip = fn_series(denominator, u, params, order).reciprocal()
-    if numerator is None:
-        return recip
-    return fn_series(numerator, u, params, order) * recip
+    return weighted_fn_series(kind, PowerWeights(u), params, order)
 
 
 def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams):
@@ -205,45 +203,50 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
     if kind is FnKind.EXP:
         term = one
         u_pow = one
-        n = 0
-        while True:
+        for n in itertools.count(1):
             yield term
-            term = term * u_pow * x / seq(n + 1)
+            term = term * u_pow * x / seq(n)
             u_pow = u_pow * u
-            n += 1
-        return
-    index, alternating = _PRIMARY[kind]
-    term = x if index(0) == 1 else one
-    j = 0
-    while True:
+    first, _, alternating = _PRIMARY[kind]
+    term = x if first == 1 else one
+    for m in itertools.count(first, 2):
         yield term
-        m, m_next = index(j), index(j + 1)
-        factor = x * x / (seq(m + 1) * seq(m + 2))
-        factor = factor * u ** (binom2(m_next) - binom2(m))
+        factor = x * x / (seq(m + 1) * seq(m + 2)) * u ** (2 * m + 1)
         term = term * (-factor if alternating else factor)
-        j += 1
 
 
-def _quotient(kind: FnKind, params: LucasParams, part: Callable[..., EvalInfo], *args) -> EvalInfo:
-    """Quotient ``kind`` from its primary parts, ``part(k, *args)`` for primary kind k.
+def _weighted_terms(kind: FnKind, weights: Weights, x: Scalar, params: LucasParams):
+    """Terms w(m) x^m / {m}! of a primary kind, signed per its pattern."""
+    first, step, alternating = _PRIMARY[kind]
+    x_pow, x_step = x**first, x**step
+    for j, m in enumerate(itertools.count(first, step)):
+        term = weights(m) * x_pow / params.cache.factorial(m)
+        yield -term if alternating and j % 2 else term
+        x_pow = x_pow * x_step
 
-    The denominator is evaluated first, and a zero one raises
+
+def _quotient(kind: FnKind, terms: Callable, eps: float, *args) -> EvalInfo:
+    """Quotient ``kind`` from its primary parts, whose terms are ``terms(part, *args)``.
+
+    The denominator is summed first, and a zero one raises
     DivisionByZeroValue; a missing numerator is 1.  The terms of both parts
     add up.
     """
     numerator, denominator = _QUOTIENTS[kind]
-    den = part(denominator, *args)
+    den = _adaptive_sum(terms(denominator, *args), eps)
     if den.value == 0:
         raise DivisionByZeroValue(f"{denominator.value} vanished in a quotient")
     if numerator is None:
-        return EvalInfo(backend_one(params.backend) / den.value, den.terms_used)
-    num = part(numerator, *args)
+        return EvalInfo(1 / den.value, den.terms_used)
+    num = _adaptive_sum(terms(numerator, *args), eps)
     return EvalInfo(num.value / den.value, num.terms_used + den.terms_used)
 
 
-def _uncounted(evaluate: Callable[..., Scalar]) -> Callable[..., EvalInfo]:
-    """``evaluate`` as a ``_quotient`` part, for evaluators that report no terms."""
-    return lambda *args: EvalInfo(evaluate(*args), 0)
+def _value_info(kind: FnKind, terms: Callable, eps: float, *args) -> EvalInfo:
+    """Adaptive value of any kind from the term generator ``terms(primary kind, *args)``."""
+    if kind in _PRIMARY:
+        return _adaptive_sum(terms(kind, *args), eps)
+    return _quotient(kind, terms, eps, *args)
 
 
 def fn_value_info(
@@ -251,9 +254,7 @@ def fn_value_info(
 ) -> EvalInfo:
     """Adaptive point evaluation, reporting the value and terms consumed."""
     common_backend(x, u, params.s)
-    if kind in _PRIMARY:
-        return _adaptive_sum(_primary_value_terms(kind, x, u, params), eps)
-    return _quotient(kind, params, fn_value_info, x, u, params, eps)
+    return _value_info(kind, _primary_value_terms, eps, x, u, params)
 
 
 def fn_value(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float = 1e-12) -> Scalar:
@@ -263,24 +264,8 @@ def fn_value(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float
 def weighted_fn_value(
     kind: FnKind, weights: Weights, x: Scalar, params: LucasParams, eps: float = 1e-12
 ) -> Scalar:
-    """Adaptive evaluation of a weighted family at a point."""
-    if kind not in _PRIMARY:
-        raise PoleAtOrigin(f"{kind.value} has no series with general weights")
-    index, alternating = _PRIMARY[kind]
-
-    def terms():
-        j = 0
-        x_pow = x ** index(0)
-        while True:
-            m = index(j)
-            term = weights(m) * x_pow / params.cache.factorial(m)
-            if alternating and j % 2 == 1:
-                term = -term
-            yield term
-            x_pow = x_pow * x ** (index(j + 1) - m)
-            j += 1
-
-    return _adaptive_sum(terms(), eps).value
+    """Adaptive evaluation of any kind with an arbitrary weight family at a point."""
+    return _value_info(kind, _weighted_terms, eps, weights, x, params).value
 
 
 def multinomial_series(
@@ -297,15 +282,10 @@ def multinomial_value(
     eps: float = 1e-12,
     weights: Optional[MultinomialWeights] = None,
 ) -> Scalar:
-    """Point value of the multinomial-weighted family member.
-
-    Quotient kinds divide the corresponding primary values.
-    """
+    """Point value of the multinomial-weighted family member."""
     if weights is None:
         weights = MultinomialWeights(tuple(us), params)
-    if kind in _PRIMARY:
-        return weighted_fn_value(kind, weights, x, params, eps)
-    return _quotient(kind, params, _uncounted(weighted_fn_value), weights, x, params, eps).value
+    return weighted_fn_value(kind, weights, x, params, eps)
 
 
 def deformed_zero_series(
@@ -327,21 +307,14 @@ def binomial_series2(
     if kind not in _PRIMARY:
         raise PoleAtOrigin(f"{kind.value} has no bivariate series form")
     common_backend(u, v, params.s)
-    index, alternating = _PRIMARY[kind]
+    first, step, alternating = _PRIMARY[kind]
     u_weights, v_weights = PowerWeights(u), PowerWeights(v)
     out: dict[tuple[int, int], Scalar] = {}
-    j = 0
-    while True:
-        n = index(j)
-        if n > order:
-            break
+    for j, n in enumerate(range(first, order + 1, step)):
         fact = params.cache.factorial(n)
-        row = deformed_row(n, u_weights, v_weights, params)
-        sign = -1 if (alternating and j % 2 == 1) else 1
-        for k, c in enumerate(row):
+        for k, c in enumerate(deformed_row(n, u_weights, v_weights, params)):
             value = c / fact
-            out[(n - k, k)] = -value if sign < 0 else value
-        j += 1
+            out[(n - k, k)] = -value if alternating and j % 2 else value
     return TruncatedSeries2(out, order, params.backend)
 
 
@@ -356,26 +329,14 @@ def weighted_binomial_value(
 ) -> Scalar:
     """Point value of a binomial combination with weight families on both slots.
 
-    Degree N contributes sum over k of C(N,k) xw(N-k) yw(k) x^(N-k) y^k,
-    divided by {N}! and signed per the kind's pattern.
+    This is the weighted family at 1 whose degree-N weight is the sum over k
+    of C(N,k) xw(N-k) yw(k) x^(N-k) y^k.
     """
-    if kind in _QUOTIENTS:
-        part = _uncounted(weighted_binomial_value)
-        return _quotient(kind, params, part, x_weights, y_weights, x, y, params, eps).value
-    index, alternating = _PRIMARY[kind]
 
-    def terms():
-        j = 0
-        while True:
-            n = index(j)
-            row = deformed_row(n, x_weights, y_weights, params)
-            term = row_value(row, x, y, params.backend) / params.cache.factorial(n)
-            if alternating and j % 2 == 1:
-                term = -term
-            yield term
-            j += 1
+    def weights(n: int) -> Scalar:
+        return row_value(deformed_row(n, x_weights, y_weights, params), x, y, params.backend)
 
-    return _adaptive_sum(terms(), eps).value
+    return weighted_fn_value(kind, weights, backend_one(params.backend), params, eps)
 
 
 def binomial_value(

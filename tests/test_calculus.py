@@ -82,6 +82,9 @@ class TestSeriesOperators:
         p = make_params(F(1), F(1))
         with pytest.raises(OrderMismatch):
             derivative_series(TruncatedSeries.constant(F(5), 0), p)
+        for var in (0, 1):
+            with pytest.raises(OrderMismatch):
+                derivative_series2(TruncatedSeries2({(0, 0): F(5)}, 0, RAT), p, var=var)
 
     def test_iterated_derivative_of_power(self):
         p = make_params(F(2), F(3))

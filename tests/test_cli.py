@@ -101,6 +101,17 @@ class TestEval:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_overflowing_value_exits_3(self, capsys, fmt):
+        # the second term is 1e400: an answer of inf is no answer
+        code, out, err = run_cli(
+            capsys, "eval", "--fn", "exp", "--s", "1", "--t", "1", "--u", "0.5", "--x", "1e200",
+            "--format", fmt,
+        )
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400"])
     @pytest.mark.parametrize("slot", ["--x", "--u", "--s"])
     def test_non_finite_argument_exits_2(self, capsys, bad, slot):
@@ -142,6 +153,16 @@ class TestTable:
         rows = json.loads(out)
         assert rows[0]["value"] == 1.0 and rows[0]["diverged"] is False
         assert rows[-1]["value"] is None and rows[-1]["diverged"] is True
+
+    def test_overflowing_rows_are_flagged_diverged(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--fn", "exp", "--s", "1", "--t", "1", "--u", "0.5",
+            "--from", "0", "--to", "1e200", "--step", "1e200", "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert rows[0]["value"] == 1.0 and rows[0]["diverged"] is False
+        assert rows[1] == {"x": 1e200, "value": None, "diverged": True}
 
     def test_csv_and_json_carry_identical_data(self, capsys):
         args = ("table", "--fn", "cos", "--s", "1", "--t", "1", "--u", "1/2",
@@ -192,7 +213,7 @@ class TestVerify:
         assert code == 2
         assert "nosuch" in err
 
-    @pytest.mark.parametrize("suite, order", [("exp-dk", "3"), ("trig-d2", "1"), ("all", "0")])
+    @pytest.mark.parametrize("suite, order", [("exp-dk", "3"), ("trig-d2", "1"), ("all", "0"), ("pascal", "0")])
     def test_order_below_record_minimum_exits_2(self, capsys, suite, order):
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", "1", "--order", order)
         assert code == 2

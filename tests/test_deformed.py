@@ -191,22 +191,20 @@ class TestMultinomial:
         """Independent oracle: explicit composition enumeration via itertools."""
         rng = random.Random(31)
         p = make_params(F(1), F(2))
-        for m in range(2, 5):
+        for m in range(2, 6):
             us = [_frac(rng) for _ in range(m)]
             for n in range(9):
-                expected = F(0)
-                for cuts in itertools.combinations(range(n + m - 1), m - 1):
-                    parts = []
-                    prev = -1
-                    for cut in cuts:
-                        parts.append(cut - prev - 1)
-                        prev = cut
-                    parts.append(n + m - 2 - prev)
-                    term = lucastorial(n, p)
-                    for ui, ki in zip(us, parts):
-                        term = term / lucastorial(ki, p) * ui ** binom2(ki)
-                    expected += term
-                assert multinomial_number(us, n, p) == expected
+                assert multinomial_number(us, n, p) == composition_sum(us, n, p)
+
+    def test_float_values_match_composition_enumeration(self):
+        rng = random.Random(33)
+        exact = make_params(F(1), F(2))
+        p = make_params(1.0, 2.0)
+        for m in range(1, 6):
+            us = [float(_frac(rng)) for _ in range(m)]
+            for n in range(13):
+                expected = composition_sum([F(u) for u in us], n, exact)
+                assert multinomial_number(us, n, p) == pytest.approx(float(expected), rel=1e-13)
 
     def test_inductive_composition_cross_check(self):
         """Appending one part equals the weight-1 binomial combination."""
@@ -227,6 +225,24 @@ class TestMultinomial:
         p = make_params(F(1), F(1))
         value = multinomial_number([F(0), F(2)], 3, p)
         assert value == direct_zero_oracle(p)
+
+
+def composition_sum(us, n, p):
+    """Multinomial number by explicit composition enumeration via itertools."""
+    m = len(us)
+    total = F(0)
+    for cuts in itertools.combinations(range(n + m - 1), m - 1):
+        parts = []
+        prev = -1
+        for cut in cuts:
+            parts.append(cut - prev - 1)
+            prev = cut
+        parts.append(n + m - 2 - prev)
+        term = lucastorial(n, p)
+        for ui, ki in zip(us, parts):
+            term = term / lucastorial(ki, p) * ui ** binom2(ki)
+        total += term
+    return total
 
 
 def direct_zero_oracle(p):

@@ -14,6 +14,7 @@ from lucascalc import (
     NegativeNormalizer,
     NoRootFound,
     PoleAtOrigin,
+    PowerWeights,
     SERIES_KINDS,
     SeriesDiverging,
     TruncatedSeries,
@@ -35,6 +36,9 @@ from lucascalc import (
     outer,
     params_from_roots,
     tilde_value,
+    weighted_binomial_value,
+    weighted_fn_series,
+    weighted_fn_value,
 )
 
 EXP, SIN, COS, TAN, COT = FnKind.EXP, FnKind.SIN, FnKind.COS, FnKind.TAN, FnKind.COT
@@ -124,6 +128,13 @@ class TestValues:
         with pytest.raises(SeriesDiverging):
             fn_value(EXP, 2.0, 4.0, p)
 
+    def test_non_finite_term_or_partial_sum_raises(self):
+        # beside inf every later term would look small
+        with pytest.raises(SeriesDiverging):
+            fn_value_info(EXP, F(10) ** 400, F(1, 2), FIB)  # float(10^400) overflows
+        with pytest.raises(SeriesDiverging):
+            fn_value_info(EXP, 1e308, 1e-308, make_params(1.0, 1.0))  # 1 + 1e308 + 1e308
+
     def test_exact_value_evaluation(self):
         # adaptive summation terminates on exact backends too
         value = fn_value(EXP, F(1, 3), F(1, 2), FIB, eps=1e-15)
@@ -181,6 +192,51 @@ class TestBivariate:
             )
             expect = deformed_power_value(n, x, y, u, v, FIB) / lucastorial(n, FIB)
             assert slice_value == expect
+
+
+class TestWeightedPath:
+    """Every weight family and kind runs through weighted_fn_value / weighted_fn_series."""
+
+    # sha256 over repr() of float results on a seeded grid covering all 13
+    # kinds, computed before the weighted families shared one evaluator;
+    # the shared path must reproduce every bit and every term count.
+    GOLDEN_SHA256 = "99423c35872a4933e1a0566f3190f1e4bf79d2fa2a631e5e9167dc7e3f9df1b5"
+
+    def test_float_results_match_golden_digest(self):
+        rng = random.Random(41)
+        digest = hashlib.sha256()
+        for s, t in ((1.0, 1.0), (2.0, 1.0), (1.5, -0.5)):
+            p = make_params(s, t)
+            for _ in range(4):
+                u, v = rng.uniform(0.2, 0.9), rng.uniform(0.2, 0.9)
+                x = rng.uniform(0.1, 0.9) * rng.choice((-1, 1))
+                y = rng.uniform(-0.5, 0.5)
+                for kind in FnKind:
+                    info = fn_value_info(kind, x, u, p)
+                    results = [
+                        info.value,
+                        info.terms_used,
+                        binomial_value(kind, x, y, u, v, p),
+                        weighted_binomial_value(kind, PowerWeights(v), PowerWeights(u), y, x, p),
+                    ]
+                    if kind in (EXP, SIN, COS, SINH, COSH):
+                        results.append(deformed_zero_value(kind, u, v, x, p))
+                    digest.update(f"{kind.value}:{results!r};".encode())
+        assert digest.hexdigest() == self.GOLDEN_SHA256
+
+    @pytest.mark.parametrize("kind", sorted(SERIES_KINDS))
+    def test_power_weighted_series_is_fn_series(self, kind):
+        for u, p in ((F(2, 3), FIB), (F(-1, 2), make_params(F(2), F(-3)))):
+            assert weighted_fn_series(kind, PowerWeights(u), p, 10) == fn_series(kind, u, p, 10)
+
+    @pytest.mark.parametrize("kind", list(FnKind))
+    def test_power_weighted_value_is_fn_value(self, kind):
+        rng = random.Random(43)
+        p = make_params(1.0, 1.0)
+        for _ in range(5):
+            u, x = rng.uniform(0.2, 0.9), rng.uniform(0.1, 0.9)
+            expect = fn_value(kind, x, u, p)
+            assert weighted_fn_value(kind, PowerWeights(u), x, p) == pytest.approx(expect, rel=1e-12)
 
 
 class TestMultinomial:
