@@ -118,40 +118,46 @@ def _adaptive_sum(terms, eps: float) -> EvalInfo:
 
     scale is the running maximum magnitude of the partial sums.  Eight
     consecutive strictly growing term magnitudes raise SeriesDiverging, as
-    do exhausting the term budget and a non-finite term or partial sum.
+    do exhausting the term budget, a non-finite term or partial sum, and an
+    OverflowError while drawing a term (float powers of a large u or x).
     """
     inf = math.inf
     total = None
     scale = 0.0
     small_run = 0
     grow_run = 0
-    prev_mag: Optional[float] = None
+    prev_mag = inf  # the first term never counts as growth
     count = 0
-    for term in terms:
-        count += 1
-        total = term if total is None else total + term
-        mag = magnitude(term)
-        total_mag = magnitude(total)
-        if not (mag < inf and total_mag < inf):  # inf or NaN: every later term looks small
-            raise SeriesDiverging("non-finite term or partial sum encountered")
-        scale = max(scale, total_mag)
-        if mag <= eps * scale:
-            small_run += 1
-            if small_run >= _SMALL_RUN:
-                return EvalInfo(total, count)
-        else:
-            small_run = 0
-        if prev_mag is not None and mag > prev_mag and mag > eps * scale:
-            grow_run += 1
-            if grow_run >= _GROWTH_LIMIT:
-                raise SeriesDiverging(
-                    f"terms grew for {_GROWTH_LIMIT} consecutive orders"
-                )
-        else:
-            grow_run = 0
-        prev_mag = mag
-        if count >= _MAX_VALUE_TERMS:
-            raise SeriesDiverging("series did not settle within the term budget")
+    try:
+        for term in terms:
+            count += 1
+            total = term if total is None else total + term
+            mag = magnitude(term)
+            total_mag = magnitude(total)
+            if not (mag < inf and total_mag < inf):  # inf or NaN: every later term looks small
+                raise SeriesDiverging("non-finite term or partial sum encountered")
+            if total_mag > scale:
+                scale = total_mag
+            tol = eps * scale
+            if mag <= tol:
+                small_run += 1
+                if small_run >= _SMALL_RUN:
+                    return EvalInfo(total, count)
+            else:
+                small_run = 0
+            if mag > prev_mag and mag > tol:
+                grow_run += 1
+                if grow_run >= _GROWTH_LIMIT:
+                    raise SeriesDiverging(
+                        f"terms grew for {_GROWTH_LIMIT} consecutive orders"
+                    )
+            else:
+                grow_run = 0
+            prev_mag = mag
+            if count >= _MAX_VALUE_TERMS:
+                raise SeriesDiverging("series did not settle within the term budget")
+    except OverflowError:
+        raise SeriesDiverging("non-finite term or partial sum encountered") from None
     return EvalInfo(total, count)
 
 
@@ -191,27 +197,30 @@ def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> Trunc
 
 def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams):
     """Incremental term generator; consecutive-term ratios avoid huge powers."""
-    cache = params.cache
-
-    def seq(i: int) -> Scalar:
-        value = cache.u(i)
-        if value == 0:
-            raise VanishingFactor(i)
-        return value
-
+    seq = params.cache.u
     one = backend_one(params.backend)
     if kind is FnKind.EXP:
         term = one
         u_pow = one
         for n in itertools.count(1):
             yield term
-            term = term * u_pow * x / seq(n)
+            d = seq(n)
+            if d == 0:
+                raise VanishingFactor(n)
+            term = term * u_pow * x / d
             u_pow = u_pow * u
     first, _, alternating = _PRIMARY[kind]
     term = x if first == 1 else one
+    xx = x * x
     for m in itertools.count(first, 2):
         yield term
-        factor = x * x / (seq(m + 1) * seq(m + 2)) * u ** (2 * m + 1)
+        d1 = seq(m + 1)
+        if d1 == 0:
+            raise VanishingFactor(m + 1)
+        d2 = seq(m + 2)
+        if d2 == 0:
+            raise VanishingFactor(m + 2)
+        factor = xx / (d1 * d2) * u ** (2 * m + 1)
         term = term * (-factor if alternating else factor)
 
 

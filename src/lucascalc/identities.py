@@ -225,7 +225,8 @@ def _multi_weights(us: tuple, params: LucasParams) -> MultinomialWeights:
 
 @lru_cache(maxsize=256)
 def _pi_root(params: LucasParams, u: float):
-    return find_pi_u(params, u)
+    # _pi_setup rejects a zero above 8, so the scan stops there
+    return find_pi_u(params, u, x_max=8.0)
 
 
 def _pi_setup(rng: random.Random, params: LucasParams):

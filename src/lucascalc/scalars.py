@@ -216,7 +216,20 @@ Scalar = Union[int, Fraction, GaussianRational, float, complex]
 GAUSSIAN_I = GaussianRational(0, 1)
 
 
+# exact types first; bool, subclasses and unsupported types take the isinstance chain
+_BACKEND_OF_TYPE = {
+    int: Backend.RATIONAL,
+    Fraction: Backend.RATIONAL,
+    GaussianRational: Backend.GAUSSIAN,
+    float: Backend.COMPLEX,
+    complex: Backend.COMPLEX,
+}
+
+
 def backend_of(value: Scalar) -> Backend:
+    backend = _BACKEND_OF_TYPE.get(type(value))
+    if backend is not None:
+        return backend
     if isinstance(value, (int, Fraction)):
         return Backend.RATIONAL
     if isinstance(value, GaussianRational):
@@ -227,11 +240,15 @@ def backend_of(value: Scalar) -> Backend:
 
 
 def common_backend(*values: Scalar) -> Backend:
-    backends = {backend_of(v) for v in values}
-    if len(backends) != 1:
-        names = sorted(b.value for b in backends)
-        raise BackendMismatch(f"mixed scalar backends: {names}")
-    return backends.pop()
+    if values:
+        backend = backend_of(values[0])
+        for value in values[1:]:
+            if backend_of(value) is not backend:
+                break
+        else:
+            return backend
+    names = sorted({backend_of(v).value for v in values})
+    raise BackendMismatch(f"mixed scalar backends: {names}")
 
 
 _ORDER = {Backend.RATIONAL: 0, Backend.GAUSSIAN: 1, Backend.COMPLEX: 2}
@@ -257,16 +274,23 @@ def promote(value: Scalar, backend: Backend) -> Scalar:
     return _tidy_complex(value)
 
 
+# both exact scalar types are immutable, so one instance per backend serves every caller
+_ZERO = {Backend.RATIONAL: Fraction(0), Backend.GAUSSIAN: GaussianRational(0), Backend.COMPLEX: 0.0}
+_ONE = {Backend.RATIONAL: Fraction(1), Backend.GAUSSIAN: GaussianRational(1), Backend.COMPLEX: 1.0}
+
+
 def backend_zero(backend: Backend) -> Scalar:
-    return {Backend.RATIONAL: Fraction(0), Backend.GAUSSIAN: GaussianRational(0), Backend.COMPLEX: 0.0}[backend]
+    return _ZERO[backend]
 
 
 def backend_one(backend: Backend) -> Scalar:
-    return {Backend.RATIONAL: Fraction(1), Backend.GAUSSIAN: GaussianRational(1), Backend.COMPLEX: 1.0}[backend]
+    return _ONE[backend]
 
 
 def magnitude(value: Scalar) -> float:
     """Absolute value as a float; exact values that overflow map to inf."""
+    if type(value) is float:
+        return abs(value)
     try:
         if isinstance(value, GaussianRational):
             return abs(complex(value)) if value else 0.0

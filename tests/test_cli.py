@@ -112,6 +112,18 @@ class TestEval:
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    @pytest.mark.parametrize("fn", ["tan", "sin"])
+    def test_float_power_overflow_exits_3(self, capsys, fn, fmt):
+        # u ** 3 = 1e600 overflows a float power while the second term is drawn
+        code, out, err = run_cli(
+            capsys, "eval", "--fn", fn, "--s", "1", "--t", "1", "--u", "1e200", "--x", "1e-200",
+            "--format", fmt,
+        )
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400"])
     @pytest.mark.parametrize("slot", ["--x", "--u", "--s"])
     def test_non_finite_argument_exits_2(self, capsys, bad, slot):
@@ -163,6 +175,14 @@ class TestTable:
         rows = json.loads(out)
         assert rows[0]["value"] == 1.0 and rows[0]["diverged"] is False
         assert rows[1] == {"x": 1e200, "value": None, "diverged": True}
+
+    def test_float_power_overflow_row_is_diverged(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--fn", "sin", "--s", "1", "--t", "1", "--u", "1e200",
+            "--from", "1e-200", "--to", "1e-200", "--step", "1", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out) == {"x": 1e-200, "value": None, "diverged": True}
 
     def test_csv_and_json_carry_identical_data(self, capsys):
         args = ("table", "--fn", "cos", "--s", "1", "--t", "1", "--u", "1/2",

@@ -11,6 +11,7 @@ from lucascalc import (
     DivisionByZeroValue,
     FnKind,
     GaussianRational,
+    LucasError,
     NegativeNormalizer,
     NoRootFound,
     PoleAtOrigin,
@@ -18,6 +19,7 @@ from lucascalc import (
     SERIES_KINDS,
     SeriesDiverging,
     TruncatedSeries,
+    VanishingFactor,
     binom2,
     binomial_series2,
     binomial_value,
@@ -134,6 +136,23 @@ class TestValues:
             fn_value_info(EXP, F(10) ** 400, F(1, 2), FIB)  # float(10^400) overflows
         with pytest.raises(SeriesDiverging):
             fn_value_info(EXP, 1e308, 1e-308, make_params(1.0, 1.0))  # 1 + 1e308 + 1e308
+        # float powers that overflow while a term is drawn: u ** 3, then x ** 2 and u ** 3
+        p = make_params(1.0, 1.0)
+        with pytest.raises(SeriesDiverging, match="non-finite"):
+            fn_value_info(TAN, 1e-200, 1e200, p)
+        with pytest.raises(SeriesDiverging, match="non-finite"):
+            binomial_value(EXP, 1e200, 0.5, 0.5, 0.5, p)
+        with pytest.raises(SeriesDiverging, match="non-finite"):
+            multinomial_value(SIN, (1e200,), 1e-200, p)
+
+    @pytest.mark.parametrize("kind", [EXP, SIN, COS, TAN, SINH])
+    def test_vanishing_factor_index(self, kind):
+        # s = 1, t = -1: {n} = 0, 1, 1, 0, ...; exp meets {3} as its divisor,
+        # sin as the second factor of its first ratio, cos as the first of its second
+        for p, x, u in ((make_params(1.0, -1.0), 0.5, 0.5), (make_params(F(1), F(-1)), F(1, 2), F(1, 2))):
+            with pytest.raises(VanishingFactor) as err:
+                fn_value_info(kind, x, u, p)
+            assert err.value.index == 3
 
     def test_exact_value_evaluation(self):
         # adaptive summation terminates on exact backends too
@@ -237,6 +256,62 @@ class TestWeightedPath:
             u, x = rng.uniform(0.2, 0.9), rng.uniform(0.1, 0.9)
             expect = fn_value(kind, x, u, p)
             assert weighted_fn_value(kind, PowerWeights(u), x, p) == pytest.approx(expect, rel=1e-12)
+
+
+def _pi_range_params(rng):
+    """Float parameters from the ranges the pi_u records draw: phi in
+    +-[1.25, 2.4], phi' in +-[0.08, 0.75] |phi|, redrawn near s = 0 or t = 0."""
+    while True:
+        phi = rng.uniform(1.25, 2.4) * rng.choice((-1.0, 1.0))
+        psi = rng.uniform(0.08, 0.75) * abs(phi) * rng.choice((-1.0, 1.0))
+        if abs(phi + psi) >= 0.05 and abs(phi * psi) >= 0.02:
+            return params_from_roots(phi, psi)
+
+
+def _outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except LucasError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestFloatPointDigest:
+    """Float point evaluation far from the origin, where many terms are summed."""
+
+    # sha256 over repr() of fn_value_info (value and terms used, or the error)
+    # at |x| in [0.05, 8] and |u| up to 0.95 |phi|, and of find_pi_u (value
+    # and residual, or the error) with x_max 8 and 10, computed before the
+    # float path was streamlined; every bit, term count and message must stay.
+    VALUE_SHA256 = "70e8501a1a00219194d5845056450b19b78d019a96c7d7ceb0b1d091fe3a6752"
+    PIU_SHA256 = "41a77b5b885ee474c2e5d8af280b64900e83772c48e821e98df7ad21bf5595fd"
+
+    def test_values_match_golden_digest(self):
+        rng = random.Random(53)
+        digest = hashlib.sha256()
+        for _ in range(15):
+            p = _pi_range_params(rng)
+            for _ in range(10):
+                u = rng.uniform(0.05, 0.95) * abs(p.phi) * rng.choice((-1.0, 1.0))
+                x = rng.uniform(0.05, 8.0) * rng.choice((-1.0, 1.0))
+                for kind in FnKind:
+                    info = _outcome(fn_value_info, kind, x, u, p)
+                    if not isinstance(info, str):
+                        info = (info.value, info.terms_used)
+                    digest.update(f"{kind.value}:{info!r};".encode())
+        assert digest.hexdigest() == self.VALUE_SHA256
+
+    def test_pi_u_matches_golden_digest(self):
+        rng = random.Random(59)
+        digest = hashlib.sha256()
+        for _ in range(40):
+            p = _pi_range_params(rng)
+            u = rng.uniform(0.2, 1.0) * min(1.0, 0.95 * abs(p.phi))
+            for x_max in (8.0, 10.0):
+                root = _outcome(find_pi_u, p, u, x_max=x_max)
+                if not isinstance(root, str):
+                    root = (root.value, root.residual)
+                digest.update(f"{x_max}:{root!r};".encode())
+        assert digest.hexdigest() == self.PIU_SHA256
 
 
 class TestMultinomial:

@@ -11,13 +11,15 @@ import pytest
 from lucascalc import (
     CATALOG,
     Backend,
+    NoRootFound,
     SeriesDiverging,
     TruncatedSeries,
     TruncatedSeries2,
     UnknownIdentityId,
+    make_params,
     run_suite,
 )
-from lucascalc.identities import _Reject
+from lucascalc.identities import _pi_root, _Reject
 
 SAMPLER_BACKENDS = {
     "rational-roots": Backend.RATIONAL,
@@ -218,6 +220,13 @@ class TestDeclarations:
         (failure,) = result.failures
         assert (failure.lhs, failure.rhs, failure.delta) == expected
         assert failure.params == {"n": "1"}
+
+    def test_pi_root_scans_to_the_setup_bound(self):
+        # _pi_setup rejects zeros above 8, so the scan behind it stops at 8
+        params = make_params(1.0, 1.0)
+        assert _pi_root(params, 0.32).value == pytest.approx(7.818, abs=1e-3)
+        with pytest.raises(NoRootFound):
+            _pi_root(params, 0.30)  # the zero is at 8.61
 
     def test_order_below_selection_minimum_rejected(self):
         with pytest.raises(ValueError, match="order"):

@@ -17,6 +17,7 @@ from lucascalc import (
     GaussianRational,
     IndexOutOfRange,
     RootsUnavailable,
+    TruncatedSeries,
     VanishingFactor,
     ZeroParameter,
     backend_of,
@@ -32,7 +33,13 @@ from lucascalc import (
     promote,
     promote_params,
 )
-from lucascalc.scalars import gaussian_sqrt, rational_sqrt
+from lucascalc.scalars import (
+    backend_one,
+    backend_zero,
+    common_backend,
+    gaussian_sqrt,
+    rational_sqrt,
+)
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -94,6 +101,58 @@ class TestBackends:
         assert backend_of(GaussianRational(1)) is Backend.GAUSSIAN
         assert backend_of(0.5) is Backend.COMPLEX
         assert backend_of(1j) is Backend.COMPLEX
+
+    def test_backend_of_bool_and_subclasses(self):
+        # not in the exact-type table: the isinstance chain decides
+        class Count(int):
+            pass
+
+        class Ratio(F):
+            pass
+
+        class Real(float):
+            pass
+
+        assert backend_of(True) is Backend.RATIONAL
+        assert backend_of(Count(3)) is Backend.RATIONAL
+        assert backend_of(Ratio(1, 3)) is Backend.RATIONAL
+        assert backend_of(Real(0.5)) is Backend.COMPLEX
+
+    @pytest.mark.parametrize("value, name", [("1", "str"), (None, "NoneType"), ([1], "list")])
+    def test_backend_of_unsupported_type(self, value, name):
+        with pytest.raises(TypeError, match=f"^unsupported scalar type: {name}$"):
+            backend_of(value)
+        with pytest.raises(TypeError, match=f"^unsupported scalar type: {name}$"):
+            common_backend(1.0, 2.0, value)
+
+    def test_common_backend_messages(self):
+        assert common_backend(F(1), 2, True) is Backend.RATIONAL
+        assert common_backend(0.5, 1j) is Backend.COMPLEX
+        cases = [
+            ((F(1), 1.0), "['complex-float', 'rational']"),
+            ((1.0, 1.0, GaussianRational(1)), "['complex-float', 'gaussian-rational']"),
+            ((GaussianRational(1), 1, 1.0), "['complex-float', 'gaussian-rational', 'rational']"),
+            ((), "[]"),
+        ]
+        for values, names in cases:
+            with pytest.raises(BackendMismatch) as err:
+                common_backend(*values)
+            assert str(err.value) == f"mixed scalar backends: {names}"
+
+    def test_backend_constants(self):
+        for backend, zero, one in (
+            (Backend.RATIONAL, F(0), F(1)),
+            (Backend.GAUSSIAN, GaussianRational(0), GaussianRational(1)),
+            (Backend.COMPLEX, 0.0, 1.0),
+        ):
+            assert type(backend_zero(backend)) is type(zero) and backend_zero(backend) == zero
+            assert type(backend_one(backend)) is type(one) and backend_one(backend) == one
+
+    def test_series_point_from_another_backend(self):
+        with pytest.raises(BackendMismatch, match="point backend differs"):
+            TruncatedSeries([1.0, 2.0]).eval_at(F(1, 2))
+        with pytest.raises(BackendMismatch, match="point backend differs"):
+            TruncatedSeries([F(1), F(2)]).eval_at(GaussianRational(1))
 
     def test_mixed_backend_params_rejected(self):
         with pytest.raises(BackendMismatch):
