@@ -90,14 +90,15 @@ def _cmd_seq(args) -> int:
 
 def _cmd_eval(args) -> int:
     params = make_params(_number(args.s), _number(args.t))
-    info = fn_value_info(FnKind(args.fn), _number(args.x), _number(args.u), params, args.eps)
+    x, u = _number(args.x), _number(args.u)
+    info = fn_value_info(FnKind(args.fn), x, u, params, args.eps)
     rows = [
         {
             "fn": args.fn,
             "s": params.s,
             "t": params.t,
-            "u": _number(args.u),
-            "x": _number(args.x),
+            "u": u,
+            "x": x,
             "value": info.value,
             "termsUsed": info.terms_used,
         }
@@ -159,8 +160,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_piu(args) -> int:
     params = make_params(_number(args.s), _number(args.t))
-    root = find_pi_u(params, _number(args.u), x_max=args.xmax)
-    rows = [{"s": params.s, "t": params.t, "u": _number(args.u), "piU": root.value, "residual": root.residual}]
+    u = _number(args.u)
+    root = find_pi_u(params, u, x_max=args.xmax)
+    rows = [{"s": params.s, "t": params.t, "u": u, "piU": root.value, "residual": root.residual}]
     _emit(rows, args.format, sys.stdout)
     return EXIT_OK
 
@@ -172,9 +174,9 @@ def _cmd_integrate(args) -> int:
         print("--poly expects a comma-separated coefficient list, constant first", file=sys.stderr)
         return EXIT_USAGE
     params = make_params(_number(args.s), _number(args.t))
-    poly = TruncatedSeries(coeffs).eval_at
-    value = integral_value(poly, _number(args.a), _number(args.b), params, args.eps)
-    rows = [{"poly": args.poly, "s": params.s, "t": params.t, "a": _number(args.a), "b": _number(args.b), "value": value}]
+    a, b = _number(args.a), _number(args.b)
+    value = integral_value(TruncatedSeries(coeffs).eval_at, a, b, params, args.eps)
+    rows = [{"poly": args.poly, "s": params.s, "t": params.t, "a": a, "b": b, "value": value}]
     _emit(rows, args.format, sys.stdout)
     return EXIT_OK
 
@@ -232,12 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     integrate = subs.add_parser("integrate", help="definite node-series integral of a polynomial")
     integrate.add_argument("--poly", required=True, help="comma-separated coefficients, constant first")
-    integrate.add_argument("--s", required=True)
-    integrate.add_argument("--t", required=True)
+    _add_common(integrate)
     integrate.add_argument("--a", required=True, help="lower endpoint")
     integrate.add_argument("--b", required=True, help="upper endpoint")
     integrate.add_argument("--eps", type=_positive, default=1e-12)
-    integrate.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     integrate.set_defaults(func=_cmd_integrate)
 
     return parser

@@ -134,7 +134,7 @@ class MultinomialWeights:
 
     {n}! times the degree-n coefficient of the product of the parts' rows
     sum_k u_i^T(k) z^k / {k}!.  Each degree costs O(parts * n); the rows and,
-    for every part but the last, the product of the rows up to it are kept.
+    for every part after the first, the product of the rows up to it are kept.
     """
 
     def __init__(self, us: Sequence[Scalar], params: LucasParams):
@@ -144,7 +144,8 @@ class MultinomialWeights:
         self.params = params
         common_backend(params.s, *self.us)
         self._rows: list[list[Scalar]] = [[] for _ in self.us]
-        self._products: list[list[Scalar]] = [[] for _ in self.us[2:]]
+        self._products: list[list[Scalar]] = [[] for _ in self.us[1:]]
+        self._product_at(0)  # the running products start at degree 0
         self._values: list[Scalar] = [backend_one(params.backend)]
 
     def _row(self, i: int, upto: int) -> list[Scalar]:
@@ -161,21 +162,21 @@ class MultinomialWeights:
             total = total + left[n - k] * right[k]
         return total
 
+    def _product_at(self, m: int) -> Scalar:
+        """Degree-m coefficient of the product of all the rows; degrees below m are kept."""
+        product = self._row(0, m)
+        for i, partial in enumerate(self._products, 1):
+            partial.append(self._cauchy(product, self._row(i, m), m))
+            product = partial
+        return product[m]
+
     def __call__(self, n: int) -> Scalar:
         if n < 0:
             raise IndexOutOfRange("n must be nonnegative")
         values = self._values
         while len(values) <= n:
             m = len(values)
-            product = self._row(0, m)
-            for i, partial in enumerate(self._products, 1):
-                row = self._row(i, m)
-                for k in range(len(partial), m + 1):
-                    partial.append(self._cauchy(product, row, k))
-                product = partial
-            last = len(self.us) - 1
-            value = self._cauchy(product, self._row(last, m), m) if last else product[m]
-            values.append(value * lucastorial(m, self.params))
+            values.append(self._product_at(m) * lucastorial(m, self.params))
         return values[n]
 
 

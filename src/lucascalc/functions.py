@@ -20,7 +20,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .deformed import (
     DeformedZeroWeights,
@@ -103,6 +103,11 @@ _QUOTIENTS = {
 _GROWTH_LIMIT = 8
 _SMALL_RUN = 3
 _MAX_VALUE_TERMS = 512
+
+# find_pi_u: scan step, sine evaluation tolerance, bisection width
+_PI_SCAN_STEP = 0.05
+_PI_EPS = 1e-12
+_PI_BISECT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -196,11 +201,20 @@ def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> Trunc
 
 
 def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams):
-    """Incremental term generator; consecutive-term ratios avoid huge powers."""
+    """Incremental term generator; consecutive-term ratios avoid huge powers.
+
+    At x = 0 every term after the first vanishes, so only the first is drawn:
+    the ratios that would follow can overflow a float power of u or meet a
+    vanishing {k}.
+    """
     seq = params.cache.u
     one = backend_one(params.backend)
+    first, _, alternating = _PRIMARY[kind]
+    term = x if first == 1 else one
+    if x == 0:
+        yield term
+        return
     if kind is FnKind.EXP:
-        term = one
         u_pow = one
         for n in itertools.count(1):
             yield term
@@ -209,8 +223,6 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
                 raise VanishingFactor(n)
             term = term * u_pow * x / d
             u_pow = u_pow * u
-    first, _, alternating = _PRIMARY[kind]
-    term = x if first == 1 else one
     xx = x * x
     for m in itertools.count(first, 2):
         yield term
@@ -234,13 +246,15 @@ def _weighted_terms(kind: FnKind, weights: Weights, x: Scalar, params: LucasPara
         x_pow = x_pow * x_step
 
 
-def _quotient(kind: FnKind, terms: Callable, eps: float, *args) -> EvalInfo:
-    """Quotient ``kind`` from its primary parts, whose terms are ``terms(part, *args)``.
+def _value_info(kind: FnKind, terms: Callable, eps: float, *args) -> EvalInfo:
+    """Adaptive value of any kind from the term generator ``terms(primary kind, *args)``.
 
-    The denominator is summed first, and a zero one raises
+    A quotient kind sums its denominator first, and a zero one raises
     DivisionByZeroValue; a missing numerator is 1.  The terms of both parts
     add up.
     """
+    if kind in _PRIMARY:
+        return _adaptive_sum(terms(kind, *args), eps)
     numerator, denominator = _QUOTIENTS[kind]
     den = _adaptive_sum(terms(denominator, *args), eps)
     if den.value == 0:
@@ -249,13 +263,6 @@ def _quotient(kind: FnKind, terms: Callable, eps: float, *args) -> EvalInfo:
         return EvalInfo(1 / den.value, den.terms_used)
     num = _adaptive_sum(terms(numerator, *args), eps)
     return EvalInfo(num.value / den.value, num.terms_used + den.terms_used)
-
-
-def _value_info(kind: FnKind, terms: Callable, eps: float, *args) -> EvalInfo:
-    """Adaptive value of any kind from the term generator ``terms(primary kind, *args)``."""
-    if kind in _PRIMARY:
-        return _adaptive_sum(terms(kind, *args), eps)
-    return _quotient(kind, terms, eps, *args)
 
 
 def fn_value_info(
@@ -284,17 +291,10 @@ def multinomial_series(
 
 
 def multinomial_value(
-    kind: FnKind,
-    us: Sequence[Scalar],
-    x: Scalar,
-    params: LucasParams,
-    eps: float = 1e-12,
-    weights: Optional[MultinomialWeights] = None,
+    kind: FnKind, us: Sequence[Scalar], x: Scalar, params: LucasParams, eps: float = 1e-12
 ) -> Scalar:
     """Point value of the multinomial-weighted family member."""
-    if weights is None:
-        weights = MultinomialWeights(tuple(us), params)
-    return weighted_fn_value(kind, weights, x, params, eps)
+    return weighted_fn_value(kind, MultinomialWeights(tuple(us), params), x, params, eps)
 
 
 def deformed_zero_series(
@@ -403,15 +403,9 @@ class PiU:
     residual: float
 
 
-def find_pi_u(
-    params: LucasParams,
-    u: Scalar,
-    x_max: float = 10.0,
-    step: float = 0.05,
-    eps: float = 1e-12,
-    bisect_tol: float = 1e-13,
-) -> PiU:
-    """Scan (0, x_max] for the first sign change of sin and bisect it down.
+def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
+    """Scan (0, x_max] in steps of 0.05 for the first sign change of sin and
+    bisect it to a width of 1e-13.
 
     Raises NoRootFound when no sign change appears before x_max or before
     the series starts diverging.
@@ -420,11 +414,11 @@ def find_pi_u(
         raise NoRootFound("root scanning runs on the float backend")
 
     def s(x: float) -> float:
-        return fn_value(FnKind.SIN, x, u, params, eps)
+        return fn_value(FnKind.SIN, x, u, params, _PI_EPS)
 
     prev_x = None
     prev_val = None
-    x = step
+    x = _PI_SCAN_STEP
     bracket = None
     while x <= x_max + 1e-12:
         try:
@@ -437,12 +431,12 @@ def find_pi_u(
             bracket = (prev_x, x)
             break
         prev_x, prev_val = x, val
-        x += step
+        x += _PI_SCAN_STEP
     if bracket is None:
         raise NoRootFound(f"no sign change of sin on (0, {x_max}]")
     lo, hi = bracket
     f_lo = s(lo)
-    while hi - lo > bisect_tol:
+    while hi - lo > _PI_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = s(mid)
         if f_mid == 0.0:

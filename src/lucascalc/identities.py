@@ -24,7 +24,7 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .calculus import (
@@ -61,7 +61,6 @@ from .functions import (
     fn_series,
     fn_value,
     multinomial_series,
-    multinomial_value,
     tilde_value,
     weighted_binomial_value,
     weighted_fn_series,
@@ -171,8 +170,8 @@ def _identity(id: str, group: str, anchor: str, kind: str, draw, tolerance=None,
 # --------------------------------------------------------------------------
 
 
-def _frac(rng: random.Random, span: int = 9) -> Fraction:
-    return Fraction(rng.randint(1, span) * rng.choice((-1, 1)), rng.randint(1, span))
+def _frac(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
 
 
 def _root_params(rng: random.Random) -> LucasParams:
@@ -204,9 +203,9 @@ _SAMPLER_NAMES = {_root_params: "rational-roots", _gauss_params: "gaussian", _fl
 _pi_params = partial(_float_params, ratio_max=0.75, phi_min=1.25, phi_max=2.4)
 
 
-def _float_u(rng: random.Random, params: LucasParams, cap: float = 0.8, lo: float = 0.05) -> float:
+def _float_u(rng: random.Random, params: LucasParams, cap: float = 0.8) -> float:
     phi_mag = abs(params.phi)
-    return rng.uniform(lo, cap * phi_mag) * rng.choice((-1.0, 1.0))
+    return rng.uniform(0.05, cap * phi_mag) * rng.choice((-1.0, 1.0))
 
 
 def _x(rng: random.Random, lo: float = 0.05, hi: float = 0.5) -> float:
@@ -218,12 +217,6 @@ def _poly_series(rng: random.Random, degree: int, order: int) -> TruncatedSeries
     return TruncatedSeries(coeffs, Backend.RATIONAL)
 
 
-@lru_cache(maxsize=512)
-def _multi_weights(us: tuple, params: LucasParams) -> MultinomialWeights:
-    return MultinomialWeights(us, params)
-
-
-@lru_cache(maxsize=256)
 def _pi_root(params: LucasParams, u: float):
     # _pi_setup rejects a zero above 8, so the scan stops there
     return find_pi_u(params, u, x_max=8.0)
@@ -587,7 +580,7 @@ def _exp_multinomial_product(rng, params, order):
     m = rng.randint(1, 3)
     us = tuple(_float_u(rng, params, cap=0.7) for _ in range(m))
     x = _x(rng)
-    lhs = multinomial_value(EXP, us, x, params, weights=_multi_weights(us, params))
+    lhs = weighted_fn_value(EXP, MultinomialWeights(us, params), x, params)
     rhs = 1.0
     for u in us:
         rhs *= fn_value(EXP, x, u, params)
@@ -907,8 +900,7 @@ def _double_angle_tan(same_u, rng, params, order):
     v = u if same_u else _float_u(rng, params, cap=0.7)
     x = _x(rng)
     us = (u, v)
-    weights = _multi_weights(us, params)
-    lhs = multinomial_value(TAN, us, x, params, weights=weights)
+    lhs = weighted_fn_value(TAN, MultinomialWeights(us, params), x, params)
     tu = fn_value(TAN, x, u, params)
     tv = fn_value(TAN, x, v, params)
     den = 1.0 - tu * tv
@@ -943,11 +935,9 @@ def _multi_euler(rng, params, order):
     m = rng.randint(1, 3)
     us = tuple(_float_u(rng, params, cap=0.7) for _ in range(m))
     x = _x(rng)
-    weights = _multi_weights(us, params)
-    lhs = multinomial_value(EXP, us, complex(0.0, x), params, weights=weights)
-    rhs = multinomial_value(COS, us, x, params, weights=weights) + 1j * multinomial_value(
-        SIN, us, x, params, weights=weights
-    )
+    weights = MultinomialWeights(us, params)
+    lhs = weighted_fn_value(EXP, weights, complex(0.0, x), params)
+    rhs = weighted_fn_value(COS, weights, x, params) + 1j * weighted_fn_value(SIN, weights, x, params)
     yield _ctx(params=params, us=us, x=x), lhs, rhs
 
 
@@ -959,10 +949,10 @@ def _multi_add_n1(item, rng, params, order):
     u = _float_u(rng, params, cap=0.7)
     us = (u,) * n
     x, y = _x(rng), _x(rng)
-    weights = _multi_weights(us, params)
+    weights = MultinomialWeights(us, params)
     lhs = weighted_binomial_value(kind, weights, PowerWeights(u), x, sign * y, params)
-    sm = multinomial_value(SIN, us, x, params, weights=weights)
-    cm = multinomial_value(COS, us, x, params, weights=weights)
+    sm = weighted_fn_value(SIN, weights, x, params)
+    cm = weighted_fn_value(COS, weights, x, params)
     sy = fn_value(SIN, y, u, params)
     cy = fn_value(COS, y, u, params)
     rhs = sm * cy + sign * cm * sy if kind is SIN else cm * cy - sign * sm * sy
@@ -988,13 +978,13 @@ def _multi_add_nm(item, rng, params, order):
     v = _float_u(rng, params, cap=0.7)
     us, vs = (u,) * n, (v,) * m
     x, y = _x(rng), _x(rng)
-    wu = _multi_weights(us, params)
-    wv = _multi_weights(vs, params)
+    wu = MultinomialWeights(us, params)
+    wv = MultinomialWeights(vs, params)
     lhs = weighted_binomial_value(kind, wu, wv, x, sign * y, params)
-    sn = multinomial_value(SIN, us, x, params, weights=wu)
-    cn = multinomial_value(COS, us, x, params, weights=wu)
-    sm = multinomial_value(SIN, vs, y, params, weights=wv)
-    cm = multinomial_value(COS, vs, y, params, weights=wv)
+    sn = weighted_fn_value(SIN, wu, x, params)
+    cn = weighted_fn_value(COS, wu, x, params)
+    sm = weighted_fn_value(SIN, wv, y, params)
+    cm = weighted_fn_value(COS, wv, y, params)
     rhs = sn * cm + sign * cn * sm if kind is SIN else cn * cm - sign * sn * sm
     yield _ctx(params=params, n=n, m=m, u=u, v=v, x=x, y=y), lhs, rhs
 
@@ -1026,8 +1016,7 @@ def _piu_special(kind, rng, params, order):
     for n in range(1, 5):
         us = (u,) * n
         try:
-            weights = _multi_weights(us, params)
-            value = multinomial_value(kind, us, root.value, params, weights=weights)
+            value = weighted_fn_value(kind, MultinomialWeights(us, params), root.value, params)
         except (SeriesDiverging, DivisionByZeroValue):
             # after the setup this is a counterexample, not an inadmissible draw
             lhs_text, rhs_text = _UNEVALUABLE[kind]
@@ -1058,8 +1047,8 @@ def _periodic(item, rng, params, order):
     us = (u,) * n
     v = _float_u(rng, params, cap=0.7)
     x = _x(rng, lo=0.1)
-    weights = _multi_weights(us, params)
-    cos_n = multinomial_value(COS, us, root.value, params, weights=weights)
+    weights = MultinomialWeights(us, params)
+    cos_n = weighted_fn_value(COS, weights, root.value, params)
     lhs = weighted_binomial_value(kind, weights, PowerWeights(v), root.value, x, params)
     rhs = fn_value(kind, x, v, params)
     if item in (1, 2):

@@ -40,9 +40,8 @@ class TruncatedSeries:
         return cls((z,) * (order + 1), backend)
 
     @classmethod
-    def constant(cls, value: Scalar, order: int, backend: Backend | None = None) -> "TruncatedSeries":
-        if backend is None:
-            backend = backend_of(value)
+    def constant(cls, value: Scalar, order: int) -> "TruncatedSeries":
+        backend = backend_of(value)
         z = backend_zero(backend)
         return cls((value,) + (z,) * order, backend)
 
@@ -142,8 +141,9 @@ class TruncatedSeries:
         """Horner evaluation of the truncated polynomial."""
         if backend_of(x) is not self.backend:
             raise BackendMismatch("point backend differs from series backend")
-        acc = self.coeffs[-1]
-        for a in reversed(self.coeffs[:-1]):
+        coeffs = reversed(self.coeffs)
+        acc = next(coeffs)
+        for a in coeffs:
             acc = acc * x + a
         return acc
 
@@ -279,14 +279,11 @@ def _powers(c: Scalar, n: int) -> list[Scalar]:
     return out
 
 
-def outer(f: TruncatedSeries, g: TruncatedSeries, order: int | None = None) -> TruncatedSeries2:
-    """Bivariate series f(x) * g(y), truncated to the triangle j + k <= order."""
+def outer(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries2:
+    """Bivariate series f(x) * g(y), truncated to the triangle j + k <= the smaller order."""
     if f.backend is not g.backend:
         raise BackendMismatch("series backends differ")
-    if order is None:
-        order = min(f.order, g.order)
-    if order > min(f.order, g.order):
-        raise OrderMismatch("outer product order exceeds the factors' orders")
+    order = min(f.order, g.order)
     out = {}
     for j in range(order + 1):
         a = f.coeffs[j]

@@ -20,9 +20,9 @@ from lucascalc import (
     lucas_u,
     lucas_v,
     make_params,
-    multinomial_value,
     params_from_roots,
     tilde_value,
+    weighted_fn_value,
 )
 from lucascalc.cli import main
 from lucascalc.deformed import MultinomialWeights, deformed_power_coeffs
@@ -197,8 +197,8 @@ def test_criterion_8_pi_u_pipeline(capsys):
     for n in range(2, 5):
         us = (u,) * n
         weights = MultinomialWeights(us, p)
-        sin_next = multinomial_value(SIN, us, root, p, weights=weights)
-        cos_next = multinomial_value(COS, us, root, p, weights=weights)
+        sin_next = weighted_fn_value(SIN, weights, root, p)
+        cos_next = weighted_fn_value(COS, weights, root, p)
         rhs_sin = sin_n * fn_value(COS, root, u, p) + cos_n * fn_value(SIN, root, u, p)
         worst = max(worst, abs(sin_next), abs(sin_next - rhs_sin))
         sin_n, cos_n = sin_next, cos_next

@@ -124,6 +124,24 @@ class TestEval:
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    @pytest.mark.parametrize("fn, expect", [("exp", 1.0), ("cos", 1.0), ("sin", 0.0)])
+    def test_origin_with_huge_u(self, capsys, fn, expect, fmt):
+        # only the first term is drawn at 0, so no power of u is formed
+        code, out, err = run_cli(
+            capsys, "eval", "--fn", fn, "--s", "1", "--t", "1", "--u", "1e100", "--x", "0",
+            "--format", fmt,
+        )
+        assert code == 0, err
+        if fmt == "json":
+            record = json.loads(out)
+        elif fmt == "csv":
+            (record,) = csv.DictReader(io.StringIO(out))
+        else:
+            record = dict(field.split("=", 1) for field in out.strip().split("\t"))
+        assert float(record["value"]) == expect
+        assert int(record["termsUsed"]) == 1
+
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400"])
     @pytest.mark.parametrize("slot", ["--x", "--u", "--s"])
     def test_non_finite_argument_exits_2(self, capsys, bad, slot):
@@ -175,6 +193,16 @@ class TestTable:
         rows = json.loads(out)
         assert rows[0]["value"] == 1.0 and rows[0]["diverged"] is False
         assert rows[1] == {"x": 1e200, "value": None, "diverged": True}
+
+    def test_origin_row_with_huge_u_is_finite(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--fn", "cos", "--s", "1", "--t", "1", "--u", "1e100",
+            "--from", "0", "--to", "0.5", "--step", "0.5", "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert rows[0] == {"x": 0.0, "value": 1.0, "diverged": False}
+        assert rows[1]["diverged"] is True
 
     def test_float_power_overflow_row_is_diverged(self, capsys):
         code, out, _ = run_cli(

@@ -145,6 +145,19 @@ class TestValues:
         with pytest.raises(SeriesDiverging, match="non-finite"):
             multinomial_value(SIN, (1e200,), 1e-200, p)
 
+    @pytest.mark.parametrize("kind", [EXP, SIN, COS, SINH, COSH])
+    def test_origin_draws_only_the_first_term(self, kind):
+        # u ** 3 would overflow, and s = 1, t = -1 has {3} = 0: neither is reached at 0
+        expect = 1 if kind in (EXP, COS, COSH) else 0
+        for p, zero, u in (
+            (make_params(1.0, 1.0), 0.0, 1e200),
+            (make_params(1.0, -1.0), 0.0, 0.5),
+            (make_params(F(1), F(-1)), F(0), F(10) ** 50),
+        ):
+            info = fn_value_info(kind, zero, u, p)
+            assert (info.value, info.terms_used) == (expect, 1)
+            assert type(info.value) is type(zero)
+
     @pytest.mark.parametrize("kind", [EXP, SIN, COS, TAN, SINH])
     def test_vanishing_factor_index(self, kind):
         # s = 1, t = -1: {n} = 0, 1, 1, 0, ...; exp meets {3} as its divisor,
@@ -333,6 +346,26 @@ class TestMultinomial:
             m = 2 * j + 1
             expect = (-1) ** j * multinomial_number(us, m, FIB) / lucastorial(m, FIB)
             assert S.coeffs[m] == expect
+
+    # sha256 over repr() of float multinomial_value results (or the error)
+    # for 1-5 parts and every kind on a seeded grid, computed before the
+    # identity records dropped their weights cache and MultinomialWeights
+    # kept a running product for its last part; every bit must stay.
+    VALUE_SHA256 = "8fb3bb9b7695f36968e4c54c02e8a557bf0b14fb9acbaa5754414597eb55a367"
+
+    def test_float_values_match_golden_digest(self):
+        rng = random.Random(61)
+        digest = hashlib.sha256()
+        for s, t in ((1.0, 1.0), (2.0, 1.0), (1.5, -0.5)):
+            p = make_params(s, t)
+            for parts in range(1, 6):
+                for _ in range(3):
+                    us = tuple(rng.uniform(-0.8, 0.8) for _ in range(parts))
+                    x = rng.uniform(0.1, 2.5) * rng.choice((-1, 1))
+                    for kind in FnKind:
+                        value = _outcome(multinomial_value, kind, us, x, p)
+                        digest.update(f"{parts}:{kind.value}:{value!r};".encode())
+        assert digest.hexdigest() == self.VALUE_SHA256
 
 
 class TestDeformedZeroSeries:
