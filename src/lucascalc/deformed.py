@@ -14,14 +14,17 @@ numbers multiply the parts' rows u_i^T(k) / {k}! one degree at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Callable, Iterator, Sequence
 
 from .errors import IndexOutOfRange
 from .scalars import (
     Backend,
     LucasParams,
     Scalar,
+    _scaled_lucasnomials,
     backend_of,
     backend_one,
     backend_zero,
@@ -49,13 +52,45 @@ def deformed_row(n: int, u_weights: Weights, v_weights: Weights, params: LucasPa
 
     With ``PowerWeights(u)`` and ``PowerWeights(v)`` these are the deformed
     power coefficients; other weight families give the weighted binomial rows.
+    Over the rationals each entry is one Fraction built from integer parts.
     """
+    if params.backend is Backend.RATIONAL:
+        return [Fraction(num, den) for num, den in _rational_row_parts(n, u_weights, v_weights, params)]
     return [c * u_weights(n - k) * v_weights(k) for k, c in enumerate(lucasnomial_row(n, params))]
 
 
+def _rational_row_parts(
+    n: int, u_weights: Weights, v_weights: Weights, params: LucasParams
+) -> Iterator[tuple[int, int]]:
+    """Integer (numerator, denominator) of each :func:`deformed_row` entry, unreduced.
+
+    C(n,k) = Ĉ(n,k) / c^(k(n-k)) comes from the integer Lucasnomial row, and
+    the weights (rationals of the parameters' backend) give their numerators
+    and denominators, so the caller normalizes each entry once.
+    """
+    row, c = _scaled_lucasnomials(n, n, params)
+    for k, entry in enumerate(row):
+        a, b = u_weights(n - k), v_weights(k)
+        yield entry * a.numerator * b.numerator, c ** (k * (n - k)) * a.denominator * b.denominator
+
+
 def row_value(row: Sequence[Scalar], x: Scalar, y: Scalar, backend: Backend) -> Scalar:
-    """sum over k of row[k] * x^(n-k) * y^k, with n = len(row) - 1."""
+    """sum over k of row[k] * x^(n-k) * y^k, with n = len(row) - 1.
+
+    Over the rationals the terms are summed as integers over one common
+    denominator, lcm(row denominators) * (den x * den y)^n, and reduced once.
+    """
     n = len(row) - 1
+    if backend is Backend.RATIONAL:
+        # term k is (num_k * den / den_k) * p^(n-k) * q^k over den * (den x * den y)^n
+        p = x.numerator * y.denominator
+        q = y.numerator * x.denominator
+        den = math.lcm(*(c.denominator for c in row))
+        total, q_pow = 0, 1
+        for c in row:
+            total = total * p + c.numerator * (den // c.denominator) * q_pow
+            q_pow *= q
+        return Fraction(total, den * (x.denominator * y.denominator) ** n)
     total = backend_zero(backend)
     for k, c in enumerate(row):
         total = total + c * x ** (n - k) * y**k
@@ -112,17 +147,25 @@ def multinomial_number(us: Sequence[Scalar], n: int, params: LucasParams) -> Sca
 class PowerWeights:
     """Weight family w(n) = u^T(n) used by the plain one-deformation functions.
 
-    Grows by w(m+1) = w(m) * u^m, keeping the running power u^m.
+    Grows by w(m+1) = w(m) * u^m, keeping the running power u^m; over the
+    rationals w(n) = u ** T(n) directly, since a Fraction power needs no gcd.
     """
 
     def __init__(self, u: Scalar):
         self.u = u
-        one = backend_one(backend_of(u))
+        backend = backend_of(u)
+        one = backend_one(backend)
         self._values = [one]
         self._power = one
+        self._rational = Fraction(u) if backend is Backend.RATIONAL else None
 
     def __call__(self, n: int) -> Scalar:
         values = self._values
+        if self._rational is not None:
+            u = self._rational
+            while len(values) <= n:
+                values.append(u ** binom2(len(values)))
+            return values[n]
         while len(values) <= n:
             values.append(values[-1] * self._power)
             self._power = self._power * self.u

@@ -20,6 +20,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .deformed import (
@@ -27,6 +28,7 @@ from .deformed import (
     MultinomialWeights,
     PowerWeights,
     Weights,
+    _rational_row_parts,
     deformed_row,
     row_value,
 )
@@ -237,10 +239,16 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
 
 
 def _weighted_terms(kind: FnKind, weights: Weights, x: Scalar, params: LucasParams):
-    """Terms w(m) x^m / {m}! of a primary kind, signed per its pattern."""
+    """Terms w(m) x^m / {m}! of a primary kind, signed per its pattern.
+
+    At x = 0 every term after the first vanishes, so only the first is drawn,
+    as in :func:`_primary_value_terms`: a later weight can overflow a float
+    power of a large deformation or meet a vanishing {k}.
+    """
     first, step, alternating = _PRIMARY[kind]
     x_pow, x_step = x**first, x**step
-    for j, m in enumerate(itertools.count(first, step)):
+    degrees = itertools.count(first, step) if x != 0 else (first,)
+    for j, m in enumerate(degrees):
         term = weights(m) * x_pow / params.cache.factorial(m)
         yield -term if alternating and j % 2 else term
         x_pow = x_pow * x_step
@@ -306,6 +314,7 @@ def deformed_zero_series(
 def deformed_zero_value(
     kind: FnKind, u: Scalar, v: Scalar, x: Scalar, params: LucasParams, eps: float = 1e-12
 ) -> Scalar:
+    common_backend(u, v, x, params.s)
     return weighted_fn_value(kind, DeformedZeroWeights(u, v, params), x, params, eps)
 
 
@@ -321,9 +330,16 @@ def binomial_series2(
     out: dict[tuple[int, int], Scalar] = {}
     for j, n in enumerate(range(first, order + 1, step)):
         fact = params.cache.factorial(n)
-        for k, c in enumerate(deformed_row(n, u_weights, v_weights, params)):
-            value = c / fact
-            out[(n - k, k)] = -value if alternating and j % 2 else value
+        if params.backend is Backend.RATIONAL:
+            # one Fraction per entry: the row's integer parts over {n}!
+            sign = -1 if alternating and j % 2 else 1
+            num_f, den_f = sign * fact.denominator, fact.numerator
+            for k, (num, den) in enumerate(_rational_row_parts(n, u_weights, v_weights, params)):
+                out[(n - k, k)] = Fraction(num * num_f, den * den_f)
+        else:
+            for k, c in enumerate(deformed_row(n, u_weights, v_weights, params)):
+                value = c / fact
+                out[(n - k, k)] = -value if alternating and j % 2 else value
     return TruncatedSeries2(out, order, params.backend)
 
 
@@ -339,8 +355,10 @@ def weighted_binomial_value(
     """Point value of a binomial combination with weight families on both slots.
 
     This is the weighted family at 1 whose degree-N weight is the sum over k
-    of C(N,k) xw(N-k) yw(k) x^(N-k) y^k.
+    of C(N,k) xw(N-k) yw(k) x^(N-k) y^k.  The points and the weights' degree-0
+    values must share the parameters' backend.
     """
+    common_backend(x, y, x_weights(0), y_weights(0), params.s)
 
     def weights(n: int) -> Scalar:
         return row_value(deformed_row(n, x_weights, y_weights, params), x, y, params.backend)
@@ -358,6 +376,7 @@ def binomial_value(
     eps: float = 1e-12,
 ) -> Scalar:
     """Point value of the two-deformation binomial combination of (x, y)."""
+    common_backend(u, v, params.s)
     return weighted_binomial_value(kind, PowerWeights(u), PowerWeights(v), x, y, params, eps)
 
 

@@ -346,6 +346,18 @@ def exact_sqrt(value: Scalar, backend: Backend) -> Optional[Scalar]:
 class SeqCache:
     """Grow-only cache of sequence values and factorials for one parameter pair.
 
+    Over the rationals the recurrence runs on integers.  With
+    c = lcm(den s, den t), S = c s and T = c^2 t are integers, and
+
+        U_n = S U_(n-1) + T U_(n-2),  U_0 = 0, U_1 = 1,   {n} = U_n / c^(n-1),
+        V_n = S V_(n-1) + T V_(n-2),  V_0 = 2, V_1 = S,   <n> = V_n / c^n,
+        F_n = U_1 U_2 ... U_n,                          {n}! = F_n / c^T(n),
+
+    since multiplying {n} = s {n-1} + t {n-2} through by c^(n-1) gives the
+    first line.  Each cached Fraction is built once from its integer numerator
+    and power of c, so the recurrence itself needs no gcd.  The Gaussian and
+    float backends run the recurrence in the field itself.
+
     Extension happens under a lock; lists are append-only so concurrent
     readers always observe a consistent prefix.
     """
@@ -360,9 +372,21 @@ class SeqCache:
         self._fact = [one]
         self._first_zero: Optional[int] = None
         self._lock = threading.Lock()
+        self._scale: Optional[int] = None
+        if backend is Backend.RATIONAL:
+            c = math.lcm(s.denominator, t.denominator)
+            self._scale = c
+            self._scaled_s = s.numerator * (c // s.denominator)
+            self._scaled_t = t.numerator * (c // t.denominator) * c
+            self._scaled_u = [0, 1]
+            self._scaled_v = [2, self._scaled_s]
+            self._scaled_fact = [1]
 
-    def _extend(self, n: int) -> None:
+    def _extend(self, n: int, companion: bool = False) -> None:
         with self._lock:
+            if self._scale is not None:
+                self._extend_scaled(n, companion)
+                return
             s, t = self._s, self._t
             u, v = self._u, self._v
             while len(u) <= n:
@@ -376,6 +400,31 @@ class SeqCache:
                     self._first_zero = k
                 fact.append(fact[-1] * term)
 
+    def _extend_scaled(self, n: int, companion: bool) -> None:
+        """The rational extension: integer recurrences, one Fraction per cached value.
+
+        The companion terms are extended only when they are asked for.
+        """
+        c, s, t = self._scale, self._scaled_s, self._scaled_t
+        su, u = self._scaled_u, self._u
+        while len(u) <= n:
+            m = len(u)
+            su.append(s * su[-1] + t * su[-2])
+            u.append(Fraction(su[m], c ** (m - 1)))
+        sv, v = self._scaled_v, self._v
+        while companion and len(v) <= n:
+            m = len(v)
+            sv.append(s * sv[-1] + t * sv[-2])
+            v.append(Fraction(sv[m], c**m))
+        sfact, fact = self._scaled_fact, self._fact
+        while len(fact) <= n:
+            k = len(fact)
+            term = su[k]
+            if self._first_zero is None and term == 0:
+                self._first_zero = k
+            sfact.append(sfact[-1] * term)
+            fact.append(Fraction(sfact[k], c ** binom2(k)))
+
     def u(self, n: int) -> Scalar:
         if n >= len(self._u):
             self._extend(n)
@@ -383,7 +432,7 @@ class SeqCache:
 
     def v(self, n: int) -> Scalar:
         if n >= len(self._v):
-            self._extend(n)
+            self._extend(n, companion=True)
         return self._v[n]
 
     def factorial(self, n: int) -> Scalar:
@@ -552,6 +601,9 @@ def lucasnomial(n: int, k: int, params: LucasParams) -> Scalar:
     """
     if k < 0 or n < 0 or k > n:
         raise IndexOutOfRange(f"need 0 <= k <= n, got n={n}, k={k}")
+    if params.backend is Backend.RATIONAL:
+        row, c = _scaled_lucasnomials(n, k, params)
+        return Fraction(row[k], c ** (k * (n - k)))
     cache = params.cache
     result = backend_one(params.backend)
     for j in range(1, k + 1):
@@ -568,9 +620,21 @@ def lucasnomial_row(n: int, params: LucasParams) -> list:
     The same telescoped product as :func:`lucasnomial`, shared along the row
     (not the Pascal rule, which the suite verifies); the first vanishing
     denominator {k} raises DivisionByZeroFactor as ``lucasnomial(n, k)`` does.
+
+    Over the rationals the product runs on the integer sequence U_k = {k} c^(k-1)
+    of :class:`SeqCache`: C(n,k) = Ĉ(n,k) / c^(k(n-k)) with Ĉ(n,0) = 1 and
+    Ĉ(n,k) = Ĉ(n,k-1) U_(n-k+1) // U_k.  Ĉ(n,k) is the Lucasnomial of U, an
+    integer polynomial in S = c s and T = c^2 t (Sagan and Savage, Integers 10,
+    2010), so Ĉ(n,k-1) U_(n-k+1) = Ĉ(n,k) U_k and each // divides exactly.
+    By the symmetry C(n,k) = C(n,n-k) only the first half of the row is
+    multiplied out and built as Fractions.
     """
     if n < 0:
         raise IndexOutOfRange(f"need n >= 0, got n={n}")
+    if params.backend is Backend.RATIONAL:
+        row, c = _scaled_lucasnomials(n, n, params)
+        half = [Fraction(row[k], c ** (k * (n - k))) for k in range(n // 2 + 1)]
+        return [half[min(k, n - k)] for k in range(n + 1)]
     cache = params.cache
     c = backend_one(params.backend)
     row = [c]
@@ -581,6 +645,27 @@ def lucasnomial_row(n: int, params: LucasParams) -> list:
         c = c * cache.u(n - k + 1) / denom
         row.append(c)
     return row
+
+
+def _scaled_lucasnomials(n: int, k: int, params: LucasParams) -> tuple[list, int]:
+    """The integers Ĉ(n,0..k) = C(n,j) c^(j(n-j)) of a rational parameter pair, and c.
+
+    See :func:`lucasnomial_row` for why each step divides exactly; entries
+    past n/2 are mirrored.  The first vanishing {j}, j <= k, raises
+    DivisionByZeroFactor.
+    """
+    cache = params.cache
+    if len(cache._fact) <= n:
+        cache._extend(n)
+    zero = cache._first_zero
+    if zero is not None and zero <= k:
+        raise DivisionByZeroFactor(f"{{{zero}}} = 0 in the denominator")
+    su = cache._scaled_u
+    row = [1]
+    for j in range(1, min(k, n // 2) + 1):
+        row.append(row[-1] * su[n - j + 1] // su[j])
+    row += [row[n - j] for j in range(len(row), k + 1)]
+    return row, cache._scale
 
 
 def binom2(n: int) -> int:

@@ -1,0 +1,45 @@
+"""The package has no runtime dependencies: it declares none and imports none."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lucascalc
+
+ROOT = Path(__file__).parent.parent
+SRC = Path(lucascalc.__file__).resolve().parent.parent
+
+
+def test_pyproject_declares_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+
+
+def test_import_loads_only_stdlib_and_lucascalc():
+    # -I -S: no user site, no site-packages, no PYTHONPATH; only the source tree is added
+    code = (
+        "import importlib, json, pkgutil, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import lucascalc\n"
+        "for info in pkgutil.iter_modules(lucascalc.__path__, 'lucascalc.'):\n"
+        "    importlib.import_module(info.name)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, check=True
+    )
+    loaded = json.loads(out.stdout)
+    assert "lucascalc.identities" in loaded and "lucascalc.cli" in loaded
+    foreign = [
+        name
+        for name in loaded
+        if name != "__main__"
+        and name.split(".")[0] != "lucascalc"
+        and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert foreign == []

@@ -8,10 +8,12 @@ import pytest
 
 from lucascalc import (
     Backend,
+    BackendMismatch,
     DivisionByZeroValue,
     FnKind,
     GaussianRational,
     LucasError,
+    MultinomialWeights,
     NegativeNormalizer,
     NoRootFound,
     PoleAtOrigin,
@@ -255,6 +257,59 @@ class TestWeightedPath:
                         results.append(deformed_zero_value(kind, u, v, x, p))
                     digest.update(f"{kind.value}:{results!r};".encode())
         assert digest.hexdigest() == self.GOLDEN_SHA256
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: multinomial_value(COS, (1e100,), 0.0, p),
+            lambda p: deformed_zero_value(COS, 1e100, 1e100, 0.0, p),
+            lambda p: tilde_value(COS, 0.0, 1e100, p),
+        ],
+        ids=["multinomial", "deformed-zero", "tilde"],
+    )
+    def test_origin_draws_only_the_first_weight(self, call):
+        # the degree-4 weight u^T(4) = 1e600 overflows; at x = 0 it is never drawn
+        assert call(make_params(1.0, 1.0)) == 1.0
+
+    def test_origin_value_on_the_exact_backend(self):
+        # s = 1, t = -1 has {3} = 0, which the second cos term would divide by
+        p = make_params(F(1), F(-1))
+        for weights in (PowerWeights(F(10) ** 50), MultinomialWeights((F(2), F(-3)), p)):
+            assert weighted_fn_value(COS, weights, F(0), p) == 1
+            assert weighted_fn_value(SIN, weights, F(0), p) == 0
+
+    RATIONAL_P = make_params(F(1), F(1))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: binomial_value(EXP, 0.5, 0.5, F(1, 2), F(1, 3), p),
+            lambda p: binomial_value(EXP, F(1, 2), F(1, 2), 0.5, F(1, 3), p),
+            lambda p: binomial_value(EXP, F(1, 2), F(1, 2), F(1, 2), 0.25, p),
+            lambda p: weighted_binomial_value(EXP, PowerWeights(F(1, 2)), PowerWeights(F(1, 2)), 0.5, F(1), p),
+            lambda p: weighted_binomial_value(COS, PowerWeights(F(1, 2)), PowerWeights(F(1, 2)), F(1), 0.5, p),
+            lambda p: weighted_binomial_value(EXP, PowerWeights(0.5), PowerWeights(F(1, 2)), F(1), F(1), p),
+            lambda p: weighted_binomial_value(SIN, PowerWeights(F(1, 2)), PowerWeights(0.5), F(1), F(1), p),
+            lambda p: deformed_zero_value(EXP, F(1, 2), F(1, 3), 0.5, p),
+            lambda p: deformed_zero_value(EXP, 0.5, F(1, 3), F(1, 2), p),
+            lambda p: deformed_zero_value(COS, F(1, 2), 0.5, F(1, 2), p),
+        ],
+        ids=[
+            "binomial-xy",
+            "binomial-u",
+            "binomial-v",
+            "weighted-binomial-x",
+            "weighted-binomial-y",
+            "weighted-binomial-x-weights",
+            "weighted-binomial-y-weights",
+            "deformed-zero-x",
+            "deformed-zero-u",
+            "deformed-zero-v",
+        ],
+    )
+    def test_mixed_backends_rejected(self, call):
+        with pytest.raises(BackendMismatch, match=r"mixed scalar backends: \['complex-float', 'rational'\]"):
+            call(self.RATIONAL_P)
 
     @pytest.mark.parametrize("kind", sorted(SERIES_KINDS))
     def test_power_weighted_series_is_fn_series(self, kind):
