@@ -84,6 +84,10 @@ def _cmd_seq(args) -> int:
         params = make_params(_number(args.s), _number(args.t))
     term = lucas_v if args.companion else lucas_u
     rows = [{"k": k, "value": term(k, params)} for k in range(args.n + 1)]
+    for row in rows:
+        if not (args.exact or math.isfinite(row["value"])):
+            print(f"error: term {row['k']} overflows the float range; try --exact", file=sys.stderr)
+            return EXIT_DOMAIN
     _emit(rows, args.format, sys.stdout)
     return EXIT_OK
 

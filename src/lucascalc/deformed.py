@@ -6,7 +6,7 @@ where C is the Lucasnomial and T(m) = m(m-1)/2.  Zero deformations follow
 the limit convention 0^0 = 1, so the k in {0, 1} terms survive u = 0.
 
 Each degree-n row is built in O(n): the Lucasnomials come from one
-telescoped pass (:func:`lucasnomial_row`), and u^T(n-k), v^T(k) come from
+telescoped pass (``SeqCache.lucasnomial_parts``), and u^T(n-k), v^T(k) come from
 one :class:`PowerWeights` per deformation parameter, which callers building
 many rows (series, weight families) hold for all of them.  Multinomial
 numbers multiply the parts' rows u_i^T(k) / {k}! one degree at a time.
@@ -17,20 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange
 from .scalars import (
     Backend,
     LucasParams,
     Scalar,
-    _scaled_lucasnomials,
     backend_of,
     backend_one,
     backend_zero,
     binom2,
     common_backend,
-    lucasnomial_row,
     lucastorial,
 )
 
@@ -52,26 +50,17 @@ def deformed_row(n: int, u_weights: Weights, v_weights: Weights, params: LucasPa
 
     With ``PowerWeights(u)`` and ``PowerWeights(v)`` these are the deformed
     power coefficients; other weight families give the weighted binomial rows.
-    Over the rationals each entry is one Fraction built from integer parts.
+    Over the rationals each entry is one Fraction: the Lucasnomial's integer
+    numerator and denominator times the weights' numerators and denominators.
     """
-    if params.backend is Backend.RATIONAL:
-        return [Fraction(num, den) for num, den in _rational_row_parts(n, u_weights, v_weights, params)]
-    return [c * u_weights(n - k) * v_weights(k) for k, c in enumerate(lucasnomial_row(n, params))]
-
-
-def _rational_row_parts(
-    n: int, u_weights: Weights, v_weights: Weights, params: LucasParams
-) -> Iterator[tuple[int, int]]:
-    """Integer (numerator, denominator) of each :func:`deformed_row` entry, unreduced.
-
-    C(n,k) = Ĉ(n,k) / c^(k(n-k)) comes from the integer Lucasnomial row, and
-    the weights (rationals of the parameters' backend) give their numerators
-    and denominators, so the caller normalizes each entry once.
-    """
-    row, c = _scaled_lucasnomials(n, n, params)
-    for k, entry in enumerate(row):
+    nums, dens = params.cache.lucasnomial_parts(n, n)
+    if params.backend is not Backend.RATIONAL:
+        return [c * u_weights(n - k) * v_weights(k) for k, c in enumerate(nums)]
+    out = []
+    for k, (num, den) in enumerate(zip(nums, dens)):
         a, b = u_weights(n - k), v_weights(k)
-        yield entry * a.numerator * b.numerator, c ** (k * (n - k)) * a.denominator * b.denominator
+        out.append(Fraction(num * a.numerator * b.numerator, den * a.denominator * b.denominator))
+    return out
 
 
 def row_value(row: Sequence[Scalar], x: Scalar, y: Scalar, backend: Backend) -> Scalar:

@@ -28,7 +28,6 @@ from .deformed import (
     MultinomialWeights,
     PowerWeights,
     Weights,
-    _rational_row_parts,
     deformed_row,
     row_value,
 )
@@ -178,6 +177,7 @@ def weighted_fn_series(
     """
     if kind not in SERIES_KINDS:
         raise PoleAtOrigin(f"{kind.value} has a pole at 0; evaluate it pointwise instead")
+    common_backend(weights(0), params.s)
     if kind in _QUOTIENTS:
         numerator, denominator = _QUOTIENTS[kind]
         recip = weighted_fn_series(denominator, weights, params, order).reciprocal()
@@ -198,7 +198,6 @@ def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> Trunc
     The u = 0 limits come out of the same formula via the 0^0 = 1
     convention: only the degree 0 and 1 weights survive.
     """
-    common_backend(u, params.s)
     return weighted_fn_series(kind, PowerWeights(u), params, order)
 
 
@@ -288,7 +287,11 @@ def fn_value(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float
 def weighted_fn_value(
     kind: FnKind, weights: Weights, x: Scalar, params: LucasParams, eps: float = 1e-12
 ) -> Scalar:
-    """Adaptive evaluation of any kind with an arbitrary weight family at a point."""
+    """Adaptive evaluation of any kind with an arbitrary weight family at a point.
+
+    The point and the weights' degree-0 value must share the parameters' backend.
+    """
+    common_backend(x, weights(0), params.s)
     return _value_info(kind, _weighted_terms, eps, weights, x, params).value
 
 
@@ -314,7 +317,6 @@ def deformed_zero_series(
 def deformed_zero_value(
     kind: FnKind, u: Scalar, v: Scalar, x: Scalar, params: LucasParams, eps: float = 1e-12
 ) -> Scalar:
-    common_backend(u, v, x, params.s)
     return weighted_fn_value(kind, DeformedZeroWeights(u, v, params), x, params, eps)
 
 
@@ -331,11 +333,16 @@ def binomial_series2(
     for j, n in enumerate(range(first, order + 1, step)):
         fact = params.cache.factorial(n)
         if params.backend is Backend.RATIONAL:
-            # one Fraction per entry: the row's integer parts over {n}!
+            # one Fraction per entry: the row's integer parts over the signed {n}!
             sign = -1 if alternating and j % 2 else 1
             num_f, den_f = sign * fact.denominator, fact.numerator
-            for k, (num, den) in enumerate(_rational_row_parts(n, u_weights, v_weights, params)):
-                out[(n - k, k)] = Fraction(num * num_f, den * den_f)
+            nums, dens = params.cache.lucasnomial_parts(n, n)
+            for k, (num, den) in enumerate(zip(nums, dens)):
+                a, b = u_weights(n - k), v_weights(k)
+                out[(n - k, k)] = Fraction(
+                    num * a.numerator * b.numerator * num_f,
+                    den * a.denominator * b.denominator * den_f,
+                )
         else:
             for k, c in enumerate(deformed_row(n, u_weights, v_weights, params)):
                 value = c / fact
@@ -376,7 +383,6 @@ def binomial_value(
     eps: float = 1e-12,
 ) -> Scalar:
     """Point value of the two-deformation binomial combination of (x, y)."""
-    common_backend(u, v, params.s)
     return weighted_binomial_value(kind, PowerWeights(u), PowerWeights(v), x, y, params, eps)
 
 

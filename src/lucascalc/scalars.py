@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -344,86 +345,70 @@ def exact_sqrt(value: Scalar, backend: Backend) -> Optional[Scalar]:
 
 
 class SeqCache:
-    """Grow-only cache of sequence values and factorials for one parameter pair.
+    """Grow-only cache of one parameter pair's sequences, factorials and Lucasnomials.
 
-    Over the rationals the recurrence runs on integers.  With
-    c = lcm(den s, den t), S = c s and T = c^2 t are integers, and
+    The recurrence runs on numerators.  With a scale c, S = c s and T = c^2 t,
 
         U_n = S U_(n-1) + T U_(n-2),  U_0 = 0, U_1 = 1,   {n} = U_n / c^(n-1),
         V_n = S V_(n-1) + T V_(n-2),  V_0 = 2, V_1 = S,   <n> = V_n / c^n,
         F_n = U_1 U_2 ... U_n,                          {n}! = F_n / c^T(n),
 
     since multiplying {n} = s {n-1} + t {n-2} through by c^(n-1) gives the
-    first line.  Each cached Fraction is built once from its integer numerator
-    and power of c, so the recurrence itself needs no gcd.  The Gaussian and
-    float backends run the recurrence in the field itself.
+    first line.  Over the rationals c = lcm(den s, den t), so the numerators
+    are integers, the recurrence needs no gcd, and each cached Fraction is
+    built once from its numerator and power of c.  The Gaussian and float
+    backends are the case c = 1: their numerator lists are the value lists.
+    The companion V_n is extended only when it is asked for.  The Lucasnomial
+    rows come from the same numerators (:meth:`lucasnomial_parts`).
 
     Extension happens under a lock; lists are append-only so concurrent
     readers always observe a consistent prefix.
     """
 
     def __init__(self, s: Scalar, t: Scalar, backend: Backend):
-        self._s = s
-        self._t = t
-        zero = backend_zero(backend)
-        one = backend_one(backend)
-        self._u = [zero, one]
-        self._v = [one + one, s]
-        self._fact = [one]
+        self._backend = backend
         self._first_zero: Optional[int] = None
         self._lock = threading.Lock()
-        self._scale: Optional[int] = None
+        one = backend_one(backend)
+        self._u = [backend_zero(backend), one]
+        self._v = [one + one, s]
+        self._fact = [one]
         if backend is Backend.RATIONAL:
             c = math.lcm(s.denominator, t.denominator)
             self._scale = c
             self._scaled_s = s.numerator * (c // s.denominator)
             self._scaled_t = t.numerator * (c // t.denominator) * c
-            self._scaled_u = [0, 1]
-            self._scaled_v = [2, self._scaled_s]
-            self._scaled_fact = [1]
+            self._scaled_u, self._scaled_v, self._scaled_fact = [0, 1], [2, self._scaled_s], [1]
+        else:
+            self._scale = 1
+            self._scaled_s, self._scaled_t = s, t
+            self._scaled_u, self._scaled_v, self._scaled_fact = self._u, self._v, self._fact
 
     def _extend(self, n: int, companion: bool = False) -> None:
         with self._lock:
-            if self._scale is not None:
-                self._extend_scaled(n, companion)
-                return
-            s, t = self._s, self._t
-            u, v = self._u, self._v
-            while len(u) <= n:
-                u.append(s * u[-1] + t * u[-2])
-                v.append(s * v[-1] + t * v[-2])
-            fact = self._fact
-            while len(fact) <= n:
-                k = len(fact)
-                term = u[k]
-                if self._first_zero is None and term == 0:
+            s, t = self._scaled_s, self._scaled_t
+            su, sv, sfact = self._scaled_u, self._scaled_v, self._scaled_fact
+            while len(su) <= n:
+                su.append(s * su[-1] + t * su[-2])
+            while companion and len(sv) <= n:
+                sv.append(s * sv[-1] + t * sv[-2])
+            while len(sfact) <= n:
+                k = len(sfact)
+                if self._first_zero is None and su[k] == 0:
                     self._first_zero = k
-                fact.append(fact[-1] * term)
-
-    def _extend_scaled(self, n: int, companion: bool) -> None:
-        """The rational extension: integer recurrences, one Fraction per cached value.
-
-        The companion terms are extended only when they are asked for.
-        """
-        c, s, t = self._scale, self._scaled_s, self._scaled_t
-        su, u = self._scaled_u, self._u
-        while len(u) <= n:
-            m = len(u)
-            su.append(s * su[-1] + t * su[-2])
-            u.append(Fraction(su[m], c ** (m - 1)))
-        sv, v = self._scaled_v, self._v
-        while companion and len(v) <= n:
-            m = len(v)
-            sv.append(s * sv[-1] + t * sv[-2])
-            v.append(Fraction(sv[m], c**m))
-        sfact, fact = self._scaled_fact, self._fact
-        while len(fact) <= n:
-            k = len(fact)
-            term = su[k]
-            if self._first_zero is None and term == 0:
-                self._first_zero = k
-            sfact.append(sfact[-1] * term)
-            fact.append(Fraction(sfact[k], c ** binom2(k)))
+                sfact.append(sfact[-1] * su[k])
+            if su is self._u:
+                return
+            # over the rationals: one Fraction per new numerator, over its power of c
+            c = self._scale
+            for values, nums, power in (
+                (self._u, su, lambda m: m - 1),
+                (self._v, sv, lambda m: m),
+                (self._fact, sfact, binom2),
+            ):
+                while len(values) < len(nums):
+                    m = len(values)
+                    values.append(Fraction(nums[m], c ** power(m)))
 
     def u(self, n: int) -> Scalar:
         if n >= len(self._u):
@@ -441,6 +426,36 @@ class SeqCache:
         if self._first_zero is not None and self._first_zero <= n:
             raise VanishingFactor(self._first_zero)
         return self._fact[n]
+
+    def lucasnomial_parts(self, n: int, k: int) -> tuple[list, list]:
+        """Numerators Ĉ(n,0..k) and denominators c^(j(n-j)) of C(n,0..k).
+
+        Ĉ(n,0) = 1 and Ĉ(n,j) = Ĉ(n,j-1) U_(n-j+1) / U_j: the telescoped
+        product of {n-j+1} / {j} on the numerators.  Over the rationals Ĉ(n,j)
+        is the Lucasnomial of the integer sequence U, an integer polynomial in
+        S and T (Sagan and Savage, Integers 10, 2010), so Ĉ(n,j-1) U_(n-j+1) =
+        Ĉ(n,j) U_j and the step is an exact ``//``; the fields divide with ``/``
+        and every denominator is 1.  The exact backends multiply out j <= n/2
+        only and mirror the rest, C(n,j) = C(n,n-j); floats run the whole
+        product.  The first vanishing {j}, j <= k, raises DivisionByZeroFactor.
+        """
+        if n >= len(self._fact):
+            self._extend(n)
+        zero = self._first_zero
+        if zero is not None and zero <= k:
+            raise DivisionByZeroFactor(f"{{{zero}}} = 0 in the denominator")
+        backend = self._backend
+        divide = operator.floordiv if backend is Backend.RATIONAL else operator.truediv
+        last = k if backend is Backend.COMPLEX else min(k, n // 2)
+        su, c = self._scaled_u, self._scale
+        nums, dens = [self._scaled_fact[0]], [1]  # the empty product, 1 in the numerators' type
+        for j in range(1, last + 1):
+            nums.append(divide(nums[-1] * su[n - j + 1], su[j]))
+            dens.append(c ** (j * (n - j)))
+        for j in range(last + 1, k + 1):
+            nums.append(nums[n - j])
+            dens.append(dens[n - j])
+        return nums, dens
 
 
 @dataclass(frozen=True)
@@ -594,78 +609,37 @@ def lucastorial(n: int, params: LucasParams) -> Scalar:
 
 
 def lucasnomial(n: int, k: int, params: LucasParams) -> Scalar:
-    """Binomial analogue computed as the telescoped product of {n-k+j}/{j}.
+    """Binomial analogue C(n,k), the entry k of the telescoped row of :func:`lucasnomial_row`.
 
     The product form is defined at more parameter points than the factorial
-    quotient; a vanishing denominator factor raises DivisionByZeroFactor.
+    quotient; a vanishing denominator factor {j}, j <= k, raises
+    DivisionByZeroFactor.  Only the row up to k is multiplied out.
     """
     if k < 0 or n < 0 or k > n:
         raise IndexOutOfRange(f"need 0 <= k <= n, got n={n}, k={k}")
+    nums, dens = params.cache.lucasnomial_parts(n, k)
     if params.backend is Backend.RATIONAL:
-        row, c = _scaled_lucasnomials(n, k, params)
-        return Fraction(row[k], c ** (k * (n - k)))
-    cache = params.cache
-    result = backend_one(params.backend)
-    for j in range(1, k + 1):
-        denom = cache.u(j)
-        if denom == 0:
-            raise DivisionByZeroFactor(f"{{{j}}} = 0 in the denominator")
-        result = result * cache.u(n - k + j) / denom
-    return result
+        return Fraction(nums[k], dens[k])
+    return nums[k]
 
 
 def lucasnomial_row(n: int, params: LucasParams) -> list:
     """The row C(n,0..n) in O(n), by C(n,k) = C(n,k-1) * {n-k+1} / {k}.
 
-    The same telescoped product as :func:`lucasnomial`, shared along the row
-    (not the Pascal rule, which the suite verifies); the first vanishing
-    denominator {k} raises DivisionByZeroFactor as ``lucasnomial(n, k)`` does.
-
-    Over the rationals the product runs on the integer sequence U_k = {k} c^(k-1)
-    of :class:`SeqCache`: C(n,k) = Ĉ(n,k) / c^(k(n-k)) with Ĉ(n,0) = 1 and
-    Ĉ(n,k) = Ĉ(n,k-1) U_(n-k+1) // U_k.  Ĉ(n,k) is the Lucasnomial of U, an
-    integer polynomial in S = c s and T = c^2 t (Sagan and Savage, Integers 10,
-    2010), so Ĉ(n,k-1) U_(n-k+1) = Ĉ(n,k) U_k and each // divides exactly.
-    By the symmetry C(n,k) = C(n,n-k) only the first half of the row is
-    multiplied out and built as Fractions.
+    A telescoped product shared along the row (not the Pascal rule, which the
+    suite verifies), from :meth:`SeqCache.lucasnomial_parts`; the first
+    vanishing denominator {k} raises DivisionByZeroFactor as
+    ``lucasnomial(n, k)`` does, and each entry equals ``lucasnomial(n, k)``
+    exactly, floats included.  Over the rationals each entry of the first half
+    is one Fraction of the kernel's parts, shared with its mirror n-k.
     """
     if n < 0:
         raise IndexOutOfRange(f"need n >= 0, got n={n}")
-    if params.backend is Backend.RATIONAL:
-        row, c = _scaled_lucasnomials(n, n, params)
-        half = [Fraction(row[k], c ** (k * (n - k))) for k in range(n // 2 + 1)]
-        return [half[min(k, n - k)] for k in range(n + 1)]
-    cache = params.cache
-    c = backend_one(params.backend)
-    row = [c]
-    for k in range(1, n + 1):
-        denom = cache.u(k)
-        if denom == 0:
-            raise DivisionByZeroFactor(f"{{{k}}} = 0 in the denominator")
-        c = c * cache.u(n - k + 1) / denom
-        row.append(c)
-    return row
-
-
-def _scaled_lucasnomials(n: int, k: int, params: LucasParams) -> tuple[list, int]:
-    """The integers Ĉ(n,0..k) = C(n,j) c^(j(n-j)) of a rational parameter pair, and c.
-
-    See :func:`lucasnomial_row` for why each step divides exactly; entries
-    past n/2 are mirrored.  The first vanishing {j}, j <= k, raises
-    DivisionByZeroFactor.
-    """
-    cache = params.cache
-    if len(cache._fact) <= n:
-        cache._extend(n)
-    zero = cache._first_zero
-    if zero is not None and zero <= k:
-        raise DivisionByZeroFactor(f"{{{zero}}} = 0 in the denominator")
-    su = cache._scaled_u
-    row = [1]
-    for j in range(1, min(k, n // 2) + 1):
-        row.append(row[-1] * su[n - j + 1] // su[j])
-    row += [row[n - j] for j in range(len(row), k + 1)]
-    return row, cache._scale
+    nums, dens = params.cache.lucasnomial_parts(n, n)
+    if params.backend is not Backend.RATIONAL:
+        return nums
+    half = [Fraction(nums[k], dens[k]) for k in range(n // 2 + 1)]
+    return [half[min(k, n - k)] for k in range(n + 1)]
 
 
 def binom2(n: int) -> int:

@@ -60,6 +60,26 @@ class TestSeq:
         code, _, _ = run_cli(capsys, "seq", "--s", "abc", "--t", "1", "--n", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    @pytest.mark.parametrize(
+        "argv, term",
+        [
+            (["--s=1e200", "--t=1e200"], 3),  # {3} = s^2 + t = inf
+            (["--s=1e300", "--t=-1e300"], 3),  # then inf - inf = nan
+            (["--s=1e300", "--t=-1e300", "--companion"], 2),  # <2> = s^2 + 2t
+        ],
+        ids=["inf", "nan", "companion"],
+    )
+    def test_overflowing_term_exits_3(self, capsys, argv, term, fmt):
+        # inf and nan are no answer, and json has no literal for them
+        code, out, err = run_cli(capsys, "seq", *argv, "--n", "4", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert f"term {term} overflows the float range" in err
+        code, out, _ = run_cli(capsys, "seq", *argv, "--n", "4", "--exact", "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)) == 5
+
     def test_negative_n_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "seq", "--s", "1", "--t", "1", "--n", "-1")
         assert code == 2

@@ -1,5 +1,9 @@
-"""The package has no runtime dependencies: it declares none and imports none."""
+"""The package has no runtime dependencies: it declares none and imports none.
 
+Its modules use one another through public names only.
+"""
+
+import ast
 import json
 import subprocess
 import sys
@@ -43,3 +47,17 @@ def test_import_loads_only_stdlib_and_lucascalc():
         and name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_modules_import_no_private_names_from_each_other():
+    # a private helper shared across modules is a second owner of one piece of logic
+    package = Path(lucascalc.__file__).resolve().parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            internal = node.level > 0 or (node.module or "").split(".")[0] == "lucascalc"
+            if internal:
+                private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []

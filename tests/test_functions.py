@@ -293,6 +293,11 @@ class TestWeightedPath:
             lambda p: deformed_zero_value(EXP, F(1, 2), F(1, 3), 0.5, p),
             lambda p: deformed_zero_value(EXP, 0.5, F(1, 3), F(1, 2), p),
             lambda p: deformed_zero_value(COS, F(1, 2), 0.5, F(1, 2), p),
+            lambda p: multinomial_value(EXP, (F(1, 2),), 0.5, p),
+            lambda p: weighted_fn_value(EXP, PowerWeights(F(1, 2)), 0.5, p),
+            lambda p: weighted_fn_value(EXP, PowerWeights(0.5), F(1, 2), p),
+            lambda p: weighted_fn_series(TAN, PowerWeights(0.5), p, 4),
+            lambda p: fn_series(EXP, 0.5, p, 4),
         ],
         ids=[
             "binomial-xy",
@@ -305,6 +310,11 @@ class TestWeightedPath:
             "deformed-zero-x",
             "deformed-zero-u",
             "deformed-zero-v",
+            "multinomial-x",
+            "weighted-x",
+            "weighted-weights",
+            "weighted-series-weights",
+            "fn-series-u",
         ],
     )
     def test_mixed_backends_rejected(self, call):

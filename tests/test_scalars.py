@@ -1,8 +1,10 @@
 """Field backends, parameters, sequences, and binomial analogues."""
 
+import hashlib
 import math
 import operator
 import random
+import sys
 import threading
 from fractions import Fraction as F
 
@@ -249,19 +251,47 @@ class TestSequences:
         with pytest.raises(IndexOutOfRange):
             lucas_u(-1, make_params(F(1), F(1)))
 
-    def test_concurrent_cache_extension(self):
-        p = make_params(F(1), F(1))
+    @pytest.mark.parametrize(
+        "s, t",
+        [(F(1), F(1)), (0.75, 1.25), (GaussianRational(1, F(1, 2)), GaussianRational(F(-2, 3), 1))],
+        ids=["rational", "float", "gaussian"],
+    )
+    def test_concurrent_cache_extension(self, s, t):
+        # every backend grows its sequences, factorials and rows in one loop under one lock;
+        # threads racing on one cache must all read what a lone caller reads
+        def reads(p, rows_first):
+            def rows():
+                return [lucasnomial_row(n, p) for n in range(0, 120, 10)]
+
+            def terms():
+                return [[f(n, p) for n in range(120)] for f in (lucas_u, lucastorial, lucas_v)]
+
+            if rows_first:
+                return rows(), terms()
+            seq = terms()
+            return rows(), seq
+
+        expect = reads(make_params(s, t), True)
+        p = make_params(s, t)
+        barrier = threading.Barrier(8)
         results = []
 
-        def worker():
-            results.append([lucas_u(n, p) for n in range(200)])
+        def worker(i):
+            barrier.wait()
+            results.append(reads(p, i % 2 == 0))
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert all(r == results[0] for r in results)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expect] * 8
 
 
 class TestBinet:
@@ -355,12 +385,47 @@ class TestLucasnomialRow:
         for n in range(31):
             row = lucasnomial_row(n, p)
             entries = [lucasnomial(n, k, p) for k in range(n + 1)]
-            if backend == "float":
-                # the row shares one product along k, so rounding differs by a few ulps
-                assert row == pytest.approx(entries, rel=1e-12)
-            else:
-                assert row == entries
-                assert all(backend_of(c) is backend_of(e) for c, e in zip(row, entries))
+            # an entry is the row's product stopped at k, floats included
+            assert row == entries
+            assert all(backend_of(c) is backend_of(e) for c, e in zip(row, entries))
+
+    # sha256 over repr() of the float rows n <= 30 of six real members and one
+    # complex member, frozen before the rows moved into SeqCache's kernel
+    FLOAT_ROWS_SHA256 = "08ced388d87c42ca36d2edbafd3253ca162ccb12317d5d1852b688f0408dd969"
+
+    def test_float_rows_match_golden_digest(self):
+        rng = random.Random(83)
+        members = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6)]
+        parts = [rng.uniform(-2, 2) for _ in range(4)]
+        members.append((complex(*parts[:2]), complex(*parts[2:])))
+        digest = hashlib.sha256()
+        for s, t in members:
+            p = make_params(s, t)
+            for n in range(31):
+                digest.update(f"{n}:{lucasnomial_row(n, p)!r};".encode())
+        assert digest.hexdigest() == self.FLOAT_ROWS_SHA256
+
+    @staticmethod
+    def _quotient_row(s, t, n):
+        """{n}! / ({k}! {n-k}!) from an independent recurrence, k = 0..n."""
+        fact = [s / s]
+        for term in recurrence_oracle(s, t, n)[1:]:
+            fact.append(fact[-1] * term)
+        return [fact[n] / (fact[k] * fact[n - k]) for k in range(n + 1)]
+
+    def test_gaussian_row_is_factorial_quotient(self):
+        s, t = self.POINTS["gaussian"]
+        p = make_params(s, t)
+        for n in range(31):
+            assert lucasnomial_row(n, p) == self._quotient_row(s, t, n)
+
+    def test_float_row_near_exact_quotient(self):
+        # the float inputs are dyadic, so the exact row at the same point is the reference
+        s, t = self.POINTS["float"]
+        p = make_params(s, t)
+        for n in range(31):
+            exact = self._quotient_row(F(s), F(t), n)
+            assert lucasnomial_row(n, p) == pytest.approx([float(c) for c in exact], rel=1e-12)
 
     def test_same_error_as_entries(self):
         p = make_params(F(1), F(-1))  # {3} = 0
@@ -371,6 +436,18 @@ class TestLucasnomialRow:
             with pytest.raises(DivisionByZeroFactor) as entry_err:
                 lucasnomial(n, 3, p)
             assert str(row_err.value) == str(entry_err.value) == "{3} = 0 in the denominator"
+
+    @pytest.mark.parametrize("one", [1.0, GaussianRational(1)], ids=["float", "gaussian"])
+    def test_same_error_on_field_backends(self, one):
+        p = make_params(one, -one)  # {3} = s^2 + t = 0 exactly
+        assert lucasnomial_row(2, p) == [one, one, one]
+        for n in (3, 4, 7):
+            assert lucasnomial(n, 2, p) == lucas_u(n, p) * lucas_u(n - 1, p)
+            with pytest.raises(DivisionByZeroFactor, match=r"^\{3\} = 0 in the denominator$"):
+                lucasnomial_row(n, p)
+            for k in range(3, n + 1):
+                with pytest.raises(DivisionByZeroFactor, match=r"^\{3\} = 0 in the denominator$"):
+                    lucasnomial(n, k, p)
 
     def test_negative_degree(self):
         with pytest.raises(IndexOutOfRange):
