@@ -63,10 +63,12 @@ def antiderivative_series(f: TruncatedSeries, params: LucasParams) -> TruncatedS
 
 
 def derivative_series2(F: TruncatedSeries2, params: LucasParams, var: int = 0) -> TruncatedSeries2:
-    """Partial divided-difference derivative of a bivariate series in one variable.
+    """Partial divided-difference derivative of a bivariate series in x (var 0) or y (var 1).
 
-    Raises OrderMismatch on an order-0 series, as :func:`derivative_series` does.
+    Raises OrderMismatch on an order-0 series, as :func:`derivative_series` does,
+    and ValueError for any other ``var``.
     """
+    _check_var(var)
     if F.order == 0:
         raise OrderMismatch("the derivative of an order-0 series has no known coefficient")
     cache = params.cache
@@ -80,7 +82,11 @@ def derivative_series2(F: TruncatedSeries2, params: LucasParams, var: int = 0) -
 
 
 def antiderivative_series2(F: TruncatedSeries2, params: LucasParams, var: int = 0) -> TruncatedSeries2:
-    """Partial antiderivative in one variable, zero constant slice."""
+    """Partial antiderivative in x (var 0) or y (var 1), zero constant slice.
+
+    Raises ValueError for any other ``var``.
+    """
+    _check_var(var)
     cache = params.cache
     out = {}
     for (j, k), c in F.coeffs.items():
@@ -91,6 +97,11 @@ def antiderivative_series2(F: TruncatedSeries2, params: LucasParams, var: int = 
         key = (j + 1, k) if var == 0 else (j, k + 1)
         out[key] = c / term
     return TruncatedSeries2(out, F.order + 1, F.backend)
+
+
+def _check_var(var: int) -> None:
+    if var not in (0, 1):
+        raise ValueError(f"var must be 0 (x) or 1 (y), got {var!r}")
 
 
 def _node_family(params: LucasParams):

@@ -26,6 +26,9 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NO_ROOT = 4
 
+# the most rows one ``table`` call evaluates; a larger grid exits 2
+_MAX_TABLE_ROWS = 100_000
+
 
 def _number(text: str) -> float:
     """Parse a float or a p/q rational literal into a finite float."""
@@ -116,10 +119,17 @@ def _cmd_table(args) -> int:
     if step <= 0 or start > stop:
         print("table range needs step > 0 and from <= to", file=sys.stderr)
         return EXIT_USAGE
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        print("table span --to minus --from over --step is not a finite number", file=sys.stderr)
+        return EXIT_USAGE
+    count = int(round(steps)) + 1
+    if count > _MAX_TABLE_ROWS:
+        print(f"table grid has {count} rows, more than the {_MAX_TABLE_ROWS} allowed", file=sys.stderr)
+        return EXIT_USAGE
     params = make_params(_number(args.s), _number(args.t))
     u = _number(args.u)
     kind = FnKind(args.fn)
-    count = int(round((stop - start) / step)) + 1
     rows = []
     for i in range(count):
         x = start + i * step

@@ -63,27 +63,33 @@ def deformed_row(n: int, u_weights: Weights, v_weights: Weights, params: LucasPa
     return out
 
 
-def row_value(row: Sequence[Scalar], x: Scalar, y: Scalar, backend: Backend) -> Scalar:
-    """sum over k of row[k] * x^(n-k) * y^k, with n = len(row) - 1.
+def row_value(
+    n: int, u_weights: Weights, v_weights: Weights, x: Scalar, y: Scalar, params: LucasParams
+) -> Scalar:
+    """The degree-n row at (x, y): sum over k of C(n,k) u_weights(n-k) v_weights(k) x^(n-k) y^k.
 
     Over the rationals the terms are summed as integers over one common
-    denominator, lcm(row denominators) * (den x * den y)^n, and reduced once.
+    denominator, lcm(entry denominators) * (den x * den y)^n, from the
+    Lucasnomial kernel's parts and the weights' numerators and denominators,
+    and reduced once; no entry is built as a Fraction.
     """
-    n = len(row) - 1
-    if backend is Backend.RATIONAL:
-        # term k is (num_k * den / den_k) * p^(n-k) * q^k over den * (den x * den y)^n
-        p = x.numerator * y.denominator
-        q = y.numerator * x.denominator
-        den = math.lcm(*(c.denominator for c in row))
-        total, q_pow = 0, 1
-        for c in row:
-            total = total * p + c.numerator * (den // c.denominator) * q_pow
-            q_pow *= q
-        return Fraction(total, den * (x.denominator * y.denominator) ** n)
-    total = backend_zero(backend)
-    for k, c in enumerate(row):
-        total = total + c * x ** (n - k) * y**k
-    return total
+    if params.backend is not Backend.RATIONAL:
+        total = backend_zero(params.backend)
+        for k, c in enumerate(deformed_row(n, u_weights, v_weights, params)):
+            total = total + c * x ** (n - k) * y**k
+        return total
+    nums, dens = params.cache.lucasnomial_parts(n, n)
+    weights = [(u_weights(n - k), v_weights(k)) for k in range(n + 1)]
+    dens = [d * a.denominator * b.denominator for d, (a, b) in zip(dens, weights)]
+    den = math.lcm(*dens)
+    # term k is its numerator * (den / dens[k]) * p^(n-k) * q^k over den * (den x * den y)^n
+    p = x.numerator * y.denominator
+    q = y.numerator * x.denominator
+    total, q_pow = 0, 1
+    for num, d, (a, b) in zip(nums, dens, weights):
+        total = total * p + num * a.numerator * b.numerator * (den // d) * q_pow
+        q_pow *= q
+    return Fraction(total, den * (x.denominator * y.denominator) ** n)
 
 
 def deformed_power_coeffs(n: int, u: Scalar, v: Scalar, params: LucasParams) -> DeformedBinomial:
@@ -98,8 +104,10 @@ def deformed_power_value(
     n: int, x: Scalar, y: Scalar, u: Scalar, v: Scalar, params: LucasParams
 ) -> Scalar:
     """Evaluate the degree-n deformed power at the point (x, y)."""
+    if n < 0:
+        raise IndexOutOfRange("n must be nonnegative")
     common_backend(x, y, u, v, params.s)
-    return row_value(deformed_power_coeffs(n, u, v, params).coeffs, x, y, params.backend)
+    return row_value(n, PowerWeights(u), PowerWeights(v), x, y, params)
 
 
 def phi_product_power(n: int, x: Scalar, y: Scalar, params: LucasParams) -> Scalar:
@@ -213,7 +221,7 @@ class MultinomialWeights:
 
 
 class DeformedPowerWeights:
-    """Memoized weights w(n) = deformed power of (x, y) at degree n."""
+    """Memoized weights w(n) = deformed power of (x, y) at degree n (:func:`row_value`)."""
 
     def __init__(self, x: Scalar, y: Scalar, u: Scalar, v: Scalar, params: LucasParams):
         self.x, self.y, self.u, self.v = x, y, u, v
@@ -227,8 +235,9 @@ class DeformedPowerWeights:
         if len(values) <= n:
             common_backend(self.x, self.y, self.u, self.v, self.params.s)
         while len(values) <= n:
-            row = deformed_row(len(values), self._u_weights, self._v_weights, self.params)
-            values.append(row_value(row, self.x, self.y, self.params.backend))
+            values.append(
+                row_value(len(values), self._u_weights, self._v_weights, self.x, self.y, self.params)
+            )
         return values[n]
 
 

@@ -323,31 +323,43 @@ def deformed_zero_value(
 def binomial_series2(
     kind: FnKind, u: Scalar, v: Scalar, params: LucasParams, order: int
 ) -> TruncatedSeries2:
-    """Bivariate series built from the deformed powers of (x, y)."""
+    """Bivariate series built from the deformed powers of (x, y).
+
+    Entry (n-k, k) is ±C(n,k) u^T(n-k) v^T(k) / {n}!.  Over the rationals it
+    is one Fraction from the integer parts of the Lucasnomial, the two
+    weights (each list read once per call) and the signed {n}!.
+    """
     if kind not in _PRIMARY:
         raise PoleAtOrigin(f"{kind.value} has no bivariate series form")
     common_backend(u, v, params.s)
     first, step, alternating = _PRIMARY[kind]
     u_weights, v_weights = PowerWeights(u), PowerWeights(v)
+    backend = params.backend
+    if backend is Backend.RATIONAL:
+        uw = [(w.numerator, w.denominator) for w in map(u_weights, range(order + 1))]
+        vw = [(w.numerator, w.denominator) for w in map(v_weights, range(order + 1))]
     out: dict[tuple[int, int], Scalar] = {}
     for j, n in enumerate(range(first, order + 1, step)):
         fact = params.cache.factorial(n)
-        if params.backend is Backend.RATIONAL:
-            # one Fraction per entry: the row's integer parts over the signed {n}!
-            sign = -1 if alternating and j % 2 else 1
-            num_f, den_f = sign * fact.denominator, fact.numerator
+        negate = alternating and j % 2
+        if backend is Backend.RATIONAL:
+            # the row's integer parts over the signed {n}!
+            num_f, den_f = fact.denominator, fact.numerator
+            if negate:
+                num_f = -num_f
             nums, dens = params.cache.lucasnomial_parts(n, n)
             for k, (num, den) in enumerate(zip(nums, dens)):
-                a, b = u_weights(n - k), v_weights(k)
-                out[(n - k, k)] = Fraction(
-                    num * a.numerator * b.numerator * num_f,
-                    den * a.denominator * b.denominator * den_f,
-                )
+                (a, p), (b, q) = uw[n - k], vw[k]
+                out[(n - k, k)] = Fraction(num * a * b * num_f, den * p * q * den_f)
+        elif backend is Backend.GAUSSIAN:
+            inverse = -1 / fact if negate else 1 / fact
+            for k, c in enumerate(deformed_row(n, u_weights, v_weights, params)):
+                out[(n - k, k)] = c * inverse
         else:
             for k, c in enumerate(deformed_row(n, u_weights, v_weights, params)):
                 value = c / fact
-                out[(n - k, k)] = -value if alternating and j % 2 else value
-    return TruncatedSeries2(out, order, params.backend)
+                out[(n - k, k)] = -value if negate else value
+    return TruncatedSeries2(out, order, backend)
 
 
 def weighted_binomial_value(
@@ -368,7 +380,7 @@ def weighted_binomial_value(
     common_backend(x, y, x_weights(0), y_weights(0), params.s)
 
     def weights(n: int) -> Scalar:
-        return row_value(deformed_row(n, x_weights, y_weights, params), x, y, params.backend)
+        return row_value(n, x_weights, y_weights, x, y, params)
 
     return weighted_fn_value(kind, weights, backend_one(params.backend), params, eps)
 

@@ -43,6 +43,8 @@ class GaussianRational:
 
     The triple is canonical (d > 0 and gcd(a, b, d) = 1), so equality
     compares integers and each operation reduces with one ``math.gcd``.
+    Integer kernels read the triple with :meth:`as_triple` and build their
+    results with :meth:`from_triple`.
     The real and imaginary parts are available as the Fractions ``re`` and
     ``im``.  Arithmetic with ints and Fractions is supported; floats and
     complex numbers are rejected so the exact backends cannot silently
@@ -64,6 +66,19 @@ class GaussianRational:
         p, q = re.denominator, im.denominator
         d = p * q // math.gcd(p, q)
         self._a, self._b, self._d = re.numerator * (d // p), im.numerator * (d // q), d
+
+    @classmethod
+    def from_triple(cls, a: int, b: int, d: int) -> "GaussianRational":
+        """(a+bi)/d for integers a, b and d != 0, reduced by one gcd."""
+        if d <= 0:
+            if d == 0:
+                raise ZeroDivisionError("Gaussian rational with denominator 0")
+            a, b, d = -a, -b, -d
+        return _reduced(a, b, d)
+
+    def as_triple(self) -> tuple[int, int, int]:
+        """The canonical integer triple (a, b, d): d > 0, gcd(a, b, d) = 1, value (a+bi)/d."""
+        return self._a, self._b, self._d
 
     @property
     def re(self) -> Fraction:

@@ -3,14 +3,39 @@
 Coefficients live in a single scalar backend.  All arithmetic is exact
 truncated ring arithmetic; equality compares coefficient-wise on the
 common truncation order.
+
+Over the exact backends the kernels (``*``, ``reciprocal``, ``dilate``,
+:func:`outer`, and the bivariate ``+``, ``-`` and negation) run on integers,
+the way FLINT's ``fmpq_poly`` does: an operand whose coefficients are summed
+is brought to integer numerators over one common denominator (Gaussian ones
+to pairs of integers, read with ``GaussianRational.as_triple``), the sums run
+on those integers, and each output coefficient is built with one
+normalisation, a ``Fraction`` or a ``GaussianRational.from_triple``.  Each
+kernel is written once over integer triples (a, b, d) meaning (a+bi)/d: a
+rational is (a, 0, d), and the imaginary products are skipped when every
+imaginary part is 0.  A coefficient multiplied by 1 or -1 needs no
+normalisation.  A kernel's result skips the constructor's backend check,
+which its operands passed.  The float backend keeps its scalar loops.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import BackendMismatch, NonUnitConstantTerm, OrderMismatch
-from .scalars import Backend, Scalar, backend_of, backend_one, backend_zero, promote
+from .scalars import (
+    Backend,
+    GaussianRational,
+    Scalar,
+    backend_of,
+    backend_one,
+    backend_zero,
+    promote,
+)
 
 
 class TruncatedSeries:
@@ -83,20 +108,22 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(-a for a in self.coeffs), self.backend)
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_backend(other)
-            order = min(self.order, other.order)
-            zero = backend_zero(self.backend)
-            out = [zero] * (order + 1)
-            for i, a in enumerate(self.coeffs[: order + 1]):
-                if a == 0:
-                    continue
-                for j in range(order + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] = out[i + j] + a * b
-            return TruncatedSeries(out, self.backend)
-        return self.scale(other)
+        if not isinstance(other, TruncatedSeries):
+            return self.scale(other)
+        self._check_backend(other)
+        order = min(self.order, other.order)
+        a, b = self.coeffs[: order + 1], other.coeffs[: order + 1]
+        if self.backend is not Backend.COMPLEX:
+            return _series(_mul(a, b, self.backend), self.backend)
+        out = [0.0] * (order + 1)
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            for j in range(order + 1 - i):
+                y = b[j]
+                if y != 0:
+                    out[i + j] = out[i + j] + x * y
+        return TruncatedSeries(out, Backend.COMPLEX)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -110,12 +137,18 @@ class TruncatedSeries:
         """Substitute z -> c z, i.e. a_n -> c^n a_n."""
         if backend_of(c) is not self.backend:
             raise BackendMismatch("scalar backend differs from series backend")
-        out = [self.coeffs[0]]
-        acc = c
-        for a in self.coeffs[1:]:
-            out.append(a * acc)
-            acc = acc * c
-        return TruncatedSeries(out, self.backend)
+        if self.backend is Backend.COMPLEX:
+            out = [self.coeffs[0]]
+            acc = c
+            for a in self.coeffs[1:]:
+                out.append(a * acc)
+                acc = acc * c
+            return TruncatedSeries(out, Backend.COMPLEX)
+        parts, make = _EXACT[self.backend]
+        powers = _power_parts(c, self.order, parts)
+        return _series(
+            tuple(_scaled(a, *p, parts, make) for a, p in zip(self.coeffs, powers)), self.backend
+        )
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -123,19 +156,27 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[: order + 1], self.backend)
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Series g with f*g = 1 + O(z^(order+1)); needs f(0) != 0."""
+        """Series g with f*g = 1 + O(z^(order+1)); needs f(0) != 0.
+
+        Each g_n = -(a_1 g_(n-1) + ... + a_n g_0) / a_0.  On the exact
+        backends the sum runs on the integer numerators of f over one
+        denominator and of g_0..g_(n-1) over their running common
+        denominator, and g_n is normalised once.
+        """
         f0 = self.coeffs[0]
         if f0 == 0:
             raise NonUnitConstantTerm("reciprocal needs a nonzero constant term")
-        g0 = backend_one(self.backend) / f0
+        if self.backend is not Backend.COMPLEX:
+            return _series(_reciprocal(self.coeffs, self.backend), self.backend)
+        g0 = 1.0 / f0
         out = [g0]
         for n in range(1, self.order + 1):
-            acc = backend_zero(self.backend)
+            acc = 0.0
             for k in range(1, n + 1):
-                if k <= self.order and self.coeffs[k] != 0:
+                if self.coeffs[k] != 0:
                     acc = acc + self.coeffs[k] * out[n - k]
             out.append(-acc / f0)
-        return TruncatedSeries(out, self.backend)
+        return TruncatedSeries(out, Backend.COMPLEX)
 
     def eval_at(self, x: Scalar) -> Scalar:
         """Horner evaluation of the truncated polynomial."""
@@ -191,39 +232,66 @@ class TruncatedSeries2:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries2):
             return NotImplemented
+        if self.backend is not Backend.COMPLEX:
+            return self._merge(other, add)
         self._check_backend(other)
         if self.order != other.order:
             raise OrderMismatch("addition requires equal truncation orders")
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            out[key] = out.get(key, backend_zero(self.backend)) + c
-        return TruncatedSeries2(out, self.order, self.backend)
+            out[key] = out.get(key, 0.0) + c
+        return TruncatedSeries2(out, self.order, Backend.COMPLEX)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries2):
             return NotImplemented
-        return self + other.scale(-backend_one(self.backend))
+        if self.backend is not Backend.COMPLEX:
+            return self._merge(other, sub)
+        return self + other.scale(-1.0)
+
+    def _merge(self, other, op) -> "TruncatedSeries2":
+        """self op other on an exact backend: one scalar op per shared key, zeros dropped."""
+        self._check_backend(other)
+        if self.order != other.order:
+            raise OrderMismatch("addition requires equal truncation orders")
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            prev = out.get(key)
+            if prev is None:
+                out[key] = c if op is add else -c
+                continue
+            value = op(prev, c)
+            if value:
+                out[key] = value
+            else:
+                del out[key]
+        return _series2(out, self.order, self.backend)
 
     def __neg__(self):
-        return self.scale(-backend_one(self.backend))
+        if self.backend is Backend.COMPLEX:
+            return self.scale(-1.0)
+        return _series2({key: -c for key, c in self.coeffs.items()}, self.order, self.backend)
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries2):
-            self._check_backend(other)
-            order = min(self.order, other.order)
-            out: dict[tuple[int, int], Scalar] = {}
-            for (j1, k1), a in self.coeffs.items():
-                if j1 + k1 > order:
+        if not isinstance(other, TruncatedSeries2):
+            return self.scale(other)
+        self._check_backend(other)
+        order = min(self.order, other.order)
+        backend = self.backend
+        if backend is not Backend.COMPLEX:
+            return _series2(_mul2(self.coeffs, other.coeffs, order, backend), order, backend)
+        out: dict[tuple[int, int], Scalar] = {}
+        for (j1, k1), a in self.coeffs.items():
+            if j1 + k1 > order:
+                continue
+            for (j2, k2), b in other.coeffs.items():
+                j, k = j1 + j2, k1 + k2
+                if j + k > order:
                     continue
-                for (j2, k2), b in other.coeffs.items():
-                    j, k = j1 + j2, k1 + k2
-                    if j + k > order:
-                        continue
-                    key = (j, k)
-                    prev = out.get(key)
-                    out[key] = a * b if prev is None else prev + a * b
-            return TruncatedSeries2(out, order, self.backend)
-        return self.scale(other)
+                key = (j, k)
+                prev = out.get(key)
+                out[key] = a * b if prev is None else prev + a * b
+        return TruncatedSeries2(out, order, Backend.COMPLEX)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -238,13 +306,22 @@ class TruncatedSeries2:
         if backend_of(cx) is not self.backend or backend_of(cy) is not self.backend:
             raise BackendMismatch("scalar backend differs from series backend")
         n = self.order
-        px = _powers(cx, n)
-        py = _powers(cy, n)
-        return TruncatedSeries2(
-            {(j, k): v * px[j] * py[k] for (j, k), v in self.coeffs.items()},
-            n,
-            self.backend,
-        )
+        if self.backend is Backend.COMPLEX:
+            px = _powers(cx, n)
+            py = _powers(cy, n)
+            return TruncatedSeries2(
+                {(j, k): v * px[j] * py[k] for (j, k), v in self.coeffs.items()}, n, Backend.COMPLEX
+            )
+        parts, make = _EXACT[self.backend]
+        px, py = _power_parts(cx, n, parts), _power_parts(cy, n, parts)
+        out = {}
+        for (j, k), v in self.coeffs.items():
+            a1, b1, d1 = px[j]
+            a2, b2, d2 = py[k]
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            if a or b:  # a zero factor's powers vanish, and no zero is stored
+                out[(j, k)] = _scaled(v, a, b, d1 * d2, parts, make)
+        return _series2(out, n, self.backend)
 
     def substitute_diagonal(self, c: Scalar) -> TruncatedSeries:
         """Set y = c*x, producing a univariate series of the same order."""
@@ -285,15 +362,27 @@ def outer(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries2:
         raise BackendMismatch("series backends differ")
     order = min(f.order, g.order)
     out = {}
+    if f.backend is Backend.COMPLEX:
+        for j in range(order + 1):
+            a = f.coeffs[j]
+            if a == 0:
+                continue
+            for k in range(order + 1 - j):
+                b = g.coeffs[k]
+                if b != 0:
+                    out[(j, k)] = a * b
+        return TruncatedSeries2(out, order, Backend.COMPLEX)
+    parts, make = _EXACT[f.backend]
     for j in range(order + 1):
         a = f.coeffs[j]
-        if a == 0:
+        if not a:
             continue
+        a_parts = parts(a)
         for k in range(order + 1 - j):
             b = g.coeffs[k]
-            if b != 0:
-                out[(j, k)] = a * b
-    return TruncatedSeries2(out, order, f.backend)
+            if b:
+                out[(j, k)] = _scaled(b, *a_parts, parts, make)
+    return _series2(out, order, f.backend)
 
 
 def promote_series(f: TruncatedSeries, backend: Backend) -> TruncatedSeries:
@@ -302,3 +391,165 @@ def promote_series(f: TruncatedSeries, backend: Backend) -> TruncatedSeries:
 
 def promote_series2(F: TruncatedSeries2, backend: Backend) -> TruncatedSeries2:
     return TruncatedSeries2({key: promote(c, backend) for key, c in F.coeffs.items()}, F.order, backend)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels of the exact backends
+# ---------------------------------------------------------------------------
+
+
+def _series(coeffs: tuple, backend: Backend) -> TruncatedSeries:
+    """A series of coefficients already known to be in ``backend``."""
+    out = object.__new__(TruncatedSeries)
+    out.coeffs, out.backend = coeffs, backend
+    return out
+
+
+def _series2(coeffs: dict, order: int, backend: Backend) -> TruncatedSeries2:
+    """A bivariate series of nonzero coefficients on the triangle, already in ``backend``."""
+    out = object.__new__(TruncatedSeries2)
+    out.coeffs, out.order, out.backend = coeffs, order, backend
+    return out
+
+
+def _rational_parts(c) -> tuple[int, int, int]:
+    return c.numerator, 0, c.denominator
+
+
+def _rational_make(a: int, b: int, d: int) -> Fraction:
+    return Fraction(a, d)  # b is 0: a rational kernel's imaginary parts all vanish
+
+
+# per exact backend: read a coefficient as its integer triple (a, b, d), meaning
+# (a+bi)/d, and build a coefficient from a triple with one normalisation
+_EXACT = {
+    Backend.RATIONAL: (_rational_parts, _rational_make),
+    Backend.GAUSSIAN: (GaussianRational.as_triple, GaussianRational.from_triple),
+}
+
+
+def _power_parts(c: Scalar, n: int, parts) -> list[tuple[int, int, int]]:
+    """c^m, m = 0..n, as integer triples (a, b, d) meaning (a+bi)/d, not reduced."""
+    p, q, r = parts(c)
+    out = [(1, 0, 1)]
+    for _ in range(n):
+        a, b, d = out[-1]
+        out.append((a * p - b * q, a * q + b * p, d * r))
+    return out
+
+
+def _scaled(v, a: int, b: int, d: int, parts, make):
+    """v * (a+bi)/d with one normalisation, or none when (a+bi)/d is 1 or -1."""
+    if d == 1 and b == 0 and (a == 1 or a == -1):
+        return v if a == 1 else -v
+    x, y, e = parts(v)
+    return make(x * a - y * b, x * b + y * a, e * d)
+
+
+def _over_lcm(coeffs, parts) -> tuple[list[int], list[int] | None, int]:
+    """Real and imaginary integer numerators over the least common denominator.
+
+    The imaginary list is None when every imaginary part is 0, so the kernels
+    skip its products; on the rationals it always is.
+    """
+    triples = list(map(parts, coeffs))
+    den = math.lcm(*[d for _, _, d in triples])
+    re = [a * (den // d) for a, _, d in triples]
+    im = [b * (den // d) for _, b, d in triples]
+    return re, (im if any(im) else None), den
+
+
+def _product(conv, ar, ai, br, bi) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts of the product of (ar + i ai) and (br + i bi).
+
+    ``conv`` is the bilinear product of two integer lists; a part that is
+    None is 0 and costs no product.
+    """
+    re, im = conv(ar, br), None
+    if ai is not None:
+        im = conv(ai, br)
+        if bi is not None:
+            re = list(map(sub, re, conv(ai, bi)))
+    if bi is not None:
+        t = conv(ar, bi)
+        im = t if im is None else list(map(add, im, t))
+    return re, ([0] * len(re) if im is None else im)
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """sum over i of a_i b_(n-i), n = 0..order, for two lists of length order + 1."""
+    order = len(a) - 1
+    rb = b[::-1]
+    return [sum(map(mul, a[: n + 1], rb[order - n :])) for n in range(order + 1)]
+
+
+def _mul(a: tuple, b: tuple, backend: Backend) -> tuple:
+    """Coefficients of the product of two series of equal order: one convolution per part."""
+    parts, make = _EXACT[backend]
+    ar, ai, ad = _over_lcm(a, parts)
+    br, bi, bd = _over_lcm(b, parts)
+    re, im = _product(_convolve, ar, ai, br, bi)
+    return tuple(map(make, re, im, repeat(ad * bd)))
+
+
+def _mul2(F: dict, G: dict, order: int, backend: Backend) -> dict:
+    """Nonzero coefficients of the product of two bivariate series, within order."""
+    parts, make = _EXACT[backend]
+    keys: dict[tuple[int, int], int] = {}  # output key -> its slot
+    slots = []  # (slot, i, j): entry i of F times entry j of G lands on the slot
+    for i, (j1, k1) in enumerate(F):
+        if j1 + k1 > order:
+            continue
+        for j, (j2, k2) in enumerate(G):
+            if j1 + j2 + k1 + k2 <= order:
+                slots.append((keys.setdefault((j1 + j2, k1 + k2), len(keys)), i, j))
+
+    def conv(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * len(keys)
+        for s, i, j in slots:
+            out[s] += a[i] * b[j]
+        return out
+
+    ar, ai, ad = _over_lcm(F.values(), parts)
+    br, bi, bd = _over_lcm(G.values(), parts)
+    re, im = _product(conv, ar, ai, br, bi)
+    den = ad * bd
+    return {key: make(x, y, den) for key, x, y in zip(keys, re, im) if x or y}
+
+
+def _reciprocal(coeffs: tuple, backend: Backend) -> tuple:
+    """Coefficients of 1/f: g_n = -(sum over j >= 1 of a_j g_(n-j)) / a_0.
+
+    f is read as integers (re_j + i im_j) / den and g_0..g_(n-1) as integers
+    over their running common denominator L, so each g_n is one
+    normalisation.  Dividing by a_0 multiplies by den / (re_0 + i im_0),
+    which is den (c_a + c_b i) / norm in lowest terms.
+    """
+    parts, make = _EXACT[backend]
+    re, im, den = _over_lcm(coeffs, parts)
+    a0 = re[0]
+    b0 = 0 if im is None else im[0]
+    g = math.gcd(a0, b0)
+    ca, cb, norm = a0 // g, -b0 // g, (a0 * a0 + b0 * b0) // g
+    out = [make(den * ca, den * cb, norm)]
+    x, y, L = parts(out[0])
+    Pr, Pi = [x], [y]  # numerators of g_0..g_(n-1) over L; Pi stays unused when f is real
+    for n in range(1, len(re)):
+        ar = re[1 : n + 1]
+        sr, si = sum(map(mul, ar, reversed(Pr))), 0
+        if im is not None:
+            ai = im[1 : n + 1]
+            sr -= sum(map(mul, ai, reversed(Pi)))
+            si = sum(map(mul, ar, reversed(Pi))) + sum(map(mul, ai, reversed(Pr)))
+        g = make(si * cb - sr * ca, -(sr * cb + si * ca), L * norm)
+        out.append(g)
+        x, y, q = parts(g)
+        m = q // math.gcd(L, q)
+        if m != 1:
+            Pr = [p * m for p in Pr]
+            if im is not None:
+                Pi = [p * m for p in Pi]
+            L *= m
+        Pr.append(x * (L // q))
+        Pi.append(y * (L // q))
+    return tuple(out)

@@ -138,6 +138,15 @@ class TestSeriesOperators:
         for var in (0, 1):
             assert derivative_series2(antiderivative_series2(G, p, var), p, var) == G
 
+    @pytest.mark.parametrize("operator", [derivative_series2, antiderivative_series2])
+    @pytest.mark.parametrize("var", [2, -1, 3])
+    def test_bivariate_var_outside_x_and_y_rejected(self, operator, var):
+        # var 2 used to give the empty series (derivative) or integrate in y (antiderivative)
+        p = make_params(F(1), F(1))
+        G = TruncatedSeries2({(2, 1): F(1), (0, 2): F(3)}, 4, RAT)
+        with pytest.raises(ValueError, match="var must be 0"):
+            operator(G, p, var=var)
+
 
 class TestIntegral:
     def test_linear_integrand(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from lucascalc.cli import main
+from lucascalc.cli import _MAX_TABLE_ROWS, main
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
 # values --eps and --xmax reject: they must be finite and positive
@@ -252,6 +252,27 @@ class TestTable:
             "--from", "1", "--to", "0", "--step", "0.1",
         )
         assert code == 2
+
+    def test_non_finite_span_exits_2(self, capsys):
+        # --to minus --from overflows to inf; it used to raise OverflowError in int(round(inf))
+        code, out, err = run_cli(
+            capsys, "table", "--fn", "sin", "--s", "1", "--t", "1", "--u", "0.5",
+            "--from=-1.7e308", "--to=1.7e308", "--step=1e308",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not a finite number" in err
+
+    @pytest.mark.parametrize("to, step", [("1", "1e-12"), (str(_MAX_TABLE_ROWS), "1")])
+    def test_grid_over_the_row_cap_exits_2(self, capsys, to, step):
+        # 10^12 + 1 rows used to be evaluated into one list until the process died
+        code, out, err = run_cli(
+            capsys, "table", "--fn", "sin", "--s", "1", "--t", "1", "--u", "0.5",
+            "--from", "0", "--to", to, "--step", step,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"more than the {_MAX_TABLE_ROWS} allowed" in err
 
     @pytest.mark.parametrize("bad", BAD_POSITIVE)
     def test_bad_eps_exits_2(self, capsys, bad):
