@@ -1,8 +1,8 @@
 """Command-line front end: evaluate, tabulate, verify, find the sine zero,
 and integrate, with json/csv/plain output.
 
-Exit codes: 0 success, 2 usage or parse failure, 3 domain or numeric error,
-4 no root found.
+Exit codes: 0 success, 2 usage or parse failure, 3 domain or numeric error
+(an infinite quotient value included), 4 no root found.
 """
 
 from __future__ import annotations
@@ -155,12 +155,12 @@ def _cmd_verify(args) -> int:
         json.dump(report.to_dict(), sys.stdout, indent=2)
         sys.stdout.write("\n")
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["id", "group", "status", "trials", "seed", "failures", "wall_time_s"])
-        for r in report.results:
-            writer.writerow(
-                [r.id, r.group, r.status, r.trials, r.seed, len(r.failures), f"{r.wall_time_s:.4f}"]
-            )
+        rows = [
+            dict(id=r.id, group=r.group, status=r.status, trials=r.trials, seed=r.seed,
+                 failures=len(r.failures), wall_time_s=f"{r.wall_time_s:.4f}")
+            for r in report.results
+        ]
+        _emit(rows, "csv", sys.stdout)
     else:
         for r in report.results:
             print(f"{r.status.upper():4} {r.id} (trials={r.trials}, {r.wall_time_s:.3f}s)")

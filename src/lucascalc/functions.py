@@ -16,6 +16,7 @@ cot/csc/coth/csch have a pole at 0 and exist as values only.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import itertools
 import math
@@ -257,8 +258,9 @@ def _value_info(kind: FnKind, terms: Callable, eps: float, *args) -> EvalInfo:
     """Adaptive value of any kind from the term generator ``terms(primary kind, *args)``.
 
     A quotient kind sums its denominator first, and a zero one raises
-    DivisionByZeroValue; a missing numerator is 1.  The terms of both parts
-    add up.
+    DivisionByZeroValue, as does a float quotient that is not finite (a
+    denominator so small that the quotient overflows); a missing numerator
+    is 1.  The terms of both parts add up.
     """
     if kind in _PRIMARY:
         return _adaptive_sum(terms(kind, *args), eps)
@@ -267,9 +269,13 @@ def _value_info(kind: FnKind, terms: Callable, eps: float, *args) -> EvalInfo:
     if den.value == 0:
         raise DivisionByZeroValue(f"{denominator.value} vanished in a quotient")
     if numerator is None:
-        return EvalInfo(1 / den.value, den.terms_used)
-    num = _adaptive_sum(terms(numerator, *args), eps)
-    return EvalInfo(num.value / den.value, num.terms_used + den.terms_used)
+        value, used = 1 / den.value, den.terms_used
+    else:
+        num = _adaptive_sum(terms(numerator, *args), eps)
+        value, used = num.value / den.value, num.terms_used + den.terms_used
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise DivisionByZeroValue(f"{kind.value} is not finite: {denominator.value} is too small")
+    return EvalInfo(value, used)
 
 
 def fn_value_info(
@@ -327,7 +333,8 @@ def binomial_series2(
 
     Entry (n-k, k) is ±C(n,k) u^T(n-k) v^T(k) / {n}!.  Over the rationals it
     is one Fraction from the integer parts of the Lucasnomial, the two
-    weights (each list read once per call) and the signed {n}!.
+    weights (each list read once per call) and the signed {n}!; over the
+    fields it is the deformed-row entry times the signed 1/{n}!.
     """
     if kind not in _PRIMARY:
         raise PoleAtOrigin(f"{kind.value} has no bivariate series form")
@@ -351,14 +358,10 @@ def binomial_series2(
             for k, (num, den) in enumerate(zip(nums, dens)):
                 (a, p), (b, q) = uw[n - k], vw[k]
                 out[(n - k, k)] = Fraction(num * a * b * num_f, den * p * q * den_f)
-        elif backend is Backend.GAUSSIAN:
+        else:
             inverse = -1 / fact if negate else 1 / fact
             for k, c in enumerate(deformed_row(n, u_weights, v_weights, params)):
                 out[(n - k, k)] = c * inverse
-        else:
-            for k, c in enumerate(deformed_row(n, u_weights, v_weights, params)):
-                value = c / fact
-                out[(n - k, k)] = -value if negate else value
     return TruncatedSeries2(out, order, backend)
 
 
@@ -420,14 +423,8 @@ def tilde_value(
     if isinstance(normalizer, complex) or normalizer <= 0:
         raise NegativeNormalizer(f"deformed-zero cosine at {x} is {normalizer}")
     root = normalizer**0.5
-    if kind is FnKind.SIN:
-        return fn_value(FnKind.SIN, x, u, params, eps) / root
-    if kind is FnKind.COS:
-        return fn_value(FnKind.COS, x, u, params, eps) / root
-    base = fn_value(FnKind.COS if kind is FnKind.SEC else FnKind.SIN, x, u, params, eps)
-    if base == 0:
-        raise DivisionByZeroValue(f"{kind.value} denominator vanished at {x}")
-    return root / base
+    value = fn_value(kind, x, u, params, eps)
+    return value / root if kind in _PRIMARY else value * root
 
 
 @dataclass(frozen=True)

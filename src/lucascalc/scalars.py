@@ -645,16 +645,15 @@ def lucasnomial_row(n: int, params: LucasParams) -> list:
     suite verifies), from :meth:`SeqCache.lucasnomial_parts`; the first
     vanishing denominator {k} raises DivisionByZeroFactor as
     ``lucasnomial(n, k)`` does, and each entry equals ``lucasnomial(n, k)``
-    exactly, floats included.  Over the rationals each entry of the first half
-    is one Fraction of the kernel's parts, shared with its mirror n-k.
+    exactly, floats included.  Over the rationals each entry is one Fraction
+    of the kernel's parts, which already mirror C(n,k) = C(n,n-k).
     """
     if n < 0:
         raise IndexOutOfRange(f"need n >= 0, got n={n}")
     nums, dens = params.cache.lucasnomial_parts(n, n)
     if params.backend is not Backend.RATIONAL:
         return nums
-    half = [Fraction(nums[k], dens[k]) for k in range(n // 2 + 1)]
-    return [half[min(k, n - k)] for k in range(n + 1)]
+    return list(map(Fraction, nums, dens))
 
 
 def binom2(n: int) -> int:

@@ -4,8 +4,8 @@ Coefficients live in a single scalar backend.  All arithmetic is exact
 truncated ring arithmetic; equality compares coefficient-wise on the
 common truncation order.
 
-Over the exact backends the kernels (``*``, ``reciprocal``, ``dilate``,
-:func:`outer`, and the bivariate ``+``, ``-`` and negation) run on integers,
+Over the exact backends the univariate kernels (``*``, ``reciprocal``,
+``dilate``) and the bivariate ``dilate`` and :func:`outer` run on integers,
 the way FLINT's ``fmpq_poly`` does: an operand whose coefficients are summed
 is brought to integer numerators over one common denominator (Gaussian ones
 to pairs of integers, read with ``GaussianRational.as_triple``), the sums run
@@ -15,7 +15,10 @@ kernel is written once over integer triples (a, b, d) meaning (a+bi)/d: a
 rational is (a, 0, d), and the imaginary products are skipped when every
 imaginary part is 0.  A coefficient multiplied by 1 or -1 needs no
 normalisation.  A kernel's result skips the constructor's backend check,
-which its operands passed.  The float backend keeps its scalar loops.
+which its operands passed.  The exact bivariate ``+`` and ``-`` do one scalar
+operation per shared key and skip that check too.  The float backend keeps
+its scalar loops, and the bivariate ``*``, negation and ``scale`` are one
+scalar loop on every backend.
 """
 
 from __future__ import annotations
@@ -268,18 +271,13 @@ class TruncatedSeries2:
         return _series2(out, self.order, self.backend)
 
     def __neg__(self):
-        if self.backend is Backend.COMPLEX:
-            return self.scale(-1.0)
-        return _series2({key: -c for key, c in self.coeffs.items()}, self.order, self.backend)
+        return self.scale(-backend_one(self.backend))
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries2):
             return self.scale(other)
         self._check_backend(other)
         order = min(self.order, other.order)
-        backend = self.backend
-        if backend is not Backend.COMPLEX:
-            return _series2(_mul2(self.coeffs, other.coeffs, order, backend), order, backend)
         out: dict[tuple[int, int], Scalar] = {}
         for (j1, k1), a in self.coeffs.items():
             if j1 + k1 > order:
@@ -291,7 +289,7 @@ class TruncatedSeries2:
                 key = (j, k)
                 prev = out.get(key)
                 out[key] = a * b if prev is None else prev + a * b
-        return TruncatedSeries2(out, order, Backend.COMPLEX)
+        return TruncatedSeries2(out, order, self.backend)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -459,19 +457,18 @@ def _over_lcm(coeffs, parts) -> tuple[list[int], list[int] | None, int]:
     return re, (im if any(im) else None), den
 
 
-def _product(conv, ar, ai, br, bi) -> tuple[list[int], list[int]]:
-    """Real and imaginary parts of the product of (ar + i ai) and (br + i bi).
+def _product(ar, ai, br, bi) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts of the convolution of (ar + i ai) and (br + i bi).
 
-    ``conv`` is the bilinear product of two integer lists; a part that is
-    None is 0 and costs no product.
+    A part that is None is 0 and costs no convolution.
     """
-    re, im = conv(ar, br), None
+    re, im = _convolve(ar, br), None
     if ai is not None:
-        im = conv(ai, br)
+        im = _convolve(ai, br)
         if bi is not None:
-            re = list(map(sub, re, conv(ai, bi)))
+            re = list(map(sub, re, _convolve(ai, bi)))
     if bi is not None:
-        t = conv(ar, bi)
+        t = _convolve(ar, bi)
         im = t if im is None else list(map(add, im, t))
     return re, ([0] * len(re) if im is None else im)
 
@@ -488,33 +485,8 @@ def _mul(a: tuple, b: tuple, backend: Backend) -> tuple:
     parts, make = _EXACT[backend]
     ar, ai, ad = _over_lcm(a, parts)
     br, bi, bd = _over_lcm(b, parts)
-    re, im = _product(_convolve, ar, ai, br, bi)
+    re, im = _product(ar, ai, br, bi)
     return tuple(map(make, re, im, repeat(ad * bd)))
-
-
-def _mul2(F: dict, G: dict, order: int, backend: Backend) -> dict:
-    """Nonzero coefficients of the product of two bivariate series, within order."""
-    parts, make = _EXACT[backend]
-    keys: dict[tuple[int, int], int] = {}  # output key -> its slot
-    slots = []  # (slot, i, j): entry i of F times entry j of G lands on the slot
-    for i, (j1, k1) in enumerate(F):
-        if j1 + k1 > order:
-            continue
-        for j, (j2, k2) in enumerate(G):
-            if j1 + j2 + k1 + k2 <= order:
-                slots.append((keys.setdefault((j1 + j2, k1 + k2), len(keys)), i, j))
-
-    def conv(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * len(keys)
-        for s, i, j in slots:
-            out[s] += a[i] * b[j]
-        return out
-
-    ar, ai, ad = _over_lcm(F.values(), parts)
-    br, bi, bd = _over_lcm(G.values(), parts)
-    re, im = _product(conv, ar, ai, br, bi)
-    den = ad * bd
-    return {key: make(x, y, den) for key, x, y in zip(keys, re, im) if x or y}
 
 
 def _reciprocal(coeffs: tuple, backend: Backend) -> tuple:

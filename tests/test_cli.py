@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -133,6 +134,18 @@ class TestEval:
         assert "non-finite" in err
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    @pytest.mark.parametrize("fn, x", [("csc", "5e-324"), ("cot", "1e-310")])
+    def test_infinite_quotient_exits_3(self, capsys, fn, x, fmt):
+        # sin x is finite and nonzero, but the quotient over it overflows to inf
+        code, out, err = run_cli(
+            capsys, "eval", "--fn", fn, "--s", "1", "--t", "1", "--u", "1", "--x", x,
+            "--format", fmt,
+        )
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
     @pytest.mark.parametrize("fn", ["tan", "sin"])
     def test_float_power_overflow_exits_3(self, capsys, fn, fmt):
         # u ** 3 = 1e600 overflows a float power while the second term is drawn
@@ -232,6 +245,17 @@ class TestTable:
         assert code == 0
         assert json.loads(out) == {"x": 1e-200, "value": None, "diverged": True}
 
+    @pytest.mark.parametrize("fn", ["csc", "cot"])
+    def test_infinite_quotient_rows_are_flagged_diverged(self, capsys, fn):
+        code, out, _ = run_cli(
+            capsys, "table", "--fn", fn, "--s", "1", "--t", "1", "--u", "1",
+            "--from", "5e-324", "--to", "1e-310", "--step", "1e-310", "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 2
+        assert all(row["value"] is None and row["diverged"] is True for row in rows)
+
     def test_csv_and_json_carry_identical_data(self, capsys):
         args = ("table", "--fn", "cos", "--s", "1", "--t", "1", "--u", "1/2",
                 "--from", "0", "--to", "0.5", "--step", "0.25")
@@ -330,6 +354,16 @@ class TestVerify:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [row["status"] for row in rows] == ["pass", "pass"]
+
+    def test_csv_header_and_fields(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "pascal-1", "--trials", "2", "--seed", "3", "--format", "csv"
+        )
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert header == ["id", "group", "status", "trials", "seed", "failures", "wall_time_s"]
+        assert row[:6] == ["pascal-1", "pascal", "pass", "2", "3", "0"]
+        assert re.fullmatch(r"\d+\.\d{4}", row[6])
 
 
 class TestPiU:

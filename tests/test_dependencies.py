@@ -1,10 +1,12 @@
 """The package has no runtime dependencies: it declares none and imports none.
 
-Its modules use one another through public names only.
+Its modules use one another through public names only, and every
+third-party module the tests import is in the ``dev`` extra.
 """
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,25 @@ def test_pyproject_declares_no_runtime_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_dev_extra_declares_every_third_party_test_import():
+    # a test module whose import is missing is dropped at collection, its tests unseen
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["dev"]
+    declared = {re.split(r"[\s\[<>=!~;]", req, maxsplit=1)[0].lower() for req in extra}
+    tests = ROOT / "tests"
+    local = {"lucascalc"} | {path.stem for path in tests.glob("*.py")}
+    imported = set()
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = {name for name in imported - local if name not in sys.stdlib_module_names}
+    assert sorted(third_party - declared) == []
 
 
 def test_import_loads_only_stdlib_and_lucascalc():

@@ -127,6 +127,21 @@ class TestValues:
         with pytest.raises(DivisionByZeroValue):
             fn_value(COT, 0.0, 1.0, p)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: fn_value(CSC, 5e-324, 1.0, p),
+            lambda p: fn_value(COT, 1e-310, 1.0, p),
+            lambda p: tilde_value(CSC, 5e-324, 1.0, p),
+            lambda p: multinomial_value(CSC, (1.0,), 5e-324, p),
+        ],
+        ids=["csc", "cot", "tilde-csc", "multinomial-csc"],
+    )
+    def test_infinite_quotient_raises(self, call):
+        # sin x is finite and nonzero, but 1 / sin x overflows: inf is no value
+        with pytest.raises(DivisionByZeroValue, match="not finite"):
+            call(make_params(1.0, 1.0))
+
     def test_divergence_detected(self):
         p = make_params(1.0, 1.0)
         with pytest.raises(SeriesDiverging):
