@@ -9,6 +9,7 @@ derivative for integrable functions.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .errors import NonContractingNodes, NonConvergent, OrderMismatch, VanishingFactor
@@ -125,7 +126,8 @@ def integral_value(
     The node family is chosen by the contraction test |ratio| < 1 (only a
     contracting family can converge, whichever printed condition a source
     attaches to it).  Partial sums stop once the geometric tail bound drops
-    below eps relative to the accumulated scale.
+    below eps relative to the accumulated scale; a non-finite partial sum
+    raises NonConvergent at once.
     """
     if params.backend is not Backend.COMPLEX:
         raise NonContractingNodes("the node-series integral runs on the float backend")
@@ -141,6 +143,8 @@ def integral_value(
         fb = b * f(b * node)
         fa = a * f(a * node)
         total = total + prefactor * (fb - fa) * node
+        if not magnitude(total) < math.inf:  # inf or NaN never decays; stop here, not at the budget
+            raise NonConvergent(f"partial sum {k} of the node series is not finite")
         scale = max(scale, magnitude(fb), magnitude(fa), magnitude(total))
         tail = scale * magnitude(prefactor) * (rmag ** (k + 1)) / (magnitude(lead) * (1.0 - rmag))
         if tail < eps * max(1.0, magnitude(total)) and k >= 2:

@@ -1,8 +1,12 @@
 """Command-line front end: evaluate, tabulate, verify, find the sine zero,
 and integrate, with json/csv/plain output.
 
-Exit codes: 0 success, 2 usage or parse failure, 3 domain or numeric error
-(an infinite quotient value included), 4 no root found.
+Every float-valued argument, ``--poly``'s coefficients, ``--eps`` and
+``--xmax`` included, goes through ``_number`` (a finite float or p/q).  A
+command writes its output or raises; ``main`` alone reports a failure and picks
+the exit code: 0 success, 2 usage or parse failure, 3 domain or numeric error
+(an infinite quotient value, an integral whose partial sums overflow, an exact
+value too long to print, a failing ``verify`` suite), 4 no root found.
 """
 
 from __future__ import annotations
@@ -30,30 +34,33 @@ EXIT_NO_ROOT = 4
 _MAX_TABLE_ROWS = 100_000
 
 
-def _number(text: str) -> float:
-    """Parse a float or a p/q rational literal into a finite float."""
-    text = text.strip()
-    value = float(Fraction(text)) if "/" in text else float(text)
+def _number(option: str, text: str) -> float:
+    """Parse the float or p/q rational literal given to ``option`` into a finite float."""
+    try:
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
+        raise ValueError(f"{option} expects a finite number or p/q, got {text!r}")
     return value
 
 
-def _positive(text: str) -> float:
-    """argparse type for tolerances and bounds: a finite float above zero."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+def _positive(option: str, text: str) -> float:
+    """``_number`` for tolerances and bounds, which must also be above zero."""
+    value = _number(option, text)
+    if value <= 0:
+        raise ValueError(f"{option} expects a number above 0, got {text!r}")
     return value
-
-
-def _exact_number(text: str) -> Fraction:
-    return Fraction(text.strip())
 
 
 def _jsonable(value):
     if isinstance(value, (Fraction, GaussianRational)):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # an integer past the interpreter's int-to-str digit limit
+            parts = value.as_triple() if isinstance(value, GaussianRational) else value.as_integer_ratio()
+            digits = round(max(abs(p) for p in parts).bit_length() * math.log10(2))
+            raise LucasError(f"an exact value of about {digits} digits is too long to print") from None
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     return value
@@ -79,26 +86,24 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
 
 def _cmd_seq(args) -> int:
     if args.n < 0:
-        print("--n must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--n must be nonnegative")
     if args.exact:
-        params = make_params(_exact_number(args.s), _exact_number(args.t))
+        params = make_params(Fraction(args.s), Fraction(args.t))
     else:
-        params = make_params(_number(args.s), _number(args.t))
+        params = make_params(_number("--s", args.s), _number("--t", args.t))
     term = lucas_v if args.companion else lucas_u
     rows = [{"k": k, "value": term(k, params)} for k in range(args.n + 1)]
     for row in rows:
         if not (args.exact or math.isfinite(row["value"])):
-            print(f"error: term {row['k']} overflows the float range; try --exact", file=sys.stderr)
-            return EXIT_DOMAIN
+            raise LucasError(f"term {row['k']} overflows the float range; try --exact")
     _emit(rows, args.format, sys.stdout)
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    params = make_params(_number(args.s), _number(args.t))
-    x, u = _number(args.x), _number(args.u)
-    info = fn_value_info(FnKind(args.fn), x, u, params, args.eps)
+    params = make_params(_number("--s", args.s), _number("--t", args.t))
+    x, u = _number("--x", args.x), _number("--u", args.u)
+    info = fn_value_info(FnKind(args.fn), x, u, params, _positive("--eps", args.eps))
     rows = [
         {
             "fn": args.fn,
@@ -115,28 +120,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    start, stop, step = _number(getattr(args, "from")), _number(args.to), _number(args.step)
+    start, stop, step = (_number(f"--{name}", getattr(args, name)) for name in ("from", "to", "step"))
     if step <= 0 or start > stop:
-        print("table range needs step > 0 and from <= to", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("table range needs step > 0 and from <= to")
     steps = (stop - start) / step
     if not math.isfinite(steps):
-        print("table span --to minus --from over --step is not a finite number", file=sys.stderr)
-        return EXIT_USAGE
-    count = int(round(steps)) + 1
+        raise ValueError("table span --to minus --from over --step is not a finite number")
+    count = math.floor(steps + 1e-9) + 1  # the slack absorbs rounding when the grid ends on --to
     if count > _MAX_TABLE_ROWS:
-        print(f"table grid has {count} rows, more than the {_MAX_TABLE_ROWS} allowed", file=sys.stderr)
-        return EXIT_USAGE
-    params = make_params(_number(args.s), _number(args.t))
-    u = _number(args.u)
+        raise ValueError(f"table grid has {count} rows, more than the {_MAX_TABLE_ROWS} allowed")
+    params = make_params(_number("--s", args.s), _number("--t", args.t))
+    u, eps = _number("--u", args.u), _positive("--eps", args.eps)
     kind = FnKind(args.fn)
     rows = []
-    for i in range(count):
-        x = start + i * step
-        if x > stop + 1e-12:
-            break
+    for x in (start + i * step for i in range(count)):
         try:
-            value = fn_value_info(kind, x, u, params, args.eps).value
+            value = fn_value_info(kind, x, u, params, eps).value
             rows.append({"x": x, "value": value, "diverged": False})
         except LucasError:
             rows.append({"x": x, "value": None, "diverged": True})
@@ -145,10 +144,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.order < 1:
-        # the report schema's order floor; run_suite itself accepts 0
-        print("--order must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+    if args.order < 1:  # the report schema's order floor; run_suite itself accepts 0
+        raise ValueError("--order must be at least 1")
     selection = "all" if args.suite == "all" else [token.strip() for token in args.suite.split(",")]
     report = run_suite(selection, trials=args.trials, order=args.order, seed=args.seed)
     if args.format == "json":
@@ -173,23 +170,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_piu(args) -> int:
-    params = make_params(_number(args.s), _number(args.t))
-    u = _number(args.u)
-    root = find_pi_u(params, u, x_max=args.xmax)
+    params = make_params(_number("--s", args.s), _number("--t", args.t))
+    u = _number("--u", args.u)
+    root = find_pi_u(params, u, x_max=_positive("--xmax", args.xmax))
     rows = [{"s": params.s, "t": params.t, "u": u, "piU": root.value, "residual": root.residual}]
     _emit(rows, args.format, sys.stdout)
     return EXIT_OK
 
 
 def _cmd_integrate(args) -> int:
-    try:
-        coeffs = [float(Fraction(c)) for c in args.poly.split(",")]
-    except (ValueError, ZeroDivisionError):
-        print("--poly expects a comma-separated coefficient list, constant first", file=sys.stderr)
-        return EXIT_USAGE
-    params = make_params(_number(args.s), _number(args.t))
-    a, b = _number(args.a), _number(args.b)
-    value = integral_value(TruncatedSeries(coeffs).eval_at, a, b, params, args.eps)
+    coeffs = [_number("--poly", c) for c in args.poly.split(",")]
+    params = make_params(_number("--s", args.s), _number("--t", args.t))
+    a, b = _number("--a", args.a), _number("--b", args.b)
+    value = integral_value(TruncatedSeries(coeffs).eval_at, a, b, params, _positive("--eps", args.eps))
     rows = [{"poly": args.poly, "s": params.s, "t": params.t, "a": a, "b": b, "value": value}]
     _emit(rows, args.format, sys.stdout)
     return EXIT_OK
@@ -221,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--fn", required=True, choices=[k.value for k in FnKind])
     _add_common(ev, u=True)
     ev.add_argument("--x", required=True, help="evaluation point")
-    ev.add_argument("--eps", type=_positive, default=1e-12)
+    ev.add_argument("--eps", default="1e-12")
     ev.set_defaults(func=_cmd_eval)
 
     table = subs.add_parser("table", help="tabulate a function over a grid")
@@ -230,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--from", required=True, help="grid start")
     table.add_argument("--to", required=True, help="grid end (inclusive)")
     table.add_argument("--step", required=True, help="grid step")
-    table.add_argument("--eps", type=_positive, default=1e-12)
+    table.add_argument("--eps", default="1e-12")
     table.set_defaults(func=_cmd_table)
 
     verify = subs.add_parser("verify", help="run the identity suite")
@@ -243,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     piu = subs.add_parser("piu", help="first positive zero of the sine family member")
     _add_common(piu, u=True)
-    piu.add_argument("--xmax", type=_positive, default=10.0)
+    piu.add_argument("--xmax", default="10.0")
     piu.set_defaults(func=_cmd_piu)
 
     integrate = subs.add_parser("integrate", help="definite node-series integral of a polynomial")
@@ -251,32 +244,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(integrate)
     integrate.add_argument("--a", required=True, help="lower endpoint")
     integrate.add_argument("--b", required=True, help="upper endpoint")
-    integrate.add_argument("--eps", type=_positive, default=1e-12)
+    integrate.add_argument("--eps", default="1e-12")
     integrate.set_defaults(func=_cmd_integrate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the only place that reports a failure and picks its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UnknownIdentityId,) as exc:
+    except (LucasError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NoRootFound as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_ROOT
-    except LucasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, NoRootFound):
+            return EXIT_NO_ROOT
+        usage = isinstance(exc, UnknownIdentityId) or not isinstance(exc, LucasError)
+        return EXIT_USAGE if usage else EXIT_DOMAIN
 
 
 def run() -> None:

@@ -8,6 +8,7 @@ import pytest
 from lucascalc import (
     Backend,
     NonContractingNodes,
+    NonConvergent,
     OrderMismatch,
     TruncatedSeries,
     TruncatedSeries2,
@@ -197,6 +198,19 @@ class TestIntegral:
         p = params_from_roots(F(2), F(-1))
         with pytest.raises(NonContractingNodes):
             integral_value(lambda x: x, F(0), F(1), p)
+
+    def test_non_finite_partial_sum_stops_at_once(self):
+        # b * f(b * node) = 1e10 * 1e308 overflows on the first node; the loop
+        # used to run its whole 10^6-term budget before reporting "no decay"
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1e308
+
+        with pytest.raises(NonConvergent, match="not finite"):
+            integral_value(f, 0.0, 1e10, make_params(1.0, 1.0))
+        assert len(calls) <= 4
 
 
 class TestIntegrationByParts:

@@ -1,20 +1,25 @@
 """Command-line interface: outputs, formats, and the exit-code contract."""
 
+import ast
 import csv
 import io
 import json
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import lucascalc.cli
 from lucascalc.cli import _MAX_TABLE_ROWS, main
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
 # values --eps and --xmax reject: they must be finite and positive
 BAD_POSITIVE = ["nan", "inf", "-1", "0"]
+# a p/q whose value overflows the float range
+HUGE_RATIONAL = pytest.param(f"{10**400}/1", id="10**400/1")
 
 
 def run_cli(capsys, *argv):
@@ -435,3 +440,145 @@ class TestIntegrate:
         assert code == 2
         assert out == ""
         assert "--eps" in err
+
+
+class TestOneErrorPath:
+    """Commands raise; ``main`` alone reports a failure and picks exit 2 or 4."""
+
+    TREE = ast.parse(Path(lucascalc.cli.__file__).read_text())
+    FUNCTIONS = [node for node in TREE.body if isinstance(node, ast.FunctionDef)]
+
+    @staticmethod
+    def _names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def test_only_main_writes_to_stderr(self):
+        writers = [
+            fn.name for fn in self.FUNCTIONS
+            if any(isinstance(n, ast.Attribute) and n.attr == "stderr" for n in ast.walk(fn))
+        ]
+        assert writers == ["main"]
+
+    def test_only_main_returns_usage_or_no_root(self):
+        returning = {
+            fn.name
+            for fn in self.FUNCTIONS
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Return) and n.value is not None
+            and self._names(n.value) & {"EXIT_USAGE", "EXIT_NO_ROOT", "EXIT_DOMAIN"}
+        }
+        # verify's failing suite is the one exit 3 a command returns
+        assert returning == {"main", "_cmd_verify"}
+
+    def test_numbers_are_parsed_in_one_place(self):
+        parsers = {
+            fn.name
+            for fn in self.FUNCTIONS
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id in {"float", "Fraction", "int"}
+        }
+        # _number for every float-valued argument, Fraction for seq --exact
+        assert parsers == {"_number", "_cmd_seq"}
+
+
+class TestParsedLikeEveryScalar:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    @pytest.mark.parametrize("poly", ["1e400", "0,1e400", "1,,x", "1/0", HUGE_RATIONAL])
+    def test_bad_poly_coefficient_exits_2(self, capsys, poly, fmt):
+        # a coefficient past the float range used to escape as an OverflowError
+        code, out, err = run_cli(
+            capsys, "integrate", f"--poly={poly}", "--s", "1", "--t", "1", "--a", "0", "--b", "1",
+            "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--poly" in err
+
+    @pytest.mark.parametrize("bad", ["1/0", "-1/0", HUGE_RATIONAL])
+    def test_zero_denominator_or_huge_rational_names_the_option(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "eval", "--fn", "sin", "--s", "1", "--t", "1", "--u", "1", f"--x={bad}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--x" in err and "finite" in err
+
+    def test_eps_accepts_a_rational(self, capsys):
+        argv = ["eval", "--fn", "sin", "--s", "1", "--t", "1", "--u", "1", "--x", "0.5", "--format", "json"]
+        _, decimal, _ = run_cli(capsys, *argv, "--eps=0.001")
+        code, rational, _ = run_cli(capsys, *argv, "--eps=1/1000")
+        assert code == 0
+        assert json.loads(rational) == json.loads(decimal)
+
+    def test_xmax_accepts_a_rational(self, capsys):
+        argv = ["piu", "--s", "1", "--t", "1", "--u", "1", "--format", "json"]
+        _, decimal, _ = run_cli(capsys, *argv, "--xmax=3.5")
+        code, rational, _ = run_cli(capsys, *argv, "--xmax=7/2")
+        assert code == 0
+        assert json.loads(rational) == json.loads(decimal)
+
+    @pytest.mark.parametrize("bad", ["-1/2", "0/3", "1/0"])
+    def test_rational_eps_must_be_positive(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "integrate", "--poly", "0,1", "--s", "1", "--t", "1", "--a", "0", "--b", "1",
+            f"--eps={bad}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--eps" in err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter prints integers of any length",
+)
+class TestExactValueTooLongToPrint:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_exits_3_and_prints_nothing(self, capsys, fmt):
+        # {31} at t = 10^300 has about 4,500 digits, past the 4,300-digit default
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys, "seq", "--exact", "--s=1", "--t=1e300", "--n=31", "--format", fmt
+        )
+        assert code == 3
+        assert out == ""
+        assert "too long to print" in err and "digits" in err
+        assert sys.get_int_max_str_digits() == limit
+
+
+class TestTableGridEnd:
+    def test_tiny_step_prints_no_row_past_to(self, capsys):
+        # 1.6 steps used to round to 2, and 2e-300 passed an absolute 1e-12 guard
+        code, out, _ = run_cli(
+            capsys, "table", "--fn", "sin", "--s", "1", "--t", "1", "--u", "1",
+            "--from", "0", "--to", "1.6e-300", "--step", "1e-300", "--format", "json",
+        )
+        assert code == 0
+        assert [row["x"] for row in json.loads(out)] == [0.0, 1e-300]
+
+    @pytest.mark.parametrize(
+        "start, stop, step, steps",
+        [("0.13", "1.13", "0.1", 10), ("0.16", "2.26", "0.3", 7), ("0.13", "1.13", "0.01", 100)],
+    )
+    def test_grid_ending_on_to_keeps_its_last_row(self, capsys, start, stop, step, steps):
+        # in floats (--to - --from) / --step is just below the whole number of steps
+        assert (float(stop) - float(start)) / float(step) < steps
+        code, out, _ = run_cli(
+            capsys, "table", "--fn", "sin", "--s", "1", "--t", "1", "--u", "0.5",
+            "--from", start, "--to", stop, "--step", step, "--format", "json",
+        )
+        assert code == 0
+        xs = [row["x"] for row in json.loads(out)]
+        assert xs == [float(start) + i * float(step) for i in range(steps + 1)]
+        assert xs[-1] == pytest.approx(float(stop), rel=1e-12)
+
+
+class TestIntegralOverflow:
+    def test_overflowing_partial_sum_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "integrate", "--poly", "1e308", "--s", "1", "--t", "1", "--a", "0", "--b", "1e10"
+        )
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
