@@ -212,6 +212,29 @@ class TestBivariate:
                     digest.update(f"{key}:{series.coeffs[key]};".encode())
         assert digest.hexdigest() == self.GOLDEN_SHA256
 
+    # sha256 over repr() of the float and complex coefficients, frozen while the
+    # rows over the fields were the deformed row times the signed 1/{n}!.  The
+    # last two points have complex factorials with a zero real or imaginary
+    # part, where 1/(-z) and -1/z differ in the sign of a zero part.
+    FLOAT_SHA256 = "61d6d5870a8c0d8f48a94fd69ea0e6ec18ee93033bb0f916858d9d3bffcb1713"
+
+    def test_float_coefficients_match_golden_digest(self):
+        points = [
+            (make_params(1.0, 1.0), 0.5, 0.75),
+            (make_params(1.5, -0.5), -0.3, 1.2),
+            (make_params(1 + 0.5j, -0.5 + 1j), 0.6 - 0.2j, 0.3 + 0.4j),
+            (make_params(1.0, 0.5j), 0.5, -0.75),
+            (make_params(2j, 1.0), 0.5 + 0.1j, -0.75j),
+        ]
+        digest = hashlib.sha256()
+        for params, u, v in points:
+            for kind in (EXP, SIN, COS, SINH, COSH):
+                for order in (12, 16):
+                    series = binomial_series2(kind, u, v, params, order)
+                    for key in sorted(series.coeffs):
+                        digest.update(f"{key}:{series.coeffs[key]!r};".encode())
+        assert digest.hexdigest() == self.FLOAT_SHA256
+
     def test_exp_bivariate_equals_outer_product(self):
         u, v = F(2, 3), F(-1, 2)
         lhs = binomial_series2(EXP, u, v, FIB, 8)
