@@ -108,11 +108,12 @@ def _check_var(var: int) -> None:
 def _node_family(params: LucasParams):
     phi, phi_prime = params.require_roots()
     for lead, other in ((phi, phi_prime), (phi_prime, phi)):
-        if lead == 0:
-            continue
-        ratio = other / lead
-        if magnitude(ratio) < 1:
-            return lead, other, ratio
+        # abs gives conjugate roots equal moduli exactly, where |other / lead| can
+        # round below 1; a ratio that rounds to 1 would zero the tail bound's 1 - |ratio|
+        if magnitude(other) < magnitude(lead):
+            ratio = other / lead
+            if magnitude(ratio) < 1:
+                return lead, other, ratio
     raise NonContractingNodes(
         f"neither root ratio contracts for {params}; the node series cannot converge"
     )

@@ -41,8 +41,12 @@ def _number(option: str, text: str) -> float:
     except (ValueError, ZeroDivisionError, OverflowError):
         value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"{option} expects a finite number or p/q, got {text!r}")
+        raise _not_a_number(option, text)
     return value
+
+
+def _not_a_number(option: str, text: str) -> ValueError:
+    return ValueError(f"{option} expects a finite number or p/q, got {text!r}")
 
 
 def _positive(option: str, text: str) -> float:
@@ -88,7 +92,13 @@ def _cmd_seq(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
     if args.exact:
-        params = make_params(Fraction(args.s), Fraction(args.t))
+        exact = []
+        for option, text in (("--s", args.s), ("--t", args.t)):
+            try:
+                exact.append(Fraction(text))
+            except (ValueError, ZeroDivisionError):
+                raise _not_a_number(option, text) from None
+        params = make_params(*exact)
     else:
         params = make_params(_number("--s", args.s), _number("--t", args.t))
     term = lucas_v if args.companion else lucas_u

@@ -45,22 +45,39 @@ class DeformedBinomial:
     coeffs: tuple
 
 
-def deformed_row(n: int, u_weights: Weights, v_weights: Weights, params: LucasParams) -> list:
-    """c_k = C(n,k) * u_weights(n-k) * v_weights(k), k = 0..n, in O(n).
+def _rational_parts(n: int, u_weights: Weights, v_weights: Weights, params: LucasParams) -> tuple:
+    """Integer numerators and denominators of the rational row entries, k = 0..n.
+
+    Entry k is the Lucasnomial kernel's numerator times the weights'
+    numerators over its denominator times the weights' denominators.
+    """
+    nums, dens = params.cache.lucasnomial_parts(n, n)
+    us = [w.as_integer_ratio() for w in map(u_weights, range(n, -1, -1))]
+    vs = [w.as_integer_ratio() for w in map(v_weights, range(n + 1))]
+    nums = [num * a * b for num, (a, _), (b, _) in zip(nums, us, vs)]
+    dens = [den * p * q for den, (_, p), (_, q) in zip(dens, us, vs)]
+    return nums, dens
+
+
+def deformed_row(
+    n: int, u_weights: Weights, v_weights: Weights, params: LucasParams, scale: Scalar | None = None
+) -> list:
+    """c_k = C(n,k) * u_weights(n-k) * v_weights(k) * scale, k = 0..n, in O(n).
 
     With ``PowerWeights(u)`` and ``PowerWeights(v)`` these are the deformed
     power coefficients; other weight families give the weighted binomial rows.
-    Over the rationals each entry is one Fraction: the Lucasnomial's integer
-    numerator and denominator times the weights' numerators and denominators.
+    Over the rationals each entry is one Fraction from the row's integer parts
+    and the scale's; over the fields the row is multiplied by the scale last.
+    A scale of None leaves the row as it is: over the complex floats even
+    ``c * 1.0`` can flip the sign of a zero part.
     """
-    nums, dens = params.cache.lucasnomial_parts(n, n)
     if params.backend is not Backend.RATIONAL:
-        return [c * u_weights(n - k) * v_weights(k) for k, c in enumerate(nums)]
-    out = []
-    for k, (num, den) in enumerate(zip(nums, dens)):
-        a, b = u_weights(n - k), v_weights(k)
-        out.append(Fraction(num * a.numerator * b.numerator, den * a.denominator * b.denominator))
-    return out
+        nums, _ = params.cache.lucasnomial_parts(n, n)
+        row = [c * u_weights(n - k) * v_weights(k) for k, c in enumerate(nums)]
+        return row if scale is None else [c * scale for c in row]
+    nums, dens = _rational_parts(n, u_weights, v_weights, params)
+    p, q = (1, 1) if scale is None else (scale.numerator, scale.denominator)
+    return [Fraction(num * p, den * q) for num, den in zip(nums, dens)]
 
 
 def row_value(
@@ -69,25 +86,22 @@ def row_value(
     """The degree-n row at (x, y): sum over k of C(n,k) u_weights(n-k) v_weights(k) x^(n-k) y^k.
 
     Over the rationals the terms are summed as integers over one common
-    denominator, lcm(entry denominators) * (den x * den y)^n, from the
-    Lucasnomial kernel's parts and the weights' numerators and denominators,
-    and reduced once; no entry is built as a Fraction.
+    denominator, lcm(entry denominators) * (den x * den y)^n, from the row's
+    integer parts, and reduced once; no entry is built as a Fraction.
     """
     if params.backend is not Backend.RATIONAL:
         total = backend_zero(params.backend)
         for k, c in enumerate(deformed_row(n, u_weights, v_weights, params)):
             total = total + c * x ** (n - k) * y**k
         return total
-    nums, dens = params.cache.lucasnomial_parts(n, n)
-    weights = [(u_weights(n - k), v_weights(k)) for k in range(n + 1)]
-    dens = [d * a.denominator * b.denominator for d, (a, b) in zip(dens, weights)]
+    nums, dens = _rational_parts(n, u_weights, v_weights, params)
     den = math.lcm(*dens)
     # term k is its numerator * (den / dens[k]) * p^(n-k) * q^k over den * (den x * den y)^n
     p = x.numerator * y.denominator
     q = y.numerator * x.denominator
     total, q_pow = 0, 1
-    for num, d, (a, b) in zip(nums, dens, weights):
-        total = total * p + num * a.numerator * b.numerator * (den // d) * q_pow
+    for num, d in zip(nums, dens):
+        total = total * p + num * (den // d) * q_pow
         q_pow *= q
     return Fraction(total, den * (x.denominator * y.denominator) ** n)
 

@@ -21,7 +21,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .deformed import (
@@ -106,9 +105,8 @@ _GROWTH_LIMIT = 8
 _SMALL_RUN = 3
 _MAX_VALUE_TERMS = 512
 
-# find_pi_u: scan step, sine evaluation tolerance, bisection width
+# find_pi_u: scan step, bisection width
 _PI_SCAN_STEP = 0.05
-_PI_EPS = 1e-12
 _PI_BISECT_TOL = 1e-13
 
 
@@ -331,38 +329,21 @@ def binomial_series2(
 ) -> TruncatedSeries2:
     """Bivariate series built from the deformed powers of (x, y).
 
-    Entry (n-k, k) is ±C(n,k) u^T(n-k) v^T(k) / {n}!.  Over the rationals it
-    is one Fraction from the integer parts of the Lucasnomial, the two
-    weights (each list read once per call) and the signed {n}!; over the
-    fields it is the deformed-row entry times the signed 1/{n}!.
+    Entry (n-k, k) is ±C(n,k) u^T(n-k) v^T(k) / {n}!: row n is the deformed
+    row scaled by ±1/{n}!.
     """
     if kind not in _PRIMARY:
         raise PoleAtOrigin(f"{kind.value} has no bivariate series form")
     common_backend(u, v, params.s)
     first, step, alternating = _PRIMARY[kind]
     u_weights, v_weights = PowerWeights(u), PowerWeights(v)
-    backend = params.backend
-    if backend is Backend.RATIONAL:
-        uw = [(w.numerator, w.denominator) for w in map(u_weights, range(order + 1))]
-        vw = [(w.numerator, w.denominator) for w in map(v_weights, range(order + 1))]
     out: dict[tuple[int, int], Scalar] = {}
     for j, n in enumerate(range(first, order + 1, step)):
         fact = params.cache.factorial(n)
-        negate = alternating and j % 2
-        if backend is Backend.RATIONAL:
-            # the row's integer parts over the signed {n}!
-            num_f, den_f = fact.denominator, fact.numerator
-            if negate:
-                num_f = -num_f
-            nums, dens = params.cache.lucasnomial_parts(n, n)
-            for k, (num, den) in enumerate(zip(nums, dens)):
-                (a, p), (b, q) = uw[n - k], vw[k]
-                out[(n - k, k)] = Fraction(num * a * b * num_f, den * p * q * den_f)
-        else:
-            inverse = -1 / fact if negate else 1 / fact
-            for k, c in enumerate(deformed_row(n, u_weights, v_weights, params)):
-                out[(n - k, k)] = c * inverse
-    return TruncatedSeries2(out, order, backend)
+        scale = -1 / fact if alternating and j % 2 else 1 / fact
+        for k, c in enumerate(deformed_row(n, u_weights, v_weights, params, scale)):
+            out[(n - k, k)] = c
+    return TruncatedSeries2(out, order, params.backend)
 
 
 def weighted_binomial_value(
@@ -448,7 +429,7 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
         raise NoRootFound("root scanning runs on the float backend")
 
     def s(x: float) -> float:
-        return fn_value(FnKind.SIN, x, u, params, _PI_EPS)
+        return fn_value(FnKind.SIN, x, u, params)
 
     prev_x = None
     prev_val = None

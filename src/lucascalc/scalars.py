@@ -507,14 +507,6 @@ class LucasParams:
         return f"(s={self.s}, t={self.t})"
 
 
-def _normalize(value: Scalar, backend: Backend) -> Scalar:
-    if backend is Backend.RATIONAL:
-        return Fraction(value)
-    if backend is Backend.COMPLEX:
-        return _tidy_complex(value)
-    return value
-
-
 def make_params(s: Scalar, t: Scalar) -> LucasParams:
     """Build parameters from (s, t); both must be nonzero and share a backend.
 
@@ -523,8 +515,8 @@ def make_params(s: Scalar, t: Scalar) -> LucasParams:
     that need roots raise RootsUnavailable.
     """
     backend = common_backend(s, t)
-    s = _normalize(s, backend)
-    t = _normalize(t, backend)
+    s = promote(s, backend)
+    t = promote(t, backend)
     if s == 0 or t == 0:
         raise ZeroParameter("both s and t must be nonzero")
     disc = s * s + 4 * t
@@ -554,14 +546,14 @@ def params_from_roots(phi: Scalar, phi_prime: Scalar) -> LucasParams:
     s = phi + phi', t = -phi*phi'; rejects pairs giving s = 0 or t = 0.
     """
     backend = common_backend(phi, phi_prime)
-    phi = _normalize(phi, backend)
-    phi_prime = _normalize(phi_prime, backend)
+    phi = promote(phi, backend)
+    phi_prime = promote(phi_prime, backend)
     s = phi + phi_prime
     t = -(phi * phi_prime)
     if s == 0 or t == 0:
         raise ZeroParameter("root pair yields zero s or t")
     diff = phi - phi_prime
-    return LucasParams(_normalize(s, backend), _normalize(t, backend), diff * diff, phi, phi_prime, backend)
+    return LucasParams(promote(s, backend), promote(t, backend), diff * diff, phi, phi_prime, backend)
 
 
 def promote_params(params: LucasParams, backend: Backend) -> LucasParams:

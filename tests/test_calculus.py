@@ -189,10 +189,11 @@ class TestIntegral:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_non_contracting_nodes(self):
-        # s = 1, t = -1 has complex roots of equal magnitude
-        p = make_params(1.0, -1.0)
-        with pytest.raises(NonContractingNodes):
-            integral_value(lambda x: x, 0.0, 1.0, p)
+        # complex conjugate roots have equal magnitude; at t = -2.5 (roots 0.5 ± 1.5i)
+        # |phi' / phi| rounds to 0.9999999999999999 and used to pass for contracting
+        for t in (-1.0, -2.5):
+            with pytest.raises(NonContractingNodes):
+                integral_value(lambda x: x, 0.0, 1.0, make_params(1.0, t))
 
     def test_exact_backend_rejected(self):
         p = params_from_roots(F(2), F(-1))

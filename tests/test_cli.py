@@ -6,6 +6,7 @@ import io
 import json
 import re
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -85,6 +86,16 @@ class TestSeq:
         code, out, _ = run_cli(capsys, "seq", *argv, "--n", "4", "--exact", "--format", "json")
         assert code == 0
         assert len(json.loads(out)) == 5
+
+    @pytest.mark.parametrize("option", ["--s", "--t"])
+    @pytest.mark.parametrize("bad", ["1/0", "abc", "inf"])
+    def test_exact_parse_failure_names_the_option(self, capsys, option, bad):
+        values = {"--s": "1", "--t": "1", option: bad}
+        argv = [f"{name}={text}" for name, text in values.items()]
+        code, out, err = run_cli(capsys, "seq", "--exact", *argv, "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert f"error: {option} expects a finite number or p/q, got {bad!r}" in err
 
     def test_negative_n_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "seq", "--s", "1", "--t", "1", "--n", "-1")
@@ -424,6 +435,17 @@ class TestIntegrate:
             capsys, "integrate", "--poly", "0,1", "--s", "1", "--t", "-1", "--a", "0", "--b", "1"
         )
         assert code == 3
+
+    def test_equal_modulus_roots_exit_3_at_once(self, capsys):
+        # roots 0.5 ± 1.5i: the node series used to run its 10^6-term budget first
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "integrate", "--poly", "0,1", "--s", "1", "--t", "-2.5", "--a", "0", "--b", "1"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "neither root ratio contracts" in err
 
     def test_bad_poly_exits_2(self, capsys):
         code, _, _ = run_cli(

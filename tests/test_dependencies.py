@@ -1,7 +1,8 @@
 """The package has no runtime dependencies: it declares none and imports none.
 
-Its modules use one another through public names only, and every
-third-party module the tests import is in the ``dev`` extra.
+Its modules use one another through public names only, every private
+module-level name is used in its module, and every third-party module the
+tests import is in the ``dev`` extra.
 """
 
 import ast
@@ -82,3 +83,58 @@ def test_modules_import_no_private_names_from_each_other():
             if internal:
                 private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_functions_build_no_rational_rows():
+    # deformed.deformed_row owns the rows' integer parts; functions reads no Fraction
+    path = Path(lucascalc.__file__).resolve().parent / "functions.py"
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "Fraction":
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "lucasnomial_parts":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Attribute) and node.attr in {"numerator", "denominator", "RATIONAL"}:
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name == "Fraction"]
+    assert found == []
+
+
+def test_every_private_module_name_is_used_in_its_module():
+    # a helper or constant that a deletion leaves behind is dead code; a function
+    # registered by a decorator of its module counts as used
+    package = Path(lucascalc.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            private = [name for name in names if name.startswith("_") and not name.startswith("__")]
+            defined.update((name, node) for name in private)
+        registered = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                for deco in node.decorator_list:
+                    func = deco.func if isinstance(deco, ast.Call) else deco
+                    if isinstance(func, ast.Name) and func.id in defined:
+                        registered.add(node.name)
+        for name, node in defined.items():
+            own = {id(n) for n in ast.walk(node)}
+            used = name in registered or any(
+                isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+                and id(n) not in own
+                for n in ast.walk(tree)
+            )
+            if not used:
+                unused.append(f"{path.name}: {name}")
+    assert unused == []
