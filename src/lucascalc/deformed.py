@@ -46,11 +46,8 @@ class DeformedBinomial:
 
 
 def _rational_parts(n: int, u_weights: Weights, v_weights: Weights, params: LucasParams) -> tuple:
-    """Integer numerators and denominators of the rational row entries, k = 0..n.
-
-    Entry k is the Lucasnomial kernel's numerator times the weights'
-    numerators over its denominator times the weights' denominators.
-    """
+    """Integer numerators and denominators of the rational row's entries, k = 0..n:
+    the Lucasnomial kernel's parts times the weights' parts."""
     nums, dens = params.cache.lucasnomial_parts(n, n)
     us = [w.as_integer_ratio() for w in map(u_weights, range(n, -1, -1))]
     vs = [w.as_integer_ratio() for w in map(v_weights, range(n + 1))]

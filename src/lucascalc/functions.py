@@ -336,7 +336,9 @@ def binomial_series2(
         raise PoleAtOrigin(f"{kind.value} has no bivariate series form")
     common_backend(u, v, params.s)
     first, step, alternating = _PRIMARY[kind]
-    u_weights, v_weights = PowerWeights(u), PowerWeights(v)
+    # every row reads its weights entry by entry: list lookups cost less than PowerWeights calls
+    u_weights = list(map(PowerWeights(u), range(order + 1))).__getitem__
+    v_weights = list(map(PowerWeights(v), range(order + 1))).__getitem__
     out: dict[tuple[int, int], Scalar] = {}
     for j, n in enumerate(range(first, order + 1, step)):
         fact = params.cache.factorial(n)
