@@ -32,6 +32,8 @@ EXIT_NO_ROOT = 4
 
 # the most rows one ``table`` call evaluates; a larger grid exits 2
 _MAX_TABLE_ROWS = 100_000
+# the parse error of every scalar option, ``seq --exact``'s included
+_NOT_A_NUMBER = "{} expects a finite number or p/q, got {!r}"
 
 
 def _number(option: str, text: str) -> float:
@@ -41,12 +43,8 @@ def _number(option: str, text: str) -> float:
     except (ValueError, ZeroDivisionError, OverflowError):
         value = math.nan
     if not math.isfinite(value):
-        raise _not_a_number(option, text)
+        raise ValueError(_NOT_A_NUMBER.format(option, text))
     return value
-
-
-def _not_a_number(option: str, text: str) -> ValueError:
-    return ValueError(f"{option} expects a finite number or p/q, got {text!r}")
 
 
 def _positive(option: str, text: str) -> float:
@@ -97,7 +95,7 @@ def _cmd_seq(args) -> int:
             try:
                 exact.append(Fraction(text))
             except (ValueError, ZeroDivisionError):
-                raise _not_a_number(option, text) from None
+                raise ValueError(_NOT_A_NUMBER.format(option, text)) from None
         params = make_params(*exact)
     else:
         params = make_params(_number("--s", args.s), _number("--t", args.t))

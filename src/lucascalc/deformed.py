@@ -45,15 +45,22 @@ class DeformedBinomial:
     coeffs: tuple
 
 
-def _rational_parts(n: int, u_weights: Weights, v_weights: Weights, params: LucasParams) -> tuple:
-    """Integer numerators and denominators of the rational row's entries, k = 0..n:
-    the Lucasnomial kernel's parts times the weights' parts."""
+def _rational_parts(
+    n: int, u_weights: Weights, v_weights: Weights, params: LucasParams, scale: Scalar = 1
+) -> tuple:
+    """Integer numerators and denominators of the rational row's entries times scale, k = 0..n.
+
+    Each is the Lucasnomial kernel's part times the two weights' and the scale's parts.
+    """
     nums, dens = params.cache.lucasnomial_parts(n, n)
-    us = [w.as_integer_ratio() for w in map(u_weights, range(n, -1, -1))]
-    vs = [w.as_integer_ratio() for w in map(v_weights, range(n + 1))]
-    nums = [num * a * b for num, (a, _), (b, _) in zip(nums, us, vs)]
-    dens = [den * p * q for den, (_, p), (_, q) in zip(dens, us, vs)]
-    return nums, dens
+    p, q = scale.as_integer_ratio()
+    out_nums, out_dens = [], []
+    for k, (num, den) in enumerate(zip(nums, dens)):
+        a, c = u_weights(n - k).as_integer_ratio()
+        b, d = v_weights(k).as_integer_ratio()
+        out_nums.append(num * a * b * p)
+        out_dens.append(den * c * d * q)
+    return out_nums, out_dens
 
 
 def deformed_row(
@@ -72,9 +79,8 @@ def deformed_row(
         nums, _ = params.cache.lucasnomial_parts(n, n)
         row = [c * u_weights(n - k) * v_weights(k) for k, c in enumerate(nums)]
         return row if scale is None else [c * scale for c in row]
-    nums, dens = _rational_parts(n, u_weights, v_weights, params)
-    p, q = (1, 1) if scale is None else (scale.numerator, scale.denominator)
-    return [Fraction(num * p, den * q) for num, den in zip(nums, dens)]
+    parts = _rational_parts(n, u_weights, v_weights, params, 1 if scale is None else scale)
+    return list(map(Fraction, *parts))
 
 
 def row_value(
