@@ -48,10 +48,7 @@ class DeformedBinomial:
 def _rational_parts(
     n: int, u_weights: Weights, v_weights: Weights, params: LucasParams, scale: Scalar = 1
 ) -> tuple:
-    """Integer numerators and denominators of the rational row's entries times scale, k = 0..n.
-
-    Each is the Lucasnomial kernel's part times the two weights' and the scale's parts.
-    """
+    """Integer numerators and denominators of the rational row entries times scale, k = 0..n."""
     nums, dens = params.cache.lucasnomial_parts(n, n)
     p, q = scale.as_integer_ratio()
     out_nums, out_dens = [], []
