@@ -190,7 +190,7 @@ class TestIntegral:
 
     def test_non_contracting_nodes(self):
         # complex conjugate roots have equal magnitude; at t = -2.5 (roots 0.5 ± 1.5i)
-        # |phi' / phi| rounds to 0.9999999999999999 and used to pass for contracting
+        # |phi' / phi| rounds to 0.9999999999999999, which must not count as contracting
         for t in (-1.0, -2.5):
             with pytest.raises(NonContractingNodes):
                 integral_value(lambda x: x, 0.0, 1.0, make_params(1.0, t))
