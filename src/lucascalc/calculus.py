@@ -128,7 +128,9 @@ def integral_value(
     contracting family can converge, whichever printed condition a source
     attaches to it).  Partial sums stop once the geometric tail bound drops
     below eps relative to the accumulated scale; a non-finite partial sum
-    raises NonConvergent at once.
+    raises NonConvergent at once.  As the scale is at least max(1, |total|), a
+    ratio whose bound at the budget's last term is 2 eps or more (eps plus room
+    for rounding) can never stop the sum, and raises NonConvergent before it.
     """
     if params.backend is not Backend.COMPLEX:
         raise NonContractingNodes("the node-series integral runs on the float backend")
@@ -137,6 +139,8 @@ def integral_value(
     lead, other, ratio = _node_family(params)
     prefactor = lead - other
     rmag = magnitude(ratio)
+    if magnitude(prefactor) * rmag**_MAX_TERMS / (magnitude(lead) * (1.0 - rmag)) >= 2 * eps:
+        raise NonConvergent(f"node ratio modulus {rmag!r} is too close to 1 for a {_MAX_TERMS}-term sum")
     total = 0.0
     node = 1.0 / lead
     scale = 1.0

@@ -5,8 +5,9 @@ Every float-valued argument, ``--poly``'s coefficients, ``--eps`` and
 ``--xmax`` included, goes through ``_number`` (a finite float or p/q).  A
 command writes its output or raises; ``main`` alone reports a failure and picks
 the exit code: 0 success, 2 usage or parse failure, 3 domain or numeric error
-(an infinite quotient value, an integral whose partial sums overflow, an exact
-value too long to print, a failing ``verify`` suite), 4 no root found.
+(an infinite quotient value, an integral that overflows or whose node ratio is
+too close to 1, an exact value too long to print, a failing ``verify`` suite),
+4 no root found.
 """
 
 from __future__ import annotations
@@ -100,10 +101,12 @@ def _cmd_seq(args) -> int:
     else:
         params = make_params(_number("--s", args.s), _number("--t", args.t))
     term = lucas_v if args.companion else lucas_u
-    rows = [{"k": k, "value": term(k, params)} for k in range(args.n + 1)]
-    for row in rows:
-        if not (args.exact or math.isfinite(row["value"])):
-            raise LucasError(f"term {row['k']} overflows the float range; try --exact")
+    rows = []
+    for k in range(args.n + 1):
+        value = term(k, params)
+        if not (args.exact or math.isfinite(value)):  # stop before building the rows past it
+            raise LucasError(f"term {k} overflows the float range; try --exact")
+        rows.append({"k": k, "value": value})
     _emit(rows, args.format, sys.stdout)
     return EXIT_OK
 

@@ -67,19 +67,6 @@ class FnKind(str, enum.Enum):
     CSCH = "csch"
 
 
-#: kinds whose series expansion exists (no pole at the origin)
-SERIES_KINDS = {
-    FnKind.EXP,
-    FnKind.SIN,
-    FnKind.COS,
-    FnKind.TAN,
-    FnKind.SEC,
-    FnKind.SINH,
-    FnKind.COSH,
-    FnKind.TANH,
-    FnKind.SECH,
-}
-
 # primary kinds: (first degree, degree step, alternating sign?)
 _PRIMARY = {
     FnKind.EXP: (0, 1, False),
@@ -101,13 +88,20 @@ _QUOTIENTS = {
     FnKind.CSCH: (None, FnKind.SINH),
 }
 
+#: kinds whose series expansion exists: the primary kinds and the quotients over
+#: a denominator that starts at degree 0 (one over sin or sinh has a pole at the origin)
+SERIES_KINDS = set(_PRIMARY) | {
+    kind for kind, (_, denominator) in _QUOTIENTS.items() if _PRIMARY[denominator][0] == 0
+}
+
 _GROWTH_LIMIT = 8
 _SMALL_RUN = 3
 _MAX_VALUE_TERMS = 512
 
-# find_pi_u: scan step, bisection width
+# find_pi_u: scan step, bisection width, and the most scan points one call takes
 _PI_SCAN_STEP = 0.05
 _PI_BISECT_TOL = 1e-13
+_PI_MAX_SCAN_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -425,18 +419,19 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
     bisect it to a width of 1e-13.
 
     Raises NoRootFound when no sign change appears before x_max or before
-    the series starts diverging.
+    the series starts diverging, and ValueError for an x_max past the scan
+    cap of 100,000 points (5,000).
     """
     if params.backend is not Backend.COMPLEX:
         raise NoRootFound("root scanning runs on the float backend")
+    if x_max > _PI_MAX_SCAN_POINTS * _PI_SCAN_STEP:
+        raise ValueError(f"x_max {x_max:g} is past the scan cap {_PI_MAX_SCAN_POINTS * _PI_SCAN_STEP:g}")
 
     def s(x: float) -> float:
         return fn_value(FnKind.SIN, x, u, params)
 
-    prev_x = None
-    prev_val = None
+    prev_x = prev_val = None
     x = _PI_SCAN_STEP
-    bracket = None
     while x <= x_max + 1e-12:
         try:
             val = s(x)
@@ -445,14 +440,12 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
         if val == 0.0:
             return PiU(params, u, x, 0.0)
         if prev_val is not None and (val < 0) != (prev_val < 0):
-            bracket = (prev_x, x)
             break
         prev_x, prev_val = x, val
         x += _PI_SCAN_STEP
-    if bracket is None:
+    else:
         raise NoRootFound(f"no sign change of sin on (0, {x_max}]")
-    lo, hi = bracket
-    f_lo = s(lo)
+    lo, hi, f_lo = prev_x, x, prev_val
     while hi - lo > _PI_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = s(mid)

@@ -92,11 +92,7 @@ class GaussianRational:
         o = _parts(other)
         if o is None:
             return NotImplemented
-        a, b, d = o
-        sd = self._d
-        if d == sd:
-            return _reduced(self._a + a, self._b + b, d)
-        return _reduced(self._a * d + a * sd, self._b * d + b * sd, sd * d)
+        return _sum(self._a, self._b, self._d, *o)
 
     __radd__ = __add__
 
@@ -104,19 +100,13 @@ class GaussianRational:
         o = _parts(other)
         if o is None:
             return NotImplemented
-        a, b, d = o
-        sd = self._d
-        if d == sd:
-            return _reduced(self._a - a, self._b - b, d)
-        return _reduced(self._a * d - a * sd, self._b * d - b * sd, sd * d)
+        return _sum(self._a, self._b, self._d, -o[0], -o[1], o[2])
 
     def __rsub__(self, other):
         o = _parts(other)
         if o is None:
             return NotImplemented
-        a, b, d = o
-        sd = self._d
-        return _reduced(a * sd - self._a * d, b * sd - self._b * d, d * sd)
+        return _sum(*o, -self._a, -self._b, self._d)
 
     def __mul__(self, other):
         o = _parts(other)
@@ -206,6 +196,13 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     if g == 1:
         return _triple(a, b, d)
     return _triple(a // g, b // g, d // g)
+
+
+def _sum(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianRational:
+    """(a1+b1 i)/d1 + (a2+b2 i)/d2 for d1, d2 > 0; equal denominators skip the cross products."""
+    if d1 == d2:
+        return _reduced(a1 + a2, b1 + b2, d1)
+    return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
 
 def _quotient(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianRational:

@@ -92,20 +92,19 @@ class TruncatedSeries:
             raise BackendMismatch("series backends differ")
 
     def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_backend(other)
-        if self.order != other.order:
-            raise OrderMismatch("addition requires equal truncation orders")
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.backend)
+        return self._elementwise(other, add)
 
     def __sub__(self, other):
+        return self._elementwise(other, sub)
+
+    def _elementwise(self, other, op) -> "TruncatedSeries":
+        """self op other, one scalar op per coefficient."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_backend(other)
         if self.order != other.order:
-            raise OrderMismatch("subtraction requires equal truncation orders")
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.backend)
+            raise OrderMismatch("addition and subtraction require equal truncation orders")
+        return TruncatedSeries(tuple(map(op, self.coeffs, other.coeffs)), self.backend)
 
     def __neg__(self):
         return TruncatedSeries(tuple(-a for a in self.coeffs), self.backend)

@@ -139,6 +139,14 @@ class TestSeriesOperators:
         for var in (0, 1):
             assert derivative_series2(antiderivative_series2(G, p, var), p, var) == G
 
+    @pytest.mark.parametrize("var", [0, 1])
+    def test_bivariate_antiderivative_vanishing_factor(self, var):
+        p = make_params(F(1), F(-1))  # {3} = 0
+        G = TruncatedSeries2({(2, 0) if var == 0 else (0, 2): F(1)}, 4, RAT)
+        with pytest.raises(VanishingFactor) as err:
+            antiderivative_series2(G, p, var)
+        assert err.value.index == 3
+
     @pytest.mark.parametrize("operator", [derivative_series2, antiderivative_series2])
     @pytest.mark.parametrize("var", [2, -1, 3])
     def test_bivariate_var_outside_x_and_y_rejected(self, operator, var):
@@ -199,6 +207,18 @@ class TestIntegral:
         p = params_from_roots(F(2), F(-1))
         with pytest.raises(NonContractingNodes):
             integral_value(lambda x: x, F(0), F(1), p)
+
+    def test_ratio_too_close_to_one_stops_before_the_first_term(self):
+        # |ratio| = 0.99999999293: even the bound at term 10^6 stays far above eps
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 8.0 * x
+
+        with pytest.raises(NonConvergent, match="too close to 1"):
+            integral_value(f, 0.0, 3 / 7, make_params(1e-8, 2.0))
+        assert calls == []
 
     def test_non_finite_partial_sum_stops_at_once(self):
         # b * f(b * node) = 1e10 * 1e308 overflows on the first node; the loop

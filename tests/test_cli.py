@@ -4,7 +4,9 @@ import ast
 import csv
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
@@ -604,3 +606,31 @@ class TestIntegralOverflow:
         assert code == 3
         assert out == ""
         assert "not finite" in err
+
+
+class TestBoundedWork:
+    """Valid inputs that used to run for seconds, hang or grow memory with --n."""
+
+    ENV = {**os.environ, "PYTHONPATH": str(Path(lucascalc.cli.__file__).resolve().parent.parent)}
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # root ratio modulus 0.99999999293: no term of a 10^6-term sum can meet eps
+            ("integrate --poly=1e-8,8 --s=1e-8 --t=2 --a=0 --b=3/7", 3),
+            # 2e7 scan points; past about 4.5e14 the scan step no longer moves x
+            ("piu --s 1 --t 1 --u 0 --xmax 1e6", 2),
+            ("piu --s 1 --t 1 --u 1e-300 --xmax 1e300", 2),
+            # term 807 overflows; the rows past it used to be built first
+            ("seq --s 2 --t 1 --n 1000000", 3),
+        ],
+    )
+    def test_exits_at_once(self, argv, code):
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "lucascalc.cli", *argv.split()],
+            capture_output=True, text=True, timeout=5, env=self.ENV,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == code, done.stderr
+        assert done.stdout == ""

@@ -2,10 +2,12 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import lucascalc.functions
 from lucascalc import (
     Backend,
     BackendMismatch,
@@ -16,6 +18,7 @@ from lucascalc import (
     MultinomialWeights,
     NegativeNormalizer,
     NoRootFound,
+    PiU,
     PoleAtOrigin,
     PowerWeights,
     SERIES_KINDS,
@@ -90,6 +93,9 @@ class TestSeries:
         sin = fn_series(SIN, u, FIB, 10)
         sec = fn_series(SEC, u, FIB, 10)
         assert tan == sin * sec
+
+    def test_series_kinds_are_the_kinds_without_a_pole(self):
+        assert SERIES_KINDS == set(FnKind) - {COT, CSC, FnKind.COTH, FnKind.CSCH}
 
     def test_pole_kinds_have_no_series(self):
         for kind in (COT, CSC, FnKind.COTH, FnKind.CSCH):
@@ -554,6 +560,48 @@ class TestPiU:
                 assert (val < 0) == (prev < 0)
             prev = val
             x += 0.01
+
+    # the first three scan points, accumulated as the scan does
+    X1 = 0.05
+    X2 = X1 + 0.05
+    X3 = X2 + 0.05
+
+    @staticmethod
+    def _fake_sine(monkeypatch, sine):
+        monkeypatch.setattr(lucascalc.functions, "fn_value", lambda kind, x, u, params: sine(x))
+
+    def test_exact_zero_at_a_scan_point(self, monkeypatch):
+        self._fake_sine(monkeypatch, lambda x: 0.0 if x > 0.12 else 1.0)
+        p = make_params(1.0, 1.0)
+        assert find_pi_u(p, 1.0) == PiU(p, 1.0, self.X3, 0.0)
+
+    def test_exact_zero_at_a_bisection_midpoint(self, monkeypatch):
+        # the sign changes on (X2, X3); the second midpoint is the zero itself
+        zero = 0.5 * (self.X2 + 0.5 * (self.X2 + self.X3))
+        self._fake_sine(monkeypatch, lambda x: zero - x)
+        p = make_params(1.0, 1.0)
+        assert find_pi_u(p, 1.0) == PiU(p, 1.0, zero, 0.0)
+
+    def test_no_point_is_evaluated_twice(self, monkeypatch):
+        # the bracket's low end reuses the scan's value of the sine there
+        seen = Counter()
+        sine = lucascalc.functions.fn_value
+
+        def counting(kind, x, u, params):
+            seen[x] += 1
+            return sine(kind, x, u, params)
+
+        monkeypatch.setattr(lucascalc.functions, "fn_value", counting)
+        find_pi_u(make_params(1.0, 1.0), 1.0)
+        assert max(seen.values()) == 1
+
+    def test_scan_cap(self):
+        # 100,000 points of 0.05: a larger x_max is refused
+        p = make_params(1.0, 1.0)
+        assert find_pi_u(p, 1.0, x_max=5000.0) == find_pi_u(p, 1.0)
+        for x_max in (5000.01, 1e6, 1e300):
+            with pytest.raises(ValueError, match="5000"):
+                find_pi_u(p, 0.0, x_max=x_max)
 
 
 class TestParitySeries:

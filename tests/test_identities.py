@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import lucascalc.identities
 from lucascalc import (
     CATALOG,
     Backend,
@@ -220,6 +221,21 @@ class TestDeclarations:
         (failure,) = result.failures
         assert (failure.lhs, failure.rhs, failure.delta) == expected
         assert failure.params == {"n": "1"}
+
+    def test_piu_special_reports_an_unevaluable_value(self, monkeypatch):
+        # after the setup found the zero, a value that cannot be evaluated is a
+        # counterexample, not a rejected draw
+        def diverging(*args, **kwargs):
+            raise SeriesDiverging("probe")
+
+        monkeypatch.setattr(lucascalc.identities, "weighted_fn_value", diverging)
+        ids = ["piu-special-1", "piu-special-2", "piu-special-3"]
+        texts = [("sin diverged", "0"), ("cos diverged", ""), ("tan not evaluable", "0")]
+        for result, (lhs, rhs) in zip(run_suite(ids, trials=2, seed=3).results, texts):
+            assert result.status == "fail"
+            assert [(f.lhs, f.rhs, f.delta, f.params["n"]) for f in result.failures] == [
+                (lhs, rhs, None, "1")
+            ] * 2
 
     def test_pi_root_scans_to_the_setup_bound(self):
         # _pi_setup rejects zeros above 8, so the scan behind it stops at 8

@@ -219,6 +219,23 @@ class TestParams:
         r = promote_params(p, Backend.COMPLEX)
         assert r.phi == 2.0
 
+    def test_promote_params_to_the_same_backend_is_the_identity(self):
+        for p in (make_params(F(1), F(1)), make_params(GaussianRational(1, 2), GaussianRational(3)), make_params(1.0, 1.0)):
+            assert promote_params(p, p.backend) is p
+
+    def test_promote_params_without_exact_roots_rebuilds_from_s_and_t(self):
+        p = make_params(F(1), F(1))  # roots (1 ± sqrt 5)/2 are not rational
+        assert not p.roots_available
+        q = promote_params(p, Backend.COMPLEX)
+        assert (q.backend, q.s, q.t) == (Backend.COMPLEX, 1.0, 1.0)
+        assert q.phi == pytest.approx((1 + 5**0.5) / 2, rel=1e-15)
+
+    def test_promote_gaussian_params_to_floats(self):
+        q = promote_params(make_params(GaussianRational(3, 2), GaussianRational(F(1, 2))), Backend.COMPLEX)
+        assert q.backend is Backend.COMPLEX
+        assert (q.s, q.t) == (complex(3, 2), 0.5)
+        assert type(q.t) is float  # a real Gaussian becomes a float, not a complex
+
 
 class TestSequences:
     def test_fibonacci(self):
@@ -583,6 +600,15 @@ class TestGaussianTripleAgainstPairModel:
         with pytest.raises(TypeError):
             g ** F(1, 2)
         assert (g == 1 + 2j) is False
+
+    def test_subtraction_does_not_go_through_addition(self, monkeypatch):
+        # the tracer counts one Gaussian op per operator, so - must not call + as well
+        monkeypatch.setattr(GaussianRational, "__add__", None)
+        monkeypatch.setattr(GaussianRational, "__radd__", None)
+        g = GaussianRational(1, 2)
+        assert _agrees(g - F(1, 3), PairModel(F(2, 3), 2))
+        assert _agrees(F(1, 3) - g, PairModel(F(-2, 3), -2))
+        assert _agrees(g - GaussianRational(F(1, 2), 5), PairModel(F(1, 2), -3))
 
 
 class TestPascal:

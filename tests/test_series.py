@@ -67,6 +67,8 @@ class TestUnivariate:
     def test_add_requires_equal_orders(self):
         with pytest.raises(OrderMismatch):
             series(1, 2) + series(1, 2, 3)
+        with pytest.raises(OrderMismatch):
+            series(1, 2, 3) - series(1, 2)
 
     def test_mul_truncates_to_min_order(self):
         product = series(1, 1, 1) * series(1, 1, 1, 1, 1)
