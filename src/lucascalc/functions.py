@@ -21,6 +21,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .deformed import (
@@ -43,6 +44,7 @@ from .scalars import (
     Backend,
     LucasParams,
     Scalar,
+    backend_of,
     backend_one,
     backend_zero,
     common_backend,
@@ -98,9 +100,9 @@ _GROWTH_LIMIT = 8
 _SMALL_RUN = 3
 _MAX_VALUE_TERMS = 512
 
-# find_pi_u: scan step, bisection width, and the most scan points one call takes
+# find_pi_u: scan step, final bracket width, and the most scan points one call takes
 _PI_SCAN_STEP = 0.05
-_PI_BISECT_TOL = 1e-13
+_PI_BRACKET_TOL = 1e-13
 _PI_MAX_SCAN_POINTS = 100_000
 
 
@@ -119,6 +121,8 @@ def _adaptive_sum(terms, eps: float) -> EvalInfo:
     consecutive strictly growing term magnitudes raise SeriesDiverging, as
     do exhausting the term budget, a non-finite term or partial sum, and an
     OverflowError while drawing a term (float powers of a large u or x).
+    Float and complex terms are measured with the builtin ``abs``, which is
+    what :func:`magnitude` returns for them.
     """
     inf = math.inf
     total = None
@@ -130,9 +134,13 @@ def _adaptive_sum(terms, eps: float) -> EvalInfo:
     try:
         for term in terms:
             count += 1
-            total = term if total is None else total + term
-            mag = magnitude(term)
-            total_mag = magnitude(total)
+            if total is None:
+                total = term
+                size = abs if isinstance(term, (float, complex)) else magnitude
+            else:
+                total = total + term
+            mag = size(term)
+            total_mag = size(total)
             if not (mag < inf and total_mag < inf):  # inf or NaN: every later term looks small
                 raise SeriesDiverging("non-finite term or partial sum encountered")
             if total_mag > scale:
@@ -194,40 +202,58 @@ def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> Trunc
     return weighted_fn_series(kind, PowerWeights(u), params, order)
 
 
-def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams):
+def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, tables: tuple):
     """Incremental term generator; consecutive-term ratios avoid huge powers.
 
-    At x = 0 every term after the first vanishes, so only the first is drawn:
-    the ratios that would follow can overflow a float power of u or meet a
-    vanishing {k}.
+    ``tables[first]`` is the ratio table of (kind, u, params), which every
+    point of one :func:`fn_evaluator` shares.  Its step j takes term j to
+    term j+1 as the pair (divisor, power): for exp, with n = j + 1, {n} and
+    u^(n-1) as a running product; for the other kinds, with degree
+    m = first + 2j, {m+1}{m+2} and u**(2m+1).  A step is added only when a
+    sum first needs it, so a vanishing {k} raises VanishingFactor, and a
+    float power of u that overflows raises OverflowError, at the same term
+    as without the table, and neither leaves a step behind.  At x = 0 every
+    term after the first vanishes, so only the first is drawn.
     """
-    seq = params.cache.u
+    first, step, alternating = _PRIMARY[kind]
     one = backend_one(params.backend)
-    first, _, alternating = _PRIMARY[kind]
     term = x if first == 1 else one
+    yield term
     if x == 0:
-        yield term
         return
-    if kind is FnKind.EXP:
-        u_pow = one
-        for n in itertools.count(1):
+    steps = tables[first]
+    if step == 1:  # exp (kind is FnKind.EXP would cost an enum attribute lookup per sum)
+        for d, p in steps:
+            term = term * p * x / d
             yield term
+        add_step, seq = steps.append, params.cache.u
+        p = steps[-1][1] * u if steps else one
+        for n in itertools.count(len(steps) + 1):
             d = seq(n)
             if d == 0:
                 raise VanishingFactor(n)
-            term = term * u_pow * x / d
-            u_pow = u_pow * u
+            add_step((d, p))
+            term = term * p * x / d
+            yield term
+            p = p * u
     xx = x * x
-    for m in itertools.count(first, 2):
+    for d, p in steps:
+        factor = xx / d * p
+        term = term * (-factor if alternating else factor)
         yield term
+    add_step, seq = steps.append, params.cache.u
+    for m in itertools.count(first + 2 * len(steps), 2):
         d1 = seq(m + 1)
         if d1 == 0:
             raise VanishingFactor(m + 1)
         d2 = seq(m + 2)
         if d2 == 0:
             raise VanishingFactor(m + 2)
-        factor = xx / (d1 * d2) * u ** (2 * m + 1)
+        d, p = d1 * d2, u ** (2 * m + 1)
+        add_step((d, p))
+        factor = xx / d * p
         term = term * (-factor if alternating else factor)
+        yield term
 
 
 def _weighted_terms(kind: FnKind, weights: Weights, x: Scalar, params: LucasParams):
@@ -270,12 +296,34 @@ def _value_info(kind: FnKind, terms: Callable, eps: float, *args) -> EvalInfo:
     return EvalInfo(value, used)
 
 
+def fn_evaluator(
+    kind: FnKind, u: Scalar, params: LucasParams, eps: float = 1e-12
+) -> Callable[[Scalar], EvalInfo]:
+    """Adaptive point values of one kind at one (u, params, eps), as a callable of x.
+
+    The callable keeps a ratio table for each primary part of the kind (both
+    parts of a quotient) and shares it across every point it evaluates, so a
+    grid or a root search forms each ratio once.  Each call returns exactly
+    what :func:`fn_value_info` returns at that point.  The tables grow as it
+    is called, so one callable is not shared between threads.
+    """
+    # the tables by first degree: a quotient's two parts start at 0 and 1
+    return partial(_evaluate, kind, u, params, eps, ([], []))
+
+
+def _evaluate(
+    kind: FnKind, u: Scalar, params: LucasParams, eps: float, tables: tuple, x: Scalar
+) -> EvalInfo:
+    if not (backend_of(x) is backend_of(u) is params.backend):
+        common_backend(x, u, params.s)  # raises, naming the backends of all three
+    return _value_info(kind, _primary_value_terms, eps, x, u, params, tables)
+
+
 def fn_value_info(
     kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float = 1e-12
 ) -> EvalInfo:
     """Adaptive point evaluation, reporting the value and terms consumed."""
-    common_backend(x, u, params.s)
-    return _value_info(kind, _primary_value_terms, eps, x, u, params)
+    return fn_evaluator(kind, u, params, eps)(x)
 
 
 def fn_value(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float = 1e-12) -> Scalar:
@@ -416,19 +464,24 @@ class PiU:
 
 def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
     """Scan (0, x_max] in steps of 0.05 for the first sign change of sin and
-    bisect it to a width of 1e-13.
+    narrow that bracket to a width of 1e-13 by Illinois regula falsi.
 
-    Raises NoRootFound when no sign change appears before x_max or before
-    the series starts diverging, and ValueError for an x_max past the scan
-    cap of 100,000 points (5,000).
+    The root is the bracket end with the smaller |sin|, and the residual is
+    that |sin|; an exact zero of sin at a scan or refinement point is the
+    root itself.  One :func:`fn_evaluator` serves every point, so each ratio
+    of the sine series is formed once per search.  Raises NoRootFound when
+    no sign change appears before x_max or before the series starts
+    diverging, and ValueError for an x_max past the scan cap of 100,000
+    points (5,000).
     """
     if params.backend is not Backend.COMPLEX:
         raise NoRootFound("root scanning runs on the float backend")
     if x_max > _PI_MAX_SCAN_POINTS * _PI_SCAN_STEP:
         raise ValueError(f"x_max {x_max:g} is past the scan cap {_PI_MAX_SCAN_POINTS * _PI_SCAN_STEP:g}")
+    sine = fn_evaluator(FnKind.SIN, u, params)
 
     def s(x: float) -> float:
-        return fn_value(FnKind.SIN, x, u, params)
+        return sine(x).value
 
     prev_x = prev_val = None
     x = _PI_SCAN_STEP
@@ -445,16 +498,31 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
         x += _PI_SCAN_STEP
     else:
         raise NoRootFound(f"no sign change of sin on (0, {x_max}]")
-    lo, hi, f_lo = prev_x, x, prev_val
-    while hi - lo > _PI_BISECT_TOL:
-        mid = 0.5 * (lo + hi)
+    # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
+    # through the two ends, whose weights start as the sine there and halve
+    # at an end kept twice in a row, so both ends close in on the root.
+    lo, hi, f_lo, f_hi = prev_x, x, prev_val, val
+    w_lo, w_hi = f_lo, f_hi
+    kept = None
+    while hi - lo > _PI_BRACKET_TOL:
+        mid = hi - w_hi * (hi - lo) / (w_hi - w_lo)
+        # a secant point that rounds onto an end moves one float inside:
+        # beside an end already at the root, that closes the bracket
+        mid = min(max(mid, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        if not lo < mid < hi:  # adjacent floats, wider than the width rule past x = 512
+            break
         f_mid = s(mid)
         if f_mid == 0.0:
-            lo = hi = mid
-            break
+            return PiU(params, u, mid, 0.0)
         if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
+            lo, f_lo, w_lo = mid, f_mid, f_mid
+            if kept == "hi":
+                w_hi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    return PiU(params, u, root, abs(s(root)))
+            hi, f_hi, w_hi = mid, f_mid, f_mid
+            if kept == "lo":
+                w_lo *= 0.5
+            kept = "lo"
+    root, f_root = (hi, f_hi) if abs(f_hi) < abs(f_lo) else (lo, f_lo)
+    return PiU(params, u, root, abs(f_root))

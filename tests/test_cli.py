@@ -16,6 +16,7 @@ import jsonschema
 import pytest
 
 import lucascalc.cli
+from lucascalc import FnKind, LucasError, fn_value_info, make_params
 from lucascalc.cli import _MAX_TABLE_ROWS, main
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
@@ -273,6 +274,27 @@ class TestTable:
         rows = json.loads(out)
         assert len(rows) == 2
         assert all(row["value"] is None and row["diverged"] is True for row in rows)
+
+    @pytest.mark.parametrize("fn", ["sin", "cos", "exp", "tan"])
+    @pytest.mark.parametrize("u", ["0.7", "3"])
+    def test_rows_are_the_point_values(self, capsys, fn, u):
+        # the rows share one evaluator's ratio tables; each value is still
+        # fn_value_info's at that x, and a row diverges where a point call raises
+        code, out, _ = run_cli(
+            capsys, "table", "--fn", fn, "--s", "1", "--t", "1", "--u", u,
+            "--from", "-6", "--to", "6", "--step", "0.25", "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 49
+        params = make_params(1.0, 1.0)
+        for row in rows:
+            try:
+                value = fn_value_info(FnKind(fn), row["x"], float(u), params).value
+                assert row == {"x": row["x"], "value": value, "diverged": False}
+            except LucasError:
+                assert row == {"x": row["x"], "value": None, "diverged": True}
+        assert any(row["diverged"] for row in rows) == (u == "3")
 
     def test_csv_and_json_carry_identical_data(self, capsys):
         args = ("table", "--fn", "cos", "--s", "1", "--t", "1", "--u", "1/2",
@@ -634,3 +656,15 @@ class TestBoundedWork:
         assert time.perf_counter() - start < 1.0
         assert done.returncode == code, done.stderr
         assert done.stdout == ""
+
+    def test_root_past_512_is_found(self):
+        # past x = 512 adjacent floats lie more than 1e-13 apart, so a bracket
+        # narrowed to two of them is final; bisecting it further never returned
+        argv = "piu --s 1 --t 1 --u 0.015 --xmax 5000 --format json".split()
+        done = subprocess.run(
+            [sys.executable, "-m", "lucascalc.cli", *argv],
+            capture_output=True, text=True, timeout=10, env=self.ENV,
+        )
+        assert done.returncode == 0, done.stderr
+        root = json.loads(done.stdout)
+        assert 769.8 < root["piU"] < 769.81 and root["residual"] < 1e-10

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from lucascalc import (
     Backend,
     BackendMismatch,
     DivisionByZeroValue,
+    EvalInfo,
     FnKind,
     GaussianRational,
     LucasError,
@@ -32,6 +34,7 @@ from lucascalc import (
     deformed_zero_series,
     deformed_zero_value,
     find_pi_u,
+    fn_evaluator,
     fn_series,
     fn_value,
     fn_value_info,
@@ -167,6 +170,20 @@ class TestValues:
             binomial_value(EXP, 1e200, 0.5, 0.5, 0.5, p)
         with pytest.raises(SeriesDiverging, match="non-finite"):
             multinomial_value(SIN, (1e200,), 1e-200, p)
+
+    def test_sum_that_stops_before_an_overflowing_power(self):
+        # sin at u = 1e25 settles after four terms, whose ratios take u**3, u**7
+        # and u**11; the next, u**15, overflows.  The ratio table forms it only
+        # for a sum that reaches it, and keeps no step for it
+        p = make_params(1.0, 1.0)
+        assert fn_value_info(SIN, 1e-100, 1e25, p) == EvalInfo(1e-100, 4)
+        sine = fn_evaluator(SIN, 1e25, p)
+        assert sine(1e-100) == EvalInfo(1e-100, 4)
+        with pytest.raises(SeriesDiverging, match="non-finite"):
+            sine(1e-80)
+        with pytest.raises(SeriesDiverging, match="non-finite"):
+            fn_value_info(SIN, 1e-80, 1e25, p)
+        assert sine(1e-100) == EvalInfo(1e-100, 4)
 
     @pytest.mark.parametrize("kind", [EXP, SIN, COS, SINH, COSH])
     def test_origin_draws_only_the_first_term(self, kind):
@@ -401,11 +418,14 @@ class TestFloatPointDigest:
     """Float point evaluation far from the origin, where many terms are summed."""
 
     # sha256 over repr() of fn_value_info (value and terms used, or the error)
-    # at |x| in [0.05, 8] and |u| up to 0.95 |phi|, and of find_pi_u (value
-    # and residual, or the error) with x_max 8 and 10, computed before the
-    # float path was streamlined; every bit, term count and message must stay.
+    # at |x| in [0.05, 8] and |u| up to 0.95 |phi|, computed before the float
+    # path was streamlined; every bit, term count and message must stay.  And
+    # of find_pi_u (value and residual, or the error) with x_max 8 and 10,
+    # computed when Illinois regula falsi replaced bisection: all 35 roots
+    # moved, each closer to the mpmath root (largest distance 4.1e-14 before,
+    # 8.5e-16 after), and every error stayed.
     VALUE_SHA256 = "70e8501a1a00219194d5845056450b19b78d019a96c7d7ceb0b1d091fe3a6752"
-    PIU_SHA256 = "41a77b5b885ee474c2e5d8af280b64900e83772c48e821e98df7ad21bf5595fd"
+    PIU_SHA256 = "3c57def0982fc128a5c67fe9fd5fe7b1e1aed52beb685348a9719b720f5115df"
 
     def test_values_match_golden_digest(self):
         rng = random.Random(53)
@@ -568,32 +588,92 @@ class TestPiU:
 
     @staticmethod
     def _fake_sine(monkeypatch, sine):
-        monkeypatch.setattr(lucascalc.functions, "fn_value", lambda kind, x, u, params: sine(x))
+        """Make find_pi_u's evaluator return sine(x), and log every x it is called at."""
+        seen = []
+
+        def evaluator(kind, u, params, eps=1e-12):
+            def call(x):
+                seen.append(x)
+                return EvalInfo(sine(x), 1)
+
+            return call
+
+        monkeypatch.setattr(lucascalc.functions, "fn_evaluator", evaluator)
+        return seen
 
     def test_exact_zero_at_a_scan_point(self, monkeypatch):
         self._fake_sine(monkeypatch, lambda x: 0.0 if x > 0.12 else 1.0)
         p = make_params(1.0, 1.0)
         assert find_pi_u(p, 1.0) == PiU(p, 1.0, self.X3, 0.0)
 
-    def test_exact_zero_at_a_bisection_midpoint(self, monkeypatch):
-        # the sign changes on (X2, X3); the second midpoint is the zero itself
-        zero = 0.5 * (self.X2 + 0.5 * (self.X2 + self.X3))
-        self._fake_sine(monkeypatch, lambda x: zero - x)
+    def test_exact_zero_at_a_refinement_point(self, monkeypatch):
+        # the sign changes on (X2, X3), and the sine is zero everywhere
+        # strictly inside, so the first refinement point is a zero
+        seen = self._fake_sine(
+            monkeypatch, lambda x: 1.0 if x <= self.X2 else -1.0 if x >= self.X3 else 0.0
+        )
         p = make_params(1.0, 1.0)
-        assert find_pi_u(p, 1.0) == PiU(p, 1.0, zero, 0.0)
+        root = find_pi_u(p, 1.0)
+        assert seen[:3] == [self.X1, self.X2, self.X3] and len(seen) == 4
+        assert self.X2 < seen[3] < self.X3
+        assert root == PiU(p, 1.0, seen[3], 0.0)
+
+    @staticmethod
+    def _log_points(monkeypatch):
+        """Wrap find_pi_u's evaluator so that every x it is called at is logged."""
+        xs = []
+        evaluator = lucascalc.functions.fn_evaluator
+
+        def logging(kind, u, params, eps=1e-12):
+            sine = evaluator(kind, u, params, eps)
+
+            def call(x):
+                xs.append(x)
+                return sine(x)
+
+            return call
+
+        monkeypatch.setattr(lucascalc.functions, "fn_evaluator", logging)
+        return xs
 
     def test_no_point_is_evaluated_twice(self, monkeypatch):
-        # the bracket's low end reuses the scan's value of the sine there
-        seen = Counter()
-        sine = lucascalc.functions.fn_value
-
-        def counting(kind, x, u, params):
-            seen[x] += 1
-            return sine(kind, x, u, params)
-
-        monkeypatch.setattr(lucascalc.functions, "fn_value", counting)
-        find_pi_u(make_params(1.0, 1.0), 1.0)
+        # the bracket's ends reuse the scan's and the refinement's values
+        xs = self._log_points(monkeypatch)
+        root = find_pi_u(make_params(1.0, 1.0), 1.0)
+        seen = Counter(xs)
         assert max(seen.values()) == 1
+        assert seen[root.value] == 1
+
+    def test_refinement_takes_at_most_half_of_bisection_sums(self, monkeypatch):
+        # a count, not a time: over the roots the golden digest's draws find,
+        # Illinois regula falsi needs at most half of the 39 midpoints that
+        # bisecting a 0.05 bracket to 1e-13 takes
+        xs = self._log_points(monkeypatch)
+        rng = random.Random(59)
+        roots = refinement_sums = 0
+        for _ in range(40):
+            p = _pi_range_params(rng)
+            u = rng.uniform(0.2, 1.0) * min(1.0, 0.95 * abs(p.phi))
+            for x_max in (8.0, 10.0):
+                xs.clear()
+                try:
+                    find_pi_u(p, u, x_max=x_max)
+                except NoRootFound:
+                    continue
+                roots += 1
+                # the scan's points rise, and every refinement point lies below its last
+                refinement_sums += len(xs) - 1 - xs.index(max(xs))
+        assert roots == 35
+        assert refinement_sums <= roots * 39 / 2
+
+    def test_error_paths(self):
+        with pytest.raises(VanishingFactor, match=re.escape("sequence term {3} vanishes")):
+            find_pi_u(make_params(1.0, -1.0), 1.0)
+        mixed = "mixed scalar backends: ['complex-float', 'rational']"
+        with pytest.raises(BackendMismatch, match=re.escape(mixed)):
+            find_pi_u(make_params(1.0, 1.0), F(1))
+        with pytest.raises(NoRootFound, match="series diverges at x=0.05 before any sign change"):
+            find_pi_u(make_params(1.0, 1.0), 1e200)
 
     def test_scan_cap(self):
         # 100,000 points of 0.05: a larger x_max is refused
