@@ -64,8 +64,6 @@ def _jsonable(value):
             parts = value.as_triple() if isinstance(value, GaussianRational) else value.as_integer_ratio()
             digits = round(max(abs(p) for p in parts).bit_length() * math.log10(2))
             raise LucasError(f"an exact value of about {digits} digits is too long to print") from None
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
     return value
 
 

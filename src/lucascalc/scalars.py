@@ -348,14 +348,6 @@ def gaussian_sqrt(value: GaussianRational) -> Optional[GaussianRational]:
     return root if root * root == value else None
 
 
-def exact_sqrt(value: Scalar, backend: Backend) -> Optional[Scalar]:
-    if backend is Backend.RATIONAL:
-        return rational_sqrt(Fraction(value))
-    if backend is Backend.GAUSSIAN:
-        return gaussian_sqrt(value if isinstance(value, GaussianRational) else GaussianRational(value))
-    raise ValueError("exact_sqrt is only defined for exact backends")
-
-
 class SeqCache:
     """Grow-only cache of one parameter pair's sequences, factorials and Lucasnomials.
 
@@ -363,15 +355,16 @@ class SeqCache:
 
         U_n = S U_(n-1) + T U_(n-2),  U_0 = 0, U_1 = 1,   {n} = U_n / c^(n-1),
         V_n = S V_(n-1) + T V_(n-2),  V_0 = 2, V_1 = S,   <n> = V_n / c^n,
-        F_n = U_1 U_2 ... U_n,                          {n}! = F_n / c^T(n),
 
     since multiplying {n} = s {n-1} + t {n-2} through by c^(n-1) gives the
     first line.  Over the rationals c = lcm(den s, den t), so the numerators
     are integers, the recurrence needs no gcd, and each cached Fraction is
     built once from its numerator and power of c.  The Gaussian and float
     backends are the case c = 1: their numerator lists are the value lists.
-    The companion V_n is extended only when it is asked for.  The Lucasnomial
-    rows come from the same numerators (:meth:`lucasnomial_parts`).
+    The companion V_n is extended only when it is asked for, and the factorial
+    {n}! = {n-1}! {n} only when a factorial is read, so reading {n} costs no
+    product of n terms.  The Lucasnomial rows come from the same numerators
+    (:meth:`lucasnomial_parts`).
 
     Extension happens under a lock; lists are append-only so concurrent
     readers always observe a consistent prefix.
@@ -390,34 +383,29 @@ class SeqCache:
             self._scale = c
             self._scaled_s = s.numerator * (c // s.denominator)
             self._scaled_t = t.numerator * (c // t.denominator) * c
-            self._scaled_u, self._scaled_v, self._scaled_fact = [0, 1], [2, self._scaled_s], [1]
+            self._scaled_u, self._scaled_v = [0, 1], [2, self._scaled_s]
         else:
             self._scale = 1
             self._scaled_s, self._scaled_t = s, t
-            self._scaled_u, self._scaled_v, self._scaled_fact = self._u, self._v, self._fact
+            self._scaled_u, self._scaled_v = self._u, self._v
 
     def _extend(self, n: int, companion: bool = False) -> None:
         with self._lock:
             s, t = self._scaled_s, self._scaled_t
-            su, sv, sfact = self._scaled_u, self._scaled_v, self._scaled_fact
+            su, sv = self._scaled_u, self._scaled_v
             while len(su) <= n:
-                su.append(s * su[-1] + t * su[-2])
+                term = s * su[-1] + t * su[-2]
+                # set before the append: a reader that sees {k} must see a zero at k
+                if self._first_zero is None and term == 0:
+                    self._first_zero = len(su)
+                su.append(term)
             while companion and len(sv) <= n:
                 sv.append(s * sv[-1] + t * sv[-2])
-            while len(sfact) <= n:
-                k = len(sfact)
-                if self._first_zero is None and su[k] == 0:
-                    self._first_zero = k
-                sfact.append(sfact[-1] * su[k])
             if su is self._u:
                 return
             # over the rationals: one Fraction per new numerator, over its power of c
             c = self._scale
-            for values, nums, power in (
-                (self._u, su, lambda m: m - 1),
-                (self._v, sv, lambda m: m),
-                (self._fact, sfact, binom2),
-            ):
+            for values, nums, power in ((self._u, su, lambda m: m - 1), (self._v, sv, lambda m: m)):
                 while len(values) < len(nums):
                     m = len(values)
                     values.append(Fraction(nums[m], c ** power(m)))
@@ -433,11 +421,17 @@ class SeqCache:
         return self._v[n]
 
     def factorial(self, n: int) -> Scalar:
-        if n >= len(self._fact):
+        if n >= len(self._u):
             self._extend(n)
         if self._first_zero is not None and self._first_zero <= n:
             raise VanishingFactor(self._first_zero)
-        return self._fact[n]
+        fact = self._fact
+        if n >= len(fact):
+            with self._lock:
+                u = self._u
+                while len(fact) <= n:
+                    fact.append(fact[-1] * u[len(fact)])
+        return fact[n]
 
     def lucasnomial_parts(self, n: int, k: int) -> tuple[list, list]:
         """Numerators Ĉ(n,0..k) and denominators c^(j(n-j)) of C(n,0..k).
@@ -451,7 +445,7 @@ class SeqCache:
         only and mirror the rest, C(n,j) = C(n,n-j); floats run the whole
         product.  The first vanishing {j}, j <= k, raises DivisionByZeroFactor.
         """
-        if n >= len(self._fact):
+        if n >= len(self._u):
             self._extend(n)
         zero = self._first_zero
         if zero is not None and zero <= k:
@@ -460,7 +454,7 @@ class SeqCache:
         divide = operator.floordiv if backend is Backend.RATIONAL else operator.truediv
         last = k if backend is Backend.COMPLEX else min(k, n // 2)
         su, c = self._scaled_u, self._scale
-        nums, dens = [self._scaled_fact[0]], [1]  # the empty product, 1 in the numerators' type
+        nums, dens = [su[1]], [1]  # the empty product, 1 in the numerators' type
         for j in range(1, last + 1):
             nums.append(divide(nums[-1] * su[n - j + 1], su[j]))
             dens.append(c ** (j * (n - j)))
@@ -527,7 +521,7 @@ def make_params(s: Scalar, t: Scalar) -> LucasParams:
         phi = _tidy_complex((s + root) / 2)
         phi_prime = _tidy_complex((s - root) / 2)
     else:
-        root = exact_sqrt(disc, backend)
+        root = (rational_sqrt if backend is Backend.RATIONAL else gaussian_sqrt)(disc)
         if root is None:
             phi = phi_prime = None
         else:

@@ -82,11 +82,6 @@ class TruncatedSeries:
                 coeffs[n] = c
         return cls(coeffs, backend)
 
-    def coefficient(self, n: int) -> Scalar:
-        if not 0 <= n <= self.order:
-            raise OrderMismatch(f"coefficient index {n} exceeds order {self.order}")
-        return self.coeffs[n]
-
     def _check_backend(self, other):
         if self.backend is not other.backend:
             raise BackendMismatch("series backends differ")
@@ -106,12 +101,9 @@ class TruncatedSeries:
             raise OrderMismatch("addition and subtraction require equal truncation orders")
         return TruncatedSeries(tuple(map(op, self.coeffs, other.coeffs)), self.backend)
 
-    def __neg__(self):
-        return TruncatedSeries(tuple(-a for a in self.coeffs), self.backend)
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return self.scale(other)
+            return NotImplemented
         self._check_backend(other)
         order = min(self.order, other.order)
         a, b = self.coeffs[: order + 1], other.coeffs[: order + 1]
@@ -127,10 +119,8 @@ class TruncatedSeries:
                     out[i + j] = out[i + j] + x * y
         return TruncatedSeries(out, Backend.COMPLEX)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def scale(self, c: Scalar) -> "TruncatedSeries":
+        """Every coefficient times the scalar c, the one product of a series and a scalar."""
         if backend_of(c) is not self.backend:
             raise BackendMismatch("scalar backend differs from series backend")
         return TruncatedSeries(tuple(a * c for a in self.coeffs), self.backend)
@@ -220,10 +210,6 @@ class TruncatedSeries2:
         self.order = order
         self.backend = backend
 
-    @classmethod
-    def zero(cls, order: int, backend: Backend) -> "TruncatedSeries2":
-        return cls({}, order, backend)
-
     def coefficient(self, j: int, k: int) -> Scalar:
         return self.coeffs.get((j, k), backend_zero(self.backend))
 
@@ -274,7 +260,7 @@ class TruncatedSeries2:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries2):
-            return self.scale(other)
+            return NotImplemented
         self._check_backend(other)
         order = min(self.order, other.order)
         out: dict[tuple[int, int], Scalar] = {}
@@ -290,10 +276,8 @@ class TruncatedSeries2:
                 out[key] = a * b if prev is None else prev + a * b
         return TruncatedSeries2(out, order, self.backend)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def scale(self, c: Scalar) -> "TruncatedSeries2":
+        """Every coefficient times the scalar c, the one product of a series and a scalar."""
         if backend_of(c) is not self.backend:
             raise BackendMismatch("scalar backend differs from series backend")
         return TruncatedSeries2({key: v * c for key, v in self.coeffs.items()}, self.order, self.backend)

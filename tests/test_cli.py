@@ -18,6 +18,7 @@ import pytest
 import lucascalc.cli
 from lucascalc import FnKind, LucasError, fn_value_info, make_params
 from lucascalc.cli import _MAX_TABLE_ROWS, main
+from lucascalc.identities import Failure, IdentityOutcome, SuiteReport
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
 # values --eps and --xmax reject: they must be finite and positive
@@ -406,6 +407,30 @@ class TestVerify:
         assert re.fullmatch(r"\d+\.\d{4}", row[6])
 
 
+    def test_plain_report_prints_counterexamples(self, capsys, monkeypatch):
+        failure = Failure({"s": "1", "t": "1"}, "2", "3", None)
+        outcomes = [
+            IdentityOutcome("probe", "probe", "anchor", "fail", 4, 7, [failure] * 4, 0.0),
+            IdentityOutcome("pascal-1", "pascal", "anchor", "pass", 4, 7, [], 0.0),
+        ]
+        monkeypatch.setattr(lucascalc.cli, "run_suite", lambda *a, **k: SuiteReport(7, 4, 16, outcomes, 0.0))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "pascal-1")
+        assert code == 3
+        # at most three counterexamples per record
+        assert out.splitlines() == [
+            "FAIL probe (trials=4, 0.000s)",
+            *["     counterexample {'s': '1', 't': '1'} lhs=2 rhs=3"] * 3,
+            "PASS pascal-1 (trials=4, 0.000s)",
+            "suite: FAIL (1/2 identities, 0.0s, seed=7)",
+        ]
+
+
+def test_unknown_option_exits_2(capsys):
+    code, out, err = run_cli(capsys, "--bogus")
+    assert code == 2
+    assert out == "" and err.startswith("usage: lucascalc")
+
+
 class TestPiU:
     def test_fibonacci_output(self, capsys):
         code, out, _ = run_cli(
@@ -645,6 +670,8 @@ class TestBoundedWork:
             ("piu --s 1 --t 1 --u 1e-300 --xmax 1e300", 2),
             # term 807 overflows; the rows past it used to be built first
             ("seq --s 2 --t 1 --n 1000000", 3),
+            # {47} is past the print limit; the scaled {47}!, about 349,000 digits, used to be built first
+            ("seq --exact --s 1e-160 --t 1.7976931348623157e308 --n 47", 3),
         ],
     )
     def test_exits_at_once(self, argv, code):

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from lucascalc import (
+    IndexOutOfRange,
     MultinomialWeights,
     binom2,
     deformed_power_coeffs,
@@ -257,3 +258,25 @@ def direct_zero_oracle(p):
             * F(2) ** binom2(k2)
         )
     return total
+
+
+ROOTS = make_params(F(1), F(2))  # roots 2 and -1
+# each guard of the deformed layer that no other test reaches, by the call that trips it
+DEFORMED_GUARDS = {
+    "deformed_power_coeffs at -1": (lambda: deformed_power_coeffs(-1, F(1), F(2), ROOTS), IndexOutOfRange),
+    "deformed_power_value at -1": (
+        lambda: deformed_power_value(-1, F(1), F(1), F(1), F(2), ROOTS),
+        IndexOutOfRange,
+    ),
+    "deformed_zero at -1": (lambda: deformed_zero(-1, F(1), F(2), ROOTS), IndexOutOfRange),
+    "phi_product_power at -1": (lambda: phi_product_power(-1, F(1), F(1), ROOTS), IndexOutOfRange),
+    "multinomial_number at -1": (lambda: multinomial_number([F(1)], -1, ROOTS), IndexOutOfRange),
+    "no deformation parameter": (lambda: MultinomialWeights((), ROOTS), ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFORMED_GUARDS))
+def test_deformed_guards(name):
+    call, error = DEFORMED_GUARDS[name]
+    with pytest.raises(error):
+        call()

@@ -1,6 +1,7 @@
 """Function families: series coefficients, adaptive values, and the sine zero."""
 
 import hashlib
+import itertools
 import random
 import re
 from collections import Counter
@@ -695,3 +696,36 @@ class TestParitySeries:
         assert all(cos.coeffs[m] == 0 for m in range(1, 12, 2))
         assert all(tan.coeffs[m] == 0 for m in range(0, 12, 2))
         assert all(sec.coeffs[m] == 0 for m in range(1, 12, 2))
+
+
+# each guard of the function layer that no other test reaches, by the call that trips it
+FUNCTION_GUARDS = {
+    "tilde of a kind with no normalized form": (
+        lambda: tilde_value(EXP, 0.5, 1.0, make_params(1.0, 1.0)),
+        ValueError,
+        "no normalized form for exp",
+    ),
+    # complex s gives a complex deformed-zero cosine, which has no square root to divide by
+    "tilde with a complex normalizer": (
+        lambda: tilde_value(SIN, 1.0, 1.0, make_params(1 + 1j, 1 + 0j)),
+        NegativeNormalizer,
+        "deformed-zero cosine at 1.0 is",
+    ),
+    "pi_u on an exact backend": (
+        lambda: find_pi_u(FIB, F(1)),
+        NoRootFound,
+        "root scanning runs on the float backend",
+    ),
+    "a sum that never settles": (
+        lambda: lucascalc.functions._adaptive_sum(itertools.repeat(1.0), 1e-12),
+        SeriesDiverging,
+        "did not settle within the term budget",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTION_GUARDS))
+def test_function_guards(name):
+    call, error, text = FUNCTION_GUARDS[name]
+    with pytest.raises(error, match=re.escape(text)):
+        call()

@@ -12,15 +12,17 @@ import lucascalc.identities
 from lucascalc import (
     CATALOG,
     Backend,
+    GaussianRational,
     NoRootFound,
     SeriesDiverging,
     TruncatedSeries,
     TruncatedSeries2,
     UnknownIdentityId,
     make_params,
+    promote_series,
     run_suite,
 )
-from lucascalc.identities import _pi_root, _Reject
+from lucascalc.identities import _compare, _identity, _pi_root, _Reject, _resolve
 
 SAMPLER_BACKENDS = {
     "rational-roots": Backend.RATIONAL,
@@ -251,3 +253,22 @@ class TestDeclarations:
             run_suite(["pascal", "trig-d2"], trials=1, order=1)
         assert run_suite("exp-dk", trials=2, order=4).all_passed
         assert run_suite("pascal", trials=2, order=0).all_passed
+
+
+def test_duplicate_id_and_all_in_a_selection():
+    before = dict(CATALOG)
+    with pytest.raises(ValueError, match="^duplicate identity id pascal-1$"):
+        _identity("pascal-1", "pascal", "anchor", "series-exact", None)(None)
+    assert CATALOG == before
+    assert _resolve(["pascal", "all"]) == list(CATALOG.values())
+
+
+def test_compare_falls_back_to_repr_when_every_coefficient_agrees():
+    # equal values in two backends: the series differ, but no coefficient pair does
+    f = TruncatedSeries([F(1), F(2)], Backend.RATIONAL)
+    failure = _compare({}, f, promote_series(f, Backend.GAUSSIAN), 0.0)
+    assert failure.lhs == "TruncatedSeries(order=1, coeffs=(Fraction(1, 1), Fraction(2, 1)))"
+    assert failure.rhs.startswith("TruncatedSeries(order=1, coeffs=(GaussianRational(")
+    g = TruncatedSeries2({(0, 1): F(3)}, 2, Backend.RATIONAL)
+    failure = _compare({}, g, TruncatedSeries2({(0, 1): GaussianRational(3)}, 2, Backend.GAUSSIAN), 0.0)
+    assert (failure.lhs, failure.rhs) == ("TruncatedSeries2(order=2, terms=1)",) * 2

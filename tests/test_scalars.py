@@ -30,6 +30,7 @@ from lucascalc import (
     lucasnomial,
     lucasnomial_row,
     lucastorial,
+    magnitude,
     make_params,
     params_from_roots,
     promote,
@@ -643,3 +644,30 @@ class TestBinom2:
     def test_requires_integer(self):
         with pytest.raises(TypeError):
             binom2(F(1, 2))
+
+
+@pytest.mark.parametrize("call", [lucas_v, binet, lucastorial], ids=lambda f: f.__name__)
+def test_negative_index_rejected_by_every_sequence_function(call):
+    with pytest.raises(IndexOutOfRange):
+        call(-1, make_params(F(1), F(1)))
+
+
+def test_rarely_taken_scalar_branches():
+    g = GaussianRational(3, 4)
+    assert +g is g
+    assert magnitude(g) == 5.0 and magnitude(GaussianRational(0)) == 0.0
+    tidy = promote(complex(2, 0), Backend.COMPLEX)
+    assert tidy == 2.0 and type(tidy) is float
+    # the discriminant 4 + 3i has the square norm 25, but (4 + 5)/2 is no rational square
+    p = make_params(GaussianRational(2), GaussianRational(0, F(3, 4)))
+    assert p.disc == GaussianRational(4, 3) and not p.roots_available
+
+
+def test_reading_a_term_builds_no_factorial():
+    # {n}! has O(n^2) digits over the integers; a caller of {n} alone must not pay for it
+    p = make_params(F(1), F(1))
+    lucas_u(2000, p)
+    lucas_v(2000, p)
+    lucasnomial_row(40, p)
+    assert len(p.cache._fact) == 1
+    assert lucastorial(5, p) == 1 * 1 * 2 * 3 * 5 and len(p.cache._fact) == 6

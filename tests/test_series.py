@@ -182,3 +182,56 @@ class TestBivariate:
         a = TruncatedSeries2({(1, 1): F(1)}, 4, RAT)
         b = TruncatedSeries2({(1, 1): F(1), (3, 2): F(7)}, 5, RAT)
         assert a == b
+
+
+def bivariate(order=1, backend=RAT):
+    one = F(1) if backend is RAT else 1.0
+    return TruncatedSeries2({(0, 0): one}, order, backend)
+
+
+# each guard of the series classes that no other test reaches, by the call that trips it;
+# a scalar product is spelled .scale(c), so * with a scalar and unary - raise TypeError
+SERIES_GUARDS = {
+    "empty series": (lambda: TruncatedSeries([]), ValueError),
+    "mixed coefficients": (lambda: TruncatedSeries([F(1), 1.0]), BackendMismatch),
+    "series + scalar": (lambda: series(1, 2) + 1, TypeError),
+    "series * scalar": (lambda: series(1, 2) * 2, TypeError),
+    "scalar * series": (lambda: 2 * series(1, 2), TypeError),
+    "-series": (lambda: -series(1, 2), TypeError),
+    "dilate by another backend": (lambda: series(1, 2).dilate(0.5), BackendMismatch),
+    "truncate upward": (lambda: series(1, 2).truncate(2), OrderMismatch),
+    "mixed bivariate coefficients": (
+        lambda: TruncatedSeries2({(0, 0): F(1), (1, 0): 1.0}, 1, RAT),
+        BackendMismatch,
+    ),
+    "float bivariate + rational": (lambda: bivariate(1, Backend.COMPLEX) + bivariate(), BackendMismatch),
+    "float bivariate + other order": (
+        lambda: bivariate(1, Backend.COMPLEX) + bivariate(2, Backend.COMPLEX),
+        OrderMismatch,
+    ),
+    "exact bivariate - other order": (lambda: bivariate(1) - bivariate(2), OrderMismatch),
+    "bivariate + scalar": (lambda: bivariate() + 1, TypeError),
+    "bivariate - scalar": (lambda: bivariate() - 1, TypeError),
+    "bivariate * scalar": (lambda: bivariate() * 2, TypeError),
+    "scalar * bivariate": (lambda: 2 * bivariate(), TypeError),
+    "bivariate scale by another backend": (lambda: bivariate().scale(0.5), BackendMismatch),
+    "bivariate dilate by another backend": (lambda: bivariate().dilate(F(1), 0.5), BackendMismatch),
+    "diagonal at another backend": (lambda: bivariate().substitute_diagonal(0.5), BackendMismatch),
+    "outer of two backends": (
+        lambda: outer(series(1, 2), promote_series(series(1, 2), Backend.COMPLEX)),
+        BackendMismatch,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_GUARDS))
+def test_series_guards(name):
+    call, error = SERIES_GUARDS[name]
+    with pytest.raises(error):
+        call()
+
+
+def test_equality_across_types_and_backends_is_false():
+    f = series(1, 2)
+    assert f != 1 and f != promote_series(f, Backend.GAUSSIAN)
+    assert bivariate() != 1 and bivariate() != bivariate(1, Backend.COMPLEX)
