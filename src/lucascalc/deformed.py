@@ -171,6 +171,8 @@ class PowerWeights:
         self._rational = Fraction(u) if backend is Backend.RATIONAL else None
 
     def __call__(self, n: int) -> Scalar:
+        if n < 0:
+            raise IndexOutOfRange("n must be nonnegative")
         values = self._values
         if self._rational is not None:
             u = self._rational
@@ -245,6 +247,8 @@ class DeformedPowerWeights:
         self._values: list[Scalar] = []
 
     def __call__(self, n: int) -> Scalar:
+        if n < 0:
+            raise IndexOutOfRange("n must be nonnegative")
         values = self._values
         if len(values) <= n:
             common_backend(self.x, self.y, self.u, self.v, self.params.s)

@@ -114,8 +114,9 @@ class EvalInfo:
     terms_used: int
 
 
-def _adaptive_sum(terms, eps: float) -> EvalInfo:
-    """Sum terms until three consecutive magnitudes drop below eps * scale.
+def _adaptive_sum(terms, eps: float) -> tuple[Scalar, int]:
+    """Sum terms until three consecutive magnitudes drop below eps * scale,
+    and return the pair (sum, number of terms drawn).
 
     scale is the running maximum magnitude of the partial sums.  Eight
     consecutive strictly growing term magnitudes raise SeriesDiverging, as
@@ -149,7 +150,7 @@ def _adaptive_sum(terms, eps: float) -> EvalInfo:
             if mag <= tol:
                 small_run += 1
                 if small_run >= _SMALL_RUN:
-                    return EvalInfo(total, count)
+                    return total, count
             else:
                 small_run = 0
             if mag > prev_mag and mag > tol:
@@ -165,7 +166,7 @@ def _adaptive_sum(terms, eps: float) -> EvalInfo:
                 raise SeriesDiverging("series did not settle within the term budget")
     except OverflowError:
         raise SeriesDiverging("non-finite term or partial sum encountered") from None
-    return EvalInfo(total, count)
+    return total, count
 
 
 def weighted_fn_series(
@@ -202,17 +203,22 @@ def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> Trunc
     return weighted_fn_series(kind, PowerWeights(u), params, order)
 
 
-def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, tables: tuple):
+def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, tables: list):
     """Incremental term generator; consecutive-term ratios avoid huge powers.
 
-    ``tables[first]`` is the ratio table of (kind, u, params), which every
-    point of one :func:`fn_evaluator` shares.  Its step j takes term j to
-    term j+1 as the pair (divisor, power): for exp, with n = j + 1, {n} and
-    u^(n-1) as a running product; for the other kinds, with degree
-    m = first + 2j, {m+1}{m+2} and u**(2m+1).  A step is added only when a
-    sum first needs it, so a vanishing {k} raises VanishingFactor, and a
-    float power of u that overflows raises OverflowError, at the same term
-    as without the table, and neither leaves a step behind.  At x = 0 every
+    ``tables`` holds the ratio tables of (u, params) from
+    :meth:`SeqCache.value_tables`, which every kind and every point at that u
+    share: ``tables[first]`` for sin, cos and the hyperbolic kinds,
+    ``tables[2]`` for exp.  Step j takes term j to term j+1 as the pair
+    (divisor, power): for exp, with n = j + 1, {n} and u^(n-1) as a running
+    product; for the other kinds, with degree m = first + 2j, {m+1}{m+2} and
+    u**(2m+1).  A table is a tuple that a longer one replaces, so a sum reads
+    the one it found as a snapshot and forms each later step only when it
+    first needs it: a vanishing {k} raises VanishingFactor, and a float power
+    of u that overflows raises OverflowError, at the same term as without the
+    table, and neither leaves a step behind.  Each new step is offered by its
+    own index, counted on from the snapshot's length, never by the table's
+    length after the loop (:meth:`SeqCache.add_value_step`).  At x = 0 every
     term after the first vanishes, so only the first is drawn.
     """
     first, step, alternating = _PRIMARY[kind]
@@ -221,28 +227,30 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
     yield term
     if x == 0:
         return
-    steps = tables[first]
     if step == 1:  # exp (kind is FnKind.EXP would cost an enum attribute lookup per sum)
-        for d, p in steps:
+        known = tables[2]
+        for d, p in known:
             term = term * p * x / d
             yield term
-        add_step, seq = steps.append, params.cache.u
-        p = steps[-1][1] * u if steps else one
-        for n in itertools.count(len(steps) + 1):
+        add_step, seq = params.cache.add_value_step, params.cache.u
+        p = known[-1][1] * u if known else one
+        for n in itertools.count(len(known) + 1):
             d = seq(n)
             if d == 0:
                 raise VanishingFactor(n)
-            add_step((d, p))
+            add_step(tables, 2, n - 1, (d, p))
             term = term * p * x / d
             yield term
             p = p * u
+    known = tables[first]
     xx = x * x
-    for d, p in steps:
+    for d, p in known:
         factor = xx / d * p
         term = term * (-factor if alternating else factor)
         yield term
-    add_step, seq = steps.append, params.cache.u
-    for m in itertools.count(first + 2 * len(steps), 2):
+    add_step, seq = params.cache.add_value_step, params.cache.u
+    for j in itertools.count(len(known)):
+        m = first + 2 * j
         d1 = seq(m + 1)
         if d1 == 0:
             raise VanishingFactor(m + 1)
@@ -250,7 +258,7 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
         if d2 == 0:
             raise VanishingFactor(m + 2)
         d, p = d1 * d2, u ** (2 * m + 1)
-        add_step((d, p))
+        add_step(tables, first, j, (d, p))
         factor = xx / d * p
         term = term * (-factor if alternating else factor)
         yield term
@@ -281,16 +289,16 @@ def _value_info(kind: FnKind, terms: Callable, eps: float, *args) -> EvalInfo:
     is 1.  The terms of both parts add up.
     """
     if kind in _PRIMARY:
-        return _adaptive_sum(terms(kind, *args), eps)
+        return EvalInfo(*_adaptive_sum(terms(kind, *args), eps))
     numerator, denominator = _QUOTIENTS[kind]
-    den = _adaptive_sum(terms(denominator, *args), eps)
-    if den.value == 0:
+    den, den_used = _adaptive_sum(terms(denominator, *args), eps)
+    if den == 0:
         raise DivisionByZeroValue(f"{denominator.value} vanished in a quotient")
     if numerator is None:
-        value, used = 1 / den.value, den.terms_used
+        value, used = 1 / den, den_used
     else:
-        num = _adaptive_sum(terms(numerator, *args), eps)
-        value, used = num.value / den.value, num.terms_used + den.terms_used
+        num, num_used = _adaptive_sum(terms(numerator, *args), eps)
+        value, used = num / den, num_used + den_used
     if isinstance(value, (float, complex)) and not cmath.isfinite(value):
         raise DivisionByZeroValue(f"{kind.value} is not finite: {denominator.value} is too small")
     return EvalInfo(value, used)
@@ -301,14 +309,15 @@ def fn_evaluator(
 ) -> Callable[[Scalar], EvalInfo]:
     """Adaptive point values of one kind at one (u, params, eps), as a callable of x.
 
-    The callable keeps a ratio table for each primary part of the kind (both
-    parts of a quotient) and shares it across every point it evaluates, so a
-    grid or a root search forms each ratio once.  Each call returns exactly
-    what :func:`fn_value_info` returns at that point.  The tables grow as it
-    is called, so one callable is not shared between threads.
+    The callable binds the ratio tables of (u, params) when it is made, from
+    the one-entry slot on ``params.cache`` (:meth:`SeqCache.value_tables`),
+    so every kind, every point and every callable at the parameters' most
+    recent u share them, and a grid or a root search forms each ratio once.
+    Each call returns exactly what :func:`fn_value_info` returns at that
+    point, which is what fresh tables give, bit for bit.  The tables grow
+    under the cache's lock, so callables may be shared between threads.
     """
-    # the tables by first degree: a quotient's two parts start at 0 and 1
-    return partial(_evaluate, kind, u, params, eps, ([], []))
+    return partial(_evaluate, kind, u, params, eps, params.cache.value_tables(u))
 
 
 def _evaluate(

@@ -366,6 +366,10 @@ class SeqCache:
     product of n terms.  The Lucasnomial rows come from the same numerators
     (:meth:`lucasnomial_parts`).
 
+    One slot holds the point-value ratio tables of the most recent u
+    (:meth:`value_tables`), which grow under the same lock; what a step is,
+    ``functions._primary_value_terms`` alone knows.
+
     Extension happens under a lock; lists are append-only so concurrent
     readers always observe a consistent prefix.
     """
@@ -378,6 +382,7 @@ class SeqCache:
         self._u = [backend_zero(backend), one]
         self._v = [one + one, s]
         self._fact = [one]
+        self._value_slot: tuple = (None, None)
         if backend is Backend.RATIONAL:
             c = math.lcm(s.denominator, t.denominator)
             self._scale = c
@@ -432,6 +437,44 @@ class SeqCache:
                 while len(fact) <= n:
                     fact.append(fact[-1] * u[len(fact)])
         return fact[n]
+
+    def value_tables(self, u: Scalar) -> list:
+        """The point-value ratio tables of u, [even, odd, exp]: the even table
+        serves cos and cosh, the odd one sin and sinh.
+
+        The slot keeps the tables of the last u asked for, and a later u of the
+        same type that compares equal gets the same list.  A float or complex
+        u with a zero part gets fresh tables and leaves the slot alone: u = 0.0
+        and -0.0 compare equal, but the sign of a zero changes ``u ** k``.
+        """
+        slot = self._value_slot
+        if type(slot[0]) is type(u) and slot[0] == u:
+            return slot[1]
+        with self._lock:
+            slot = self._value_slot
+            if type(slot[0]) is type(u) and slot[0] == u:
+                return slot[1]
+            tables = [(), (), ()]
+            if isinstance(u, complex):
+                signed_zero = u.real == 0 or u.imag == 0
+            else:
+                signed_zero = isinstance(u, float) and u == 0
+            if not signed_zero:
+                self._value_slot = (u, tables)
+        return tables
+
+    def add_value_step(self, tables: list, which: int, index: int, step: tuple) -> None:
+        """Extend ``tables[which]`` from :meth:`value_tables` by step if index is its length.
+
+        A table is a tuple that a longer one replaces, so a reader holding it
+        keeps a snapshot.  Another thread may have added the same step since
+        the caller read the table; its value is the same, so it is not added
+        twice.
+        """
+        with self._lock:
+            steps = tables[which]
+            if len(steps) == index:
+                tables[which] = steps + (step,)
 
     def lucasnomial_parts(self, n: int, k: int) -> tuple[list, list]:
         """Numerators Ĉ(n,0..k) and denominators c^(j(n-j)) of C(n,0..k).

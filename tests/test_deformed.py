@@ -7,8 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 from lucascalc import (
+    DeformedPowerWeights,
+    DeformedZeroWeights,
     IndexOutOfRange,
     MultinomialWeights,
+    PowerWeights,
     binom2,
     deformed_power_coeffs,
     deformed_power_value,
@@ -261,6 +264,14 @@ def direct_zero_oracle(p):
 
 
 ROOTS = make_params(F(1), F(2))  # roots 2 and -1
+
+
+def _warm(weights):
+    """The weight family after a call at degree 3, so -1 would index its cache."""
+    weights(3)
+    return weights
+
+
 # each guard of the deformed layer that no other test reaches, by the call that trips it
 DEFORMED_GUARDS = {
     "deformed_power_coeffs at -1": (lambda: deformed_power_coeffs(-1, F(1), F(2), ROOTS), IndexOutOfRange),
@@ -272,6 +283,15 @@ DEFORMED_GUARDS = {
     "phi_product_power at -1": (lambda: phi_product_power(-1, F(1), F(1), ROOTS), IndexOutOfRange),
     "multinomial_number at -1": (lambda: multinomial_number([F(1)], -1, ROOTS), IndexOutOfRange),
     "no deformation parameter": (lambda: MultinomialWeights((), ROOTS), ValueError),
+    "warm PowerWeights at -1": (lambda: _warm(PowerWeights(F(2)))(-1), IndexOutOfRange),
+    "warm DeformedPowerWeights at -1": (
+        lambda: _warm(DeformedPowerWeights(F(1), F(2), F(1), F(2), ROOTS))(-1),
+        IndexOutOfRange,
+    ),
+    "warm DeformedZeroWeights at -1": (
+        lambda: _warm(DeformedZeroWeights(F(1), F(2), ROOTS))(-1),
+        IndexOutOfRange,
+    ),
 }
 
 

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import random
 import re
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction as F
 
@@ -455,6 +457,114 @@ class TestFloatPointDigest:
                     root = (root.value, root.residual)
                 digest.update(f"{x_max}:{root!r};".encode())
         assert digest.hexdigest() == self.PIU_SHA256
+
+
+def _bits(info) -> str:
+    """An outcome of :func:`_outcome` as text that tells every value apart, -0.0 from 0.0 too."""
+    if isinstance(info, str):
+        return info
+    return f"{type(info.value).__name__} {info.value!r} {info.terms_used}"
+
+
+def _fresh_bits(kind, x, u, s, t) -> str:
+    """The point value on new parameters, whose cache holds no ratio table yet."""
+    return _bits(_outcome(fn_value_info, kind, x, u, make_params(s, t)))
+
+
+G = GaussianRational
+COMPLEX_XS = (complex(-0.3, -0.0), complex(-0.0, -0.4))
+
+
+class TestSharedTables:
+    """Every point value at one (params, u) shares the ratio tables in the cache's slot."""
+
+    @pytest.mark.parametrize(
+        "s, t, us, xs",
+        [
+            (1.0, 1.0, (0.6, -1.2), (0.3, 2.5)),
+            # equal u whose zero parts differ in sign: u ** k keeps the sign, and
+            # at these complex x some kinds carry it into a zero part of the value
+            (-1.0, 2.0, (0.0, -0.0), (complex(0.3, -0.0), complex(-0.0, 2.0))),
+            (-1.0, 2.0, (-0.0, 0.0), (complex(0.3, -0.0), complex(-0.0, 2.0))),
+            (1.0, 1.0, (1 + 0j, complex(1, -0.0), -1 + 0j, complex(-1, -0.0)), COMPLEX_XS),
+            (1.0, 1.0, (complex(-1, -0.0), -1 + 0j, complex(1, -0.0), 1 + 0j), COMPLEX_XS),
+            # an int and a Fraction u of one value are not the same u
+            (F(1), F(1), (F(1, 2), 1, F(1)), (F(1, 3), F(5, 2))),
+            (G(1), G(1), (G(1, 2), G(F(1, 2), 1)), (G(F(1, 3)), G(F(5, 2), F(-1, 2)))),
+        ],
+    )
+    def test_values_are_bit_identical_to_fresh_tables(self, s, t, us, xs):
+        # every kind, small x before large and large before small, each u in turn
+        for order in (xs, xs[::-1]):
+            p = make_params(s, t)
+            for u in us:
+                for kind in FnKind:
+                    for x in order:
+                        got = _bits(_outcome(fn_value_info, kind, x, u, p))
+                        assert got == _fresh_bits(kind, x, u, s, t), (kind, x, u)
+
+    def test_a_repeated_call_and_a_sibling_kind_read_no_new_term(self):
+        p = make_params(1.0, 1.0)
+        read, reads = p.cache.u, []
+        p.cache.u = lambda n: reads.append(n) or read(n)
+        first = fn_value_info(SIN, 1.5, 0.7, p)
+        assert reads
+        reads.clear()
+        assert fn_value_info(SIN, 1.5, 0.7, p) == first
+        assert fn_value_info(SINH, 1.5, 0.7, p) == fn_value_info(SINH, 1.5, 0.7, make_params(1.0, 1.0))
+        assert fn_evaluator(CSC, 0.7, p)(1.5) == fn_value_info(CSC, 1.5, 0.7, make_params(1.0, 1.0))
+        assert reads == []
+
+    @pytest.mark.parametrize("kind", [EXP, SIN, COS])
+    def test_a_sum_goes_on_from_its_snapshot_when_the_table_grows(self, kind):
+        # the interleaving a thread switch can make, in one thread: a sum has
+        # read its snapshot of the table when another sum grows the table
+        p, u = make_params(1.0, 1.0), 0.7
+        fn_value_info(kind, 0.5, u, p)
+        terms = lucascalc.functions._primary_value_terms(kind, 2.0, u, p, p.cache.value_tables(u))
+        drawn = [next(terms), next(terms)]
+        fn_value_info(kind, 4.0, u, p)
+        value, used = lucascalc.functions._adaptive_sum(itertools.chain(drawn, terms), 1e-12)
+        assert _bits(EvalInfo(value, used)) == _fresh_bits(kind, 2.0, u, 1.0, 1.0)
+        alone = make_params(1.0, 1.0)
+        for x in (0.5, 4.0, 2.0):
+            fn_value_info(kind, x, u, alone)
+        assert p.cache.value_tables(u) == alone.cache.value_tables(u)
+
+    def test_threads_grow_one_table(self):
+        # each thread walks the points in its own order, so one thread grows a
+        # table while others read it or grow it too; each round starts empty
+        u, xs, workers = 0.7, [0.2 * k for k in range(1, 21)], 8
+        points = [(kind, x) for x in xs for kind in FnKind]
+        alone = make_params(1.0, 1.0)
+        expect = {point: _bits(_outcome(fn_value_info, *point, u, alone)) for point in points}
+        for round_no in range(4):
+            shared, results = make_params(1.0, 1.0), []
+            start = threading.Barrier(workers, timeout=60)
+
+            def work(seed):
+                order = random.Random(seed).sample(points, len(points))
+                start.wait()
+                for point in order:
+                    results.append((point, _bits(_outcome(fn_value_info, *point, u, shared))))
+
+            threads = [
+                threading.Thread(target=work, args=(round_no * workers + i,), daemon=True)
+                for i in range(workers)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(results) == workers * len(points)
+            assert all(bits == expect[point] for point, bits in results)
+            assert shared.cache.value_tables(u) == alone.cache.value_tables(u)
 
 
 class TestMultinomial:
