@@ -73,7 +73,6 @@ from .functions import (
     deformed_zero_series,
     deformed_zero_value,
     find_pi_u,
-    fn_evaluator,
     fn_series,
     fn_value,
     fn_value_info,

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .calculus import integral_value
 from .errors import LucasError, NoRootFound, UnknownIdentityId
-from .functions import FnKind, find_pi_u, fn_evaluator, fn_value_info
+from .functions import FnKind, find_pi_u, fn_value_info
 from .identities import run_suite
 from .scalars import GaussianRational, lucas_u, lucas_v, make_params
 from .series import TruncatedSeries
@@ -139,11 +139,11 @@ def _cmd_table(args) -> int:
     if count > _MAX_TABLE_ROWS:
         raise ValueError(f"table grid has {count} rows, more than the {_MAX_TABLE_ROWS} allowed")
     params = make_params(_number("--s", args.s), _number("--t", args.t))
-    evaluate = fn_evaluator(FnKind(args.fn), _number("--u", args.u), params, _positive("--eps", args.eps))
+    kind, u, eps = FnKind(args.fn), _number("--u", args.u), _positive("--eps", args.eps)
     rows = []
     for x in (start + i * step for i in range(count)):
         try:
-            value = evaluate(x).value
+            value = fn_value_info(kind, x, u, params, eps).value
             rows.append({"x": x, "value": value, "diverged": False})
         except LucasError:
             rows.append({"x": x, "value": None, "diverged": True})

@@ -21,7 +21,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 from .deformed import (
@@ -304,35 +303,21 @@ def _value_info(kind: FnKind, terms: Callable, eps: float, *args) -> EvalInfo:
     return EvalInfo(value, used)
 
 
-def fn_evaluator(
-    kind: FnKind, u: Scalar, params: LucasParams, eps: float = 1e-12
-) -> Callable[[Scalar], EvalInfo]:
-    """Adaptive point values of one kind at one (u, params, eps), as a callable of x.
-
-    The callable binds the ratio tables of (u, params) when it is made, from
-    the one-entry slot on ``params.cache`` (:meth:`SeqCache.value_tables`),
-    so every kind, every point and every callable at the parameters' most
-    recent u share them, and a grid or a root search forms each ratio once.
-    Each call returns exactly what :func:`fn_value_info` returns at that
-    point, which is what fresh tables give, bit for bit.  The tables grow
-    under the cache's lock, so callables may be shared between threads.
-    """
-    return partial(_evaluate, kind, u, params, eps, params.cache.value_tables(u))
-
-
-def _evaluate(
-    kind: FnKind, u: Scalar, params: LucasParams, eps: float, tables: tuple, x: Scalar
-) -> EvalInfo:
-    if not (backend_of(x) is backend_of(u) is params.backend):
-        common_backend(x, u, params.s)  # raises, naming the backends of all three
-    return _value_info(kind, _primary_value_terms, eps, x, u, params, tables)
-
-
 def fn_value_info(
     kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float = 1e-12
 ) -> EvalInfo:
-    """Adaptive point evaluation, reporting the value and terms consumed."""
-    return fn_evaluator(kind, u, params, eps)(x)
+    """Adaptive point evaluation, reporting the value and terms consumed.
+
+    The sum reads the ratio tables of (u, params) from the one-entry slot on
+    ``params.cache`` (:meth:`SeqCache.value_tables`), which every kind and
+    every call at the parameters' most recent u share and which grow under
+    the cache's lock; values are what fresh tables give, bit for bit.  The
+    backends are checked before the slot is read, so a u of another backend
+    leaves it alone.
+    """
+    if not (backend_of(x) is backend_of(u) is params.backend):
+        common_backend(x, u, params.s)  # raises, naming the backends of all three
+    return _value_info(kind, _primary_value_terms, eps, x, u, params, params.cache.value_tables(u))
 
 
 def fn_value(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float = 1e-12) -> Scalar:
@@ -477,20 +462,24 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
 
     The root is the bracket end with the smaller |sin|, and the residual is
     that |sin|; an exact zero of sin at a scan or refinement point is the
-    root itself.  One :func:`fn_evaluator` serves every point, so each ratio
-    of the sine series is formed once per search.  Raises NoRootFound when
-    no sign change appears before x_max or before the series starts
-    diverging, and ValueError for an x_max past the scan cap of 100,000
-    points (5,000).
+    root itself.  Every point sums on the same ratio tables of (u, params),
+    bound once, so each ratio of the sine series is formed once per search.
+    Raises NoRootFound on exact parameters, for a complex u, s or t, and
+    when no sign change appears before x_max or before the series starts
+    diverging; BackendMismatch for a u of another backend; and ValueError
+    for an x_max past the scan cap of 100,000 points (5,000).
     """
     if params.backend is not Backend.COMPLEX:
         raise NoRootFound("root scanning runs on the float backend")
     if x_max > _PI_MAX_SCAN_POINTS * _PI_SCAN_STEP:
         raise ValueError(f"x_max {x_max:g} is past the scan cap {_PI_MAX_SCAN_POINTS * _PI_SCAN_STEP:g}")
-    sine = fn_evaluator(FnKind.SIN, u, params)
+    common_backend(u, params.s)
+    if any(isinstance(v, complex) for v in (u, params.s, params.t)):
+        raise NoRootFound("root scanning needs a real u, s and t: a complex sine has no sign")
+    tables = params.cache.value_tables(u)
 
     def s(x: float) -> float:
-        return sine(x).value
+        return _adaptive_sum(_primary_value_terms(FnKind.SIN, x, u, params, tables), 1e-12)[0]
 
     prev_x = prev_val = None
     x = _PI_SCAN_STEP

@@ -218,31 +218,26 @@ class TruncatedSeries2:
             raise BackendMismatch("series backends differ")
 
     def __add__(self, other):
-        if not isinstance(other, TruncatedSeries2):
-            return NotImplemented
-        if self.backend is not Backend.COMPLEX:
-            return self._merge(other, add)
-        self._check_backend(other)
-        if self.order != other.order:
-            raise OrderMismatch("addition requires equal truncation orders")
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0.0) + c
-        return TruncatedSeries2(out, self.order, Backend.COMPLEX)
+        return self._merge(other, add)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries2):
-            return NotImplemented
-        if self.backend is not Backend.COMPLEX:
-            return self._merge(other, sub)
-        return self + other.scale(-1.0)
+        return self._merge(other, sub)
 
     def _merge(self, other, op) -> "TruncatedSeries2":
-        """self op other on an exact backend: one scalar op per shared key, zeros dropped."""
+        """self op other.  Floats add the other's coefficients, negated by
+        ``scale(-1.0)`` for op sub (a zero part's sign, which the float series
+        digest pins); the exact backends do one scalar op per shared key and
+        drop zeros."""
+        if not isinstance(other, TruncatedSeries2):
+            return NotImplemented
         self._check_backend(other)
         if self.order != other.order:
-            raise OrderMismatch("addition requires equal truncation orders")
+            raise OrderMismatch("addition and subtraction require equal truncation orders")
         out = dict(self.coeffs)
+        if self.backend is Backend.COMPLEX:
+            for key, c in (other if op is add else other.scale(-1.0)).coeffs.items():
+                out[key] = out.get(key, 0.0) + c
+            return TruncatedSeries2(out, self.order, Backend.COMPLEX)
         for key, c in other.coeffs.items():
             prev = out.get(key)
             if prev is None:

@@ -279,7 +279,7 @@ class TestTable:
     @pytest.mark.parametrize("fn", ["sin", "cos", "exp", "tan"])
     @pytest.mark.parametrize("u", ["0.7", "3"])
     def test_rows_are_the_point_values(self, capsys, fn, u):
-        # the rows share one evaluator's ratio tables; each value is still
+        # the rows share the parameters' ratio tables; each value is still
         # fn_value_info's at that x, and a row diverges where a point call raises
         code, out, _ = run_cli(
             capsys, "table", "--fn", fn, "--s", "1", "--t", "1", "--u", u,

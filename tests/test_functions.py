@@ -37,7 +37,6 @@ from lucascalc import (
     deformed_zero_series,
     deformed_zero_value,
     find_pi_u,
-    fn_evaluator,
     fn_series,
     fn_value,
     fn_value_info,
@@ -180,13 +179,9 @@ class TestValues:
         # for a sum that reaches it, and keeps no step for it
         p = make_params(1.0, 1.0)
         assert fn_value_info(SIN, 1e-100, 1e25, p) == EvalInfo(1e-100, 4)
-        sine = fn_evaluator(SIN, 1e25, p)
-        assert sine(1e-100) == EvalInfo(1e-100, 4)
-        with pytest.raises(SeriesDiverging, match="non-finite"):
-            sine(1e-80)
         with pytest.raises(SeriesDiverging, match="non-finite"):
             fn_value_info(SIN, 1e-80, 1e25, p)
-        assert sine(1e-100) == EvalInfo(1e-100, 4)
+        assert fn_value_info(SIN, 1e-100, 1e25, p) == EvalInfo(1e-100, 4)
 
     @pytest.mark.parametrize("kind", [EXP, SIN, COS, SINH, COSH])
     def test_origin_draws_only_the_first_term(self, kind):
@@ -512,8 +507,20 @@ class TestSharedTables:
         reads.clear()
         assert fn_value_info(SIN, 1.5, 0.7, p) == first
         assert fn_value_info(SINH, 1.5, 0.7, p) == fn_value_info(SINH, 1.5, 0.7, make_params(1.0, 1.0))
-        assert fn_evaluator(CSC, 0.7, p)(1.5) == fn_value_info(CSC, 1.5, 0.7, make_params(1.0, 1.0))
+        assert fn_value_info(CSC, 1.5, 0.7, p) == fn_value_info(CSC, 1.5, 0.7, make_params(1.0, 1.0))
         assert reads == []
+
+    def test_a_u_of_another_backend_leaves_the_slot_alone(self):
+        # the backends are checked before the slot is read
+        p = make_params(1.0, 1.0)
+        fn_value_info(SIN, 1.0, 0.7, p)
+        tables = p.cache.value_tables(0.7)
+        held = tuple(tables)
+        assert held[1]
+        mixed = "mixed scalar backends: ['complex-float', 'rational']"
+        with pytest.raises(BackendMismatch, match=re.escape(mixed)):
+            fn_value_info(SIN, 1.0, F(7, 10), p)
+        assert p.cache.value_tables(0.7) is tables and tuple(tables) == held
 
     @pytest.mark.parametrize("kind", [EXP, SIN, COS])
     def test_a_sum_goes_on_from_its_snapshot_when_the_table_grows(self, kind):
@@ -699,17 +706,14 @@ class TestPiU:
 
     @staticmethod
     def _fake_sine(monkeypatch, sine):
-        """Make find_pi_u's evaluator return sine(x), and log every x it is called at."""
+        """Make find_pi_u's sums return sine(x), and log every x it sums at."""
         seen = []
 
-        def evaluator(kind, u, params, eps=1e-12):
-            def call(x):
-                seen.append(x)
-                return EvalInfo(sine(x), 1)
+        def terms(kind, x, u, params, tables):
+            seen.append(x)
+            return itertools.chain((sine(x),), itertools.repeat(0.0))
 
-            return call
-
-        monkeypatch.setattr(lucascalc.functions, "fn_evaluator", evaluator)
+        monkeypatch.setattr(lucascalc.functions, "_primary_value_terms", terms)
         return seen
 
     def test_exact_zero_at_a_scan_point(self, monkeypatch):
@@ -731,20 +735,15 @@ class TestPiU:
 
     @staticmethod
     def _log_points(monkeypatch):
-        """Wrap find_pi_u's evaluator so that every x it is called at is logged."""
+        """Wrap the term generator find_pi_u sums so that every x it sums at is logged."""
         xs = []
-        evaluator = lucascalc.functions.fn_evaluator
+        terms = lucascalc.functions._primary_value_terms
 
-        def logging(kind, u, params, eps=1e-12):
-            sine = evaluator(kind, u, params, eps)
+        def logging(kind, x, *args):
+            xs.append(x)
+            return terms(kind, x, *args)
 
-            def call(x):
-                xs.append(x)
-                return sine(x)
-
-            return call
-
-        monkeypatch.setattr(lucascalc.functions, "fn_evaluator", logging)
+        monkeypatch.setattr(lucascalc.functions, "_primary_value_terms", logging)
         return xs
 
     def test_no_point_is_evaluated_twice(self, monkeypatch):
@@ -780,11 +779,27 @@ class TestPiU:
     def test_error_paths(self):
         with pytest.raises(VanishingFactor, match=re.escape("sequence term {3} vanishes")):
             find_pi_u(make_params(1.0, -1.0), 1.0)
-        mixed = "mixed scalar backends: ['complex-float', 'rational']"
-        with pytest.raises(BackendMismatch, match=re.escape(mixed)):
-            find_pi_u(make_params(1.0, 1.0), F(1))
         with pytest.raises(NoRootFound, match="series diverges at x=0.05 before any sign change"):
             find_pi_u(make_params(1.0, 1.0), 1e200)
+
+    # each input find_pi_u refuses before its first sum, by the error and text it raises
+    GUARDS = {
+        "rational u on float parameters": (
+            make_params(1.0, 1.0), F(1), BackendMismatch, "mixed scalar backends: ['complex-float', 'rational']"
+        ),
+        "exact parameters": (FIB, F(1), NoRootFound, "root scanning runs on the float backend"),
+        "complex u": (make_params(1.0, 1.0), 1 + 0j, NoRootFound, "needs a real u, s and t"),
+        "complex s": (make_params(1 + 1j, 1.0), 1.0, NoRootFound, "needs a real u, s and t"),
+        "complex t": (make_params(1.0, 1 - 1j), 1.0, NoRootFound, "needs a real u, s and t"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GUARDS))
+    def test_guards_raise_before_any_sum(self, monkeypatch, name):
+        p, u, error, text = self.GUARDS[name]
+        xs = self._log_points(monkeypatch)
+        with pytest.raises(error, match=re.escape(text)):
+            find_pi_u(p, u)
+        assert xs == []
 
     def test_scan_cap(self):
         # 100,000 points of 0.05: a larger x_max is refused

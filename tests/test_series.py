@@ -1,5 +1,6 @@
 """Truncated series arithmetic against direct convolution oracles."""
 
+import operator
 import random
 from fractions import Fraction as F
 
@@ -229,6 +230,16 @@ def test_series_guards(name):
     call, error = SERIES_GUARDS[name]
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["+", "-"])
+@pytest.mark.parametrize("backend", [RAT, Backend.COMPLEX], ids=["exact", "float"])
+def test_bivariate_sum_and_difference_check_backend_and_order_once(backend, op):
+    other_backend = Backend.COMPLEX if backend is RAT else RAT
+    with pytest.raises(BackendMismatch, match="^series backends differ$"):
+        op(bivariate(1, backend), bivariate(1, other_backend))
+    with pytest.raises(OrderMismatch, match="^addition and subtraction require equal truncation orders$"):
+        op(bivariate(1, backend), bivariate(2, backend))
 
 
 def test_equality_across_types_and_backends_is_false():
