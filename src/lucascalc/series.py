@@ -4,21 +4,22 @@ Coefficients live in a single scalar backend.  All arithmetic is exact
 truncated ring arithmetic; equality compares coefficient-wise on the
 common truncation order.
 
-Over the exact backends the univariate kernels (``*``, ``reciprocal``,
-``dilate``) and the bivariate ``dilate`` and :func:`outer` run on integers,
-the way FLINT's ``fmpq_poly`` does: an operand whose coefficients are summed
-is brought to integer numerators over one common denominator (Gaussian ones
-to pairs of integers, read with ``GaussianRational.as_triple``), the sums run
-on those integers, and each output coefficient is built with one
-normalisation, a ``Fraction`` or a ``GaussianRational.from_triple``.  Each
-kernel is written once over integer triples (a, b, d) meaning (a+bi)/d: a
-rational is (a, 0, d), and the imaginary products are skipped when every
-imaginary part is 0.  A coefficient multiplied by 1 or -1 needs no
-normalisation.  A kernel's result skips the constructor's backend check,
-which its operands passed.  The exact bivariate ``+`` and ``-`` do one scalar
-operation per shared key and skip that check too.  The float backend keeps
-its scalar loops, and the bivariate ``*``, negation and ``scale`` are one
-scalar loop on every backend.
+Over the exact backends the kernels, the univariate ``*`` and ``dilate`` and
+the bivariate ``dilate``, run on integers, the way FLINT's ``fmpq_poly`` does:
+an operand whose coefficients are summed is brought to integer numerators
+over one common denominator (Gaussian ones to pairs of integers, read with
+``GaussianRational.as_triple``), the sums run on those integers, and each
+output coefficient is built with one normalisation, a ``Fraction`` or a
+``GaussianRational.from_triple``.  Each kernel is written once over integer
+triples (a, b, d) meaning (a+bi)/d: a rational is (a, 0, d), and the
+imaginary products are skipped when every imaginary part is 0.  A coefficient
+multiplied by 1 or -1 needs no normalisation.  The float backend keeps its
+scalar loops, and ``reciprocal``, :func:`outer`, the bivariate ``*``,
+negation and ``scale`` are one scalar loop on every backend.  A kernel's
+result, and that of ``reciprocal``, :func:`outer` and ``scale``, skips the
+constructor's backend check, which the operands passed.  The exact bivariate
+``+`` and ``-`` do one scalar operation per shared key and skip that check
+too.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class TruncatedSeries:
         """Every coefficient times the scalar c, the one product of a series and a scalar."""
         if backend_of(c) is not self.backend:
             raise BackendMismatch("scalar backend differs from series backend")
-        return TruncatedSeries(tuple(a * c for a in self.coeffs), self.backend)
+        return _series(tuple(a * c for a in self.coeffs), self.backend)
 
     def dilate(self, c: Scalar) -> "TruncatedSeries":
         """Substitute z -> c z, i.e. a_n -> c^n a_n."""
@@ -150,25 +151,21 @@ class TruncatedSeries:
     def reciprocal(self) -> "TruncatedSeries":
         """Series g with f*g = 1 + O(z^(order+1)); needs f(0) != 0.
 
-        Each g_n = -(a_1 g_(n-1) + ... + a_n g_0) / a_0.  On the exact
-        backends the sum runs on the integer numerators of f over one
-        denominator and of g_0..g_(n-1) over their running common
-        denominator, and g_n is normalised once.
+        Each g_n = -(a_1 g_(n-1) + ... + a_n g_0) / a_0, one scalar loop on
+        every backend.
         """
         f0 = self.coeffs[0]
         if f0 == 0:
             raise NonUnitConstantTerm("reciprocal needs a nonzero constant term")
-        if self.backend is not Backend.COMPLEX:
-            return _series(_reciprocal(self.coeffs, self.backend), self.backend)
-        g0 = 1.0 / f0
-        out = [g0]
+        zero = backend_zero(self.backend)
+        out = [backend_one(self.backend) / f0]
         for n in range(1, self.order + 1):
-            acc = 0.0
+            acc = zero
             for k in range(1, n + 1):
                 if self.coeffs[k] != 0:
                     acc = acc + self.coeffs[k] * out[n - k]
             out.append(-acc / f0)
-        return TruncatedSeries(out, Backend.COMPLEX)
+        return _series(tuple(out), self.backend)
 
     def eval_at(self, x: Scalar) -> Scalar:
         """Horner evaluation of the truncated polynomial."""
@@ -275,7 +272,8 @@ class TruncatedSeries2:
         """Every coefficient times the scalar c, the one product of a series and a scalar."""
         if backend_of(c) is not self.backend:
             raise BackendMismatch("scalar backend differs from series backend")
-        return TruncatedSeries2({key: v * c for key, v in self.coeffs.items()}, self.order, self.backend)
+        products = ((key, v * c) for key, v in self.coeffs.items())
+        return _series2({key: p for key, p in products if p != 0}, self.order, self.backend)
 
     def dilate(self, cx: Scalar, cy: Scalar) -> "TruncatedSeries2":
         """Substitute x -> cx*x and y -> cy*y."""
@@ -337,28 +335,12 @@ def outer(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries2:
     if f.backend is not g.backend:
         raise BackendMismatch("series backends differ")
     order = min(f.order, g.order)
-    out = {}
-    if f.backend is Backend.COMPLEX:
-        for j in range(order + 1):
-            a = f.coeffs[j]
-            if a == 0:
-                continue
-            for k in range(order + 1 - j):
-                b = g.coeffs[k]
-                if b != 0:
-                    out[(j, k)] = a * b
-        return TruncatedSeries2(out, order, Backend.COMPLEX)
-    parts, make = _EXACT[f.backend]
-    for j in range(order + 1):
-        a = f.coeffs[j]
-        if not a:
-            continue
-        a_parts = parts(a)
-        for k in range(order + 1 - j):
-            b = g.coeffs[k]
-            if b:
-                out[(j, k)] = _scaled(b, *a_parts, parts, make)
-    return _series2(out, order, f.backend)
+    products = (
+        ((j, k), a * b)
+        for j, a in enumerate(f.coeffs[: order + 1]) if a != 0
+        for k, b in enumerate(g.coeffs[: order + 1 - j]) if b != 0
+    )
+    return _series2({key: p for key, p in products if p != 0}, order, f.backend)
 
 
 def promote_series(f: TruncatedSeries, backend: Backend) -> TruncatedSeries:
@@ -465,41 +447,3 @@ def _mul(a: tuple, b: tuple, backend: Backend) -> tuple:
     br, bi, bd = _over_lcm(b, parts)
     re, im = _product(ar, ai, br, bi)
     return tuple(map(make, re, im, repeat(ad * bd)))
-
-
-def _reciprocal(coeffs: tuple, backend: Backend) -> tuple:
-    """Coefficients of 1/f: g_n = -(sum over j >= 1 of a_j g_(n-j)) / a_0.
-
-    f is read as integers (re_j + i im_j) / den and g_0..g_(n-1) as integers
-    over their running common denominator L, so each g_n is one
-    normalisation.  Dividing by a_0 multiplies by den / (re_0 + i im_0),
-    which is den (c_a + c_b i) / norm in lowest terms.
-    """
-    parts, make = _EXACT[backend]
-    re, im, den = _over_lcm(coeffs, parts)
-    a0 = re[0]
-    b0 = 0 if im is None else im[0]
-    g = math.gcd(a0, b0)
-    ca, cb, norm = a0 // g, -b0 // g, (a0 * a0 + b0 * b0) // g
-    out = [make(den * ca, den * cb, norm)]
-    x, y, L = parts(out[0])
-    Pr, Pi = [x], [y]  # numerators of g_0..g_(n-1) over L; Pi stays unused when f is real
-    for n in range(1, len(re)):
-        ar = re[1 : n + 1]
-        sr, si = sum(map(mul, ar, reversed(Pr))), 0
-        if im is not None:
-            ai = im[1 : n + 1]
-            sr -= sum(map(mul, ai, reversed(Pi)))
-            si = sum(map(mul, ar, reversed(Pi))) + sum(map(mul, ai, reversed(Pr)))
-        g = make(si * cb - sr * ca, -(sr * cb + si * ca), L * norm)
-        out.append(g)
-        x, y, q = parts(g)
-        m = q // math.gcd(L, q)
-        if m != 1:
-            Pr = [p * m for p in Pr]
-            if im is not None:
-                Pi = [p * m for p in Pi]
-            L *= m
-        Pr.append(x * (L // q))
-        Pi.append(y * (L // q))
-    return tuple(out)

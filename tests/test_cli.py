@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, and the exit-code contract."""
 
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -9,16 +10,19 @@ import re
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from fractions import Fraction as F
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lucascalc.cli
 from lucascalc import FnKind, LucasError, fn_value_info, make_params
 from lucascalc.cli import _MAX_TABLE_ROWS, main
-from lucascalc.identities import Failure, IdentityOutcome, SuiteReport
+from lucascalc.identities import CATALOG, Failure, IdentityOutcome, SuiteReport
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
 # values --eps and --xmax reject: they must be finite and positive
@@ -695,3 +699,67 @@ class TestBoundedWork:
         assert done.returncode == 0, done.stderr
         root = json.loads(done.stdout)
         assert 769.8 < root["piU"] < 769.81 and root["residual"] < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over drawn inputs
+# ---------------------------------------------------------------------------
+
+# zeros, subnormals, huge and largest floats, p/q, a zero denominator, and a few plain values
+VALUES = st.sampled_from([
+    "0", "-0", "5e-324", "-2.5e-320", "1e-310", "1e300", "-1e300", "1.7976931348623157e308",
+    "-1.7976931348623157e308", "3/7", "-5/2", "1/0", "1", "-1", "0.5",
+])
+DEFAULTED = st.one_of(st.none(), VALUES)  # None leaves the option at its default
+FNS = st.sampled_from([kind.value for kind in FnKind])
+SUITES = st.lists(
+    st.sampled_from(["all", "", "no-such-id", *sorted({r.group for r in CATALOG.values()}), *CATALOG]),
+    min_size=1, max_size=2,
+).map(",".join)
+COMMAND_OPTIONS = {
+    "seq": {"s": VALUES, "t": VALUES, "n": st.integers(-1, 40)},
+    "eval": {"fn": FNS, "s": VALUES, "t": VALUES, "u": VALUES, "x": VALUES, "eps": DEFAULTED},
+    "table": {
+        "fn": FNS, "s": VALUES, "t": VALUES, "u": VALUES,
+        "from": VALUES, "to": VALUES, "step": VALUES, "eps": DEFAULTED,
+    },
+    "verify": {
+        "suite": SUITES, "trials": st.integers(0, 2), "order": st.integers(0, 6),
+        "seed": st.integers(0, 10**6),
+    },
+    "piu": {"s": VALUES, "t": VALUES, "u": VALUES, "xmax": DEFAULTED},
+    "integrate": {
+        "poly": st.lists(VALUES, min_size=1, max_size=3).map(",".join),
+        "s": VALUES, "t": VALUES, "a": VALUES, "b": VALUES, "eps": DEFAULTED,
+    },
+}
+COMMAND_FLAGS = {"seq": ("--companion", "--exact")}
+# any spelling of a non-finite float: Python's inf and nan, JSON's Infinity and NaN
+NON_FINITE = re.compile(r"\b(?:inf|infinity|nan)\b", re.IGNORECASE)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+@settings(derandomize=True, max_examples=40, deadline=timedelta(seconds=2))
+@given(data=st.data())
+def test_every_input_exits_by_the_contract(command, data):
+    fmt = data.draw(st.sampled_from(["json", "csv", "plain"]), label="format")
+    argv = [command, f"--format={fmt}"]
+    for name, values in COMMAND_OPTIONS[command].items():
+        value = data.draw(values, label=name)
+        if value is not None:
+            argv.append(f"--{name}={value}")
+    argv += [flag for flag in COMMAND_FLAGS.get(command, ()) if data.draw(st.booleans(), label=flag)]
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)  # any exception but the documented ones escapes and fails here
+    out = out.getvalue()
+    assert code in {0, 2, 3, 4}
+    if fmt == "json" and (code == 0 or out):
+        document = json.loads(out, parse_constant=_reject_constant)
+        if command == "verify":
+            jsonschema.validate(document, SCHEMA)
+    else:
+        assert NON_FINITE.search(out) is None

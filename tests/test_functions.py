@@ -59,6 +59,34 @@ SEC, CSC, SINH, COSH = FnKind.SEC, FnKind.CSC, FnKind.SINH, FnKind.COSH
 FIB = make_params(F(1), F(1))
 
 
+def _exact_draws(backend):
+    """Four seeded (params, u, v) in an exact backend whose {1}..{16} are all nonzero."""
+    rng = random.Random(67)
+
+    def rational():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def scalar():
+        return rational() if backend is Backend.RATIONAL else GaussianRational(rational(), rational())
+
+    draws = []
+    while len(draws) < 4:
+        s, t = scalar(), scalar()
+        if s == 0 or t == 0:
+            continue
+        params = make_params(s, t)
+        try:
+            lucastorial(16, params)
+        except VanishingFactor:
+            continue
+        draws.append((params, scalar(), scalar()))
+    return draws
+
+
+# the quotient kinds tan, sec, tanh and sech, and the kinds they are quotients of
+QUOTIENT_PARTS = (TAN, SEC, SIN, COS, FnKind.TANH, FnKind.SECH, SINH, COSH)
+
+
 class TestSeries:
     def test_exp_constant_term(self):
         for u in (F(3), F(0), F(-2, 5)):
@@ -98,6 +126,21 @@ class TestSeries:
         sin = fn_series(SIN, u, FIB, 10)
         sec = fn_series(SEC, u, FIB, 10)
         assert tan == sin * sec
+
+    @pytest.mark.parametrize("backend", [Backend.RATIONAL, Backend.GAUSSIAN])
+    def test_quotients_times_denominator_give_numerator(self, backend):
+        # checked through * alone, without the reciprocal the quotients are built with
+        one = F(1) if backend is Backend.RATIONAL else GaussianRational(1)
+        for params, u, v in _exact_draws(backend):
+            for order in range(17):
+                series = {kind: fn_series(kind, u, params, order) for kind in QUOTIENT_PARTS}
+                unit = TruncatedSeries.constant(one, order)
+                assert series[TAN] * series[COS] == series[SIN]
+                assert series[SEC] * series[COS] == unit
+                assert series[FnKind.TANH] * series[COSH] == series[SINH]
+                assert series[FnKind.SECH] * series[COSH] == unit
+                tan, cos, sin = (multinomial_series(kind, (u, v), params, order) for kind in (TAN, COS, SIN))
+                assert tan * cos == sin
 
     def test_series_kinds_are_the_kinds_without_a_pole(self):
         assert SERIES_KINDS == set(FnKind) - {COT, CSC, FnKind.COTH, FnKind.CSCH}

@@ -1,9 +1,11 @@
 """Series kernels: float bits frozen, exact kernels against plain scalar loops.
 
-The exact backends multiply, invert and dilate on integer numerators with one
+The exact backends multiply and dilate on integer numerators with one
 normalisation per output coefficient; the float backend keeps its scalar
-loops.  The digest pins every float and complex output bit for bit, and the
-oracle tests compare each exact kernel with the scalar loop it replaced.
+loops, and ``reciprocal`` and ``outer`` are one scalar loop on every backend.
+The digest pins every float and complex output bit for bit, and the oracle
+tests compare each exact kernel with the scalar loop it replaced, and the one
+loop of ``reciprocal`` and ``outer`` with its reference loop.
 """
 
 import hashlib
