@@ -9,7 +9,9 @@ Each degree-n row is built in O(n): the Lucasnomials come from one
 telescoped pass (``SeqCache.lucasnomial_parts``), and u^T(n-k), v^T(k) come from
 one :class:`PowerWeights` per deformation parameter, which callers building
 many rows (series, weight families) hold for all of them.  Multinomial
-numbers multiply the parts' rows u_i^T(k) / {k}! one degree at a time.
+numbers multiply the parts' rows u_i^T(k) / {k}! one degree at a time, the
+lazy product the point path reads term by term; a multinomial series
+multiplies the same rows with the series ``*`` instead.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange
@@ -189,8 +193,12 @@ class MultinomialWeights:
     """Memoized multinomial numbers for a fixed deformation tuple.
 
     {n}! times the degree-n coefficient of the product of the parts' rows
-    sum_k u_i^T(k) z^k / {k}!.  Each degree costs O(parts * n); the rows and,
-    for every part after the first, the product of the rows up to it are kept.
+    sum_k u_i^T(k) z^k / {k}!.  Each degree costs O(parts * n): it adds the
+    degree-n entry u_i^T(n) / {n}! to every row and the degree-n coefficient
+    to the product of the rows up to each part after the first, summed as
+    row[k] * product[n-k] for k = 0..n, the order in which ``row * product``
+    adds the same terms in :func:`multinomial_series`.  The degree-0 weight is
+    the backend's one.
     """
 
     def __init__(self, us: Sequence[Scalar], params: LucasParams):
@@ -201,30 +209,7 @@ class MultinomialWeights:
         common_backend(params.s, *self.us)
         self._rows: list[list[Scalar]] = [[] for _ in self.us]
         self._products: list[list[Scalar]] = [[] for _ in self.us[1:]]
-        self._product_at(0)  # the running products start at degree 0
-        self._values: list[Scalar] = [backend_one(params.backend)]
-
-    def _row(self, i: int, upto: int) -> list[Scalar]:
-        row = self._rows[i]
-        u = self.us[i]
-        for k in range(len(row), upto + 1):
-            row.append(u ** binom2(k) / lucastorial(k, self.params))
-        return row
-
-    def _cauchy(self, left: list[Scalar], right: list[Scalar], n: int) -> Scalar:
-        """Degree-n coefficient of the product of two rows."""
-        total = backend_zero(self.params.backend)
-        for k in range(n + 1):
-            total = total + left[n - k] * right[k]
-        return total
-
-    def _product_at(self, m: int) -> Scalar:
-        """Degree-m coefficient of the product of all the rows; degrees below m are kept."""
-        product = self._row(0, m)
-        for i, partial in enumerate(self._products, 1):
-            partial.append(self._cauchy(product, self._row(i, m), m))
-            product = partial
-        return product[m]
+        self._values: list[Scalar] = []
 
     def __call__(self, n: int) -> Scalar:
         if n < 0:
@@ -232,7 +217,17 @@ class MultinomialWeights:
         values = self._values
         while len(values) <= n:
             m = len(values)
-            values.append(self._product_at(m) * lucastorial(m, self.params))
+            fact, zero = lucastorial(m, self.params), backend_zero(self.params.backend)
+            # every entry is formed before a row grows: a float power that overflows
+            # raises with the rows and products still in step
+            for row, entry in zip(self._rows, [u ** binom2(m) / fact for u in self.us]):
+                row.append(entry)
+            product = self._rows[0]
+            for row, partial in zip(self._rows[1:], self._products):
+                # reduce, not sum(): from Python 3.12 on sum() compensates float rounding
+                partial.append(reduce(add, map(mul, row, reversed(product)), zero))
+                product = partial
+            values.append(product[m] * fact if m else backend_one(self.params.backend))
         return values[n]
 
 

@@ -9,7 +9,10 @@ deformation weight w(m) divided by the factorial analogue {m}!:
 
 With power weights w(m) = u^T(m) these are the one-parameter functions;
 the multinomial, deformed-zero and binomial-combination variants swap in
-another weight family and share one path, :func:`weighted_fn_series` and
+another weight family.  Every series is one sign-and-degree pattern over a
+row of degree-m coefficients: w(m) / {m}! for :func:`weighted_fn_series`,
+and for :func:`multinomial_series` the product of the parts' rows, which
+already carries the 1/{m}!.  Every point value goes through
 :func:`weighted_fn_value`.  tan/sec (and tanh/sech) are series quotients;
 cot/csc/coth/csch have a pole at 0 and exist as values only.
 """
@@ -21,6 +24,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 from .deformed import (
@@ -46,6 +50,7 @@ from .scalars import (
     backend_of,
     backend_one,
     backend_zero,
+    binom2,
     common_backend,
     magnitude,
 )
@@ -168,29 +173,41 @@ def _adaptive_sum(terms, eps: float) -> tuple[Scalar, int]:
     return total, count
 
 
+def _require_series_kind(kind: FnKind) -> None:
+    if kind not in SERIES_KINDS:
+        raise PoleAtOrigin(f"{kind.value} has a pole at 0; evaluate it pointwise instead")
+
+
+def _pattern_series(
+    kind: FnKind, coefficient: Callable[[int], Scalar], order: int, backend: Backend
+) -> TruncatedSeries:
+    """Series of a series kind whose primary kinds take their degree-m
+    coefficient from coefficient(m), signed per their pattern.
+
+    Only the degrees a primary kind's pattern reaches are read.  Quotient
+    kinds multiply the numerator series by the reciprocal of the denominator
+    series, both over the same coefficients.
+    """
+    if kind in _QUOTIENTS:
+        numerator, denominator = _QUOTIENTS[kind]
+        recip = _pattern_series(denominator, coefficient, order, backend).reciprocal()
+        if numerator is None:
+            return recip
+        return _pattern_series(numerator, coefficient, order, backend) * recip
+    first, step, alternating = _PRIMARY[kind]
+    coeffs = [backend_zero(backend)] * (order + 1)
+    for j, m in enumerate(range(first, order + 1, step)):
+        coeffs[m] = -coefficient(m) if alternating and j % 2 else coefficient(m)
+    return TruncatedSeries(coeffs, backend)
+
+
 def weighted_fn_series(
     kind: FnKind, weights: Weights, params: LucasParams, order: int
 ) -> TruncatedSeries:
-    """Series of a kind with an arbitrary weight family.
-
-    Quotient kinds multiply the numerator series by the reciprocal of the
-    denominator series, both with the same weights.
-    """
-    if kind not in SERIES_KINDS:
-        raise PoleAtOrigin(f"{kind.value} has a pole at 0; evaluate it pointwise instead")
+    """Series of a kind with an arbitrary weight family: degree m carries w(m) / {m}!."""
+    _require_series_kind(kind)
     common_backend(weights(0), params.s)
-    if kind in _QUOTIENTS:
-        numerator, denominator = _QUOTIENTS[kind]
-        recip = weighted_fn_series(denominator, weights, params, order).reciprocal()
-        if numerator is None:
-            return recip
-        return weighted_fn_series(numerator, weights, params, order) * recip
-    first, step, alternating = _PRIMARY[kind]
-    coeffs = [backend_zero(params.backend)] * (order + 1)
-    for j, m in enumerate(range(first, order + 1, step)):
-        c = weights(m) / params.cache.factorial(m)
-        coeffs[m] = -c if alternating and j % 2 else c
-    return TruncatedSeries(coeffs, params.backend)
+    return _pattern_series(kind, lambda m: weights(m) / params.cache.factorial(m), order, params.backend)
 
 
 def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> TruncatedSeries:
@@ -338,7 +355,25 @@ def weighted_fn_value(
 def multinomial_series(
     kind: FnKind, us: Sequence[Scalar], params: LucasParams, order: int
 ) -> TruncatedSeries:
-    return weighted_fn_series(kind, MultinomialWeights(tuple(us), params), params, order)
+    """Series of the multinomial-weighted family member: the kind's pattern over
+    the product of the parts' rows u^T(m) z^m / {m}!.
+
+    The rows are formed as :class:`MultinomialWeights` forms them and multiplied
+    as ``row * product`` from the first part on, so the exact backends run the
+    integer kernel of ``*`` and each float coefficient adds its terms in the
+    order the point path does.  The rows stop at the last degree the kind
+    reads, so a vanishing {k} past it is never divided by.
+    """
+    us = MultinomialWeights(us, params).us  # no parts, or parts of another backend, raise here
+    _require_series_kind(kind)
+    parts = [_PRIMARY[part] for part in _QUOTIENTS.get(kind, (kind,)) if part is not None]
+    top = max(0, *(order - (order - first) % step for first, step, _ in parts))
+    rows = [
+        TruncatedSeries([u ** binom2(m) / params.cache.factorial(m) for m in range(top + 1)], params.backend)
+        for u in us
+    ]
+    product = reduce(lambda product, row: row * product, rows)
+    return _pattern_series(kind, product.coeffs.__getitem__, order, params.backend)
 
 
 def multinomial_value(

@@ -195,6 +195,8 @@ class TruncatedSeries2:
     __slots__ = ("coeffs", "order", "backend")
 
     def __init__(self, coeffs: Mapping[tuple[int, int], Scalar], order: int, backend: Backend):
+        if order < 0:
+            raise ValueError("a series needs at least the constant coefficient")
         store = {}
         for (j, k), c in coeffs.items():
             if j < 0 or k < 0 or j + k > order:

@@ -83,6 +83,9 @@ def _exact_draws(backend):
     return draws
 
 
+# each primary kind's first degree, degree step and alternating sign
+PRIMARY = {EXP: (0, 1, False), SIN: (1, 2, True), COS: (0, 2, True), SINH: (1, 2, False), COSH: (0, 2, False)}
+
 # the quotient kinds tan, sec, tanh and sech, and the kinds they are quotients of
 QUOTIENT_PARTS = (TAN, SEC, SIN, COS, FnKind.TANH, FnKind.SECH, SINH, COSH)
 
@@ -630,12 +633,84 @@ class TestMultinomial:
         assert multinomial_value(COS, (0.5, 0.25), 0.0, p) == 1.0
 
     def test_series_coefficients_are_multinomial_numbers(self):
-        us = (F(1, 2), F(3))
-        S = multinomial_series(SIN, us, FIB, 9)
-        for j in range(4):
-            m = 2 * j + 1
-            expect = (-1) ** j * multinomial_number(us, m, FIB) / lucastorial(m, FIB)
-            assert S.coeffs[m] == expect
+        # multinomial_series multiplies the parts' rows with *, and
+        # multinomial_number grows the lazy per-degree product: two routes
+        rng = random.Random(79)
+        for params, u, v in _exact_draws(Backend.RATIONAL) + _exact_draws(Backend.GAUSSIAN):
+            for parts in range(1, 5):
+                us = tuple(rng.sample((u, v, params.s, params.t, u * v), parts))
+                numbers = [multinomial_number(us, m, params) / lucastorial(m, params) for m in range(17)]
+                for order in range(17):
+                    series = {kind: multinomial_series(kind, us, params, order) for kind in (*PRIMARY, TAN)}
+                    for kind in PRIMARY:
+                        first, step, alternating = PRIMARY[kind]
+                        expect = [0] * (order + 1)
+                        for j, m in enumerate(range(first, order + 1, step)):
+                            expect[m] = -numbers[m] if alternating and j % 2 else numbers[m]
+                        assert list(series[kind].coeffs) == expect
+                    assert series[TAN] * series[COS] == series[SIN]
+        # {3} = 0 at (1, -1), past the last degree cos reads at order 3: {2}! = 1,
+        # and the degree-2 multinomial number of (u1, u2) is u1 + s + u2
+        p = make_params(F(1), F(-1))
+        expect = TruncatedSeries([F(1), F(0), -F(10, 3), F(0)], Backend.RATIONAL)
+        assert multinomial_series(COS, (F(2), F(1, 3)), p, 3) == expect
+        with pytest.raises(VanishingFactor, match=re.escape("{3}")):
+            multinomial_series(SIN, (F(2), F(1, 3)), p, 3)
+
+    def test_series_errors(self):
+        # the kind is refused before any row is formed, so a vanishing {3} is never met
+        with pytest.raises(PoleAtOrigin, match="cot has a pole at 0"):
+            multinomial_series(COT, (F(2),), make_params(F(1), F(-1)), 8)
+        with pytest.raises(ValueError, match="at least one deformation parameter is required"):
+            multinomial_series(COT, (), FIB, 4)
+        with pytest.raises(BackendMismatch, match=re.escape("mixed scalar backends: ['complex-float', 'rational']")):
+            multinomial_series(EXP, (F(1), 0.5), FIB, 4)
+        for kind in (EXP, SIN, TAN):
+            with pytest.raises(ValueError, match="a series needs at least the constant coefficient"):
+                multinomial_series(kind, (F(1), F(2)), FIB, -1)
+
+    # |float c_m - exact c_m| <= SERIES_ROUNDINGS * 2^-53 * sum of |Cauchy terms|
+    SERIES_ROUNDINGS = 1024
+
+    def test_float_series_against_exact_series(self):
+        """Float multinomial_series of the primary kinds against the exact series
+        of the same s, t and parts, read as dyadic Fractions.
+
+        Coefficient m is checked against the sum of the magnitudes of its
+        Cauchy terms, the degree-m coefficient of the product of the rows
+        |u^T(k) / {k}!|, since a cancelled coefficient has no meaningful
+        relative error.  Over these 40 draws (order 12, 1-4 parts, real and
+        complex) the largest multiple of 2^-53 seen was 320.0.  It comes from
+        the float rows, not from their product: {k}! of a real s and t of
+        mixed sign inherits the cancellation in {k}.  The bound keeps a margin
+        of about three.
+        """
+        rng = random.Random(83)
+
+        def draw(lo, hi, cplx):
+            value = rng.uniform(lo, hi) * rng.choice((-1, 1))
+            return complex(value, rng.uniform(-1, 1)) if cplx else value
+
+        def exact(z):
+            return GaussianRational(F(z.real), F(z.imag)) if isinstance(z, complex) else F(z)
+
+        order, worst = 12, 0.0
+        for i in range(40):
+            s, t = draw(0.5, 2.0, i % 2), draw(0.2, 1.5, i % 2)
+            us = tuple(draw(0.1, 1.2, i % 2) for _ in range(1 + i % 4))
+            p = make_params(s, t)
+            product = multinomial_series(EXP, [exact(u) for u in us], make_params(exact(s), exact(t)), order)
+            rows = [[abs(u ** binom2(k) / lucastorial(k, p)) for k in range(order + 1)] for u in us]
+            scale = rows[0]
+            for row in rows[1:]:
+                scale = [sum(row[k] * scale[m - k] for k in range(m + 1)) for m in range(order + 1)]
+            for kind, (first, step, alternating) in PRIMARY.items():
+                series = multinomial_series(kind, us, p, order)
+                for j, m in enumerate(range(first, order + 1, step)):
+                    expect = -product.coeffs[m] if alternating and j % 2 else product.coeffs[m]
+                    error = abs(complex(exact(series.coeffs[m]) - expect))
+                    worst = max(worst, error / (2.0**-53 * scale[m]))
+        assert worst <= self.SERIES_ROUNDINGS
 
     # sha256 over repr() of float multinomial_value results (or the error)
     # for 1-5 parts and every kind on a seeded grid, computed before the
@@ -656,6 +731,38 @@ class TestMultinomial:
                         value = _outcome(multinomial_value, kind, us, x, p)
                         digest.update(f"{parts}:{kind.value}:{value!r};".encode())
         assert digest.hexdigest() == self.VALUE_SHA256
+
+    # sha256 over repr() of MultinomialWeights values for n <= 12 and float
+    # multinomial_value results (or the error) for every kind, on complex
+    # deformation tuples: zero parts, mixed real and complex tuples, and real
+    # and complex s, t and x; computed while MultinomialWeights summed its
+    # products with _cauchy.  The real-only VALUE_SHA256 above cannot see the
+    # sign of a zero part or a degree-0 weight of 1.0 becoming (1+0j).
+    COMPLEX_VALUE_SHA256 = "1748890922b47cbede21cc774662c65861da1d154daaaed1c896aed4f83c181c"
+
+    def test_complex_parts_match_golden_digest(self):
+        assert _complex_multinomial_digest() == self.COMPLEX_VALUE_SHA256
+
+
+def _complex_multinomial_digest():
+    rng = random.Random(73)
+
+    def part():
+        return complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+
+    digest = hashlib.sha256()
+    for s, t in ((1.0, 1.0), (1.5, -0.5), (1 + 0.5j, 0.5 - 0.25j)):
+        p = make_params(s, t)
+        tuples = [(0j,), (0.0, part()), (0.5, -0.25j), (part(), -0.0, 0.75), (complex(0.0, -0.5),)]
+        tuples += [tuple(part() for _ in range(parts)) for parts in range(1, 5)]
+        for us in tuples:
+            weights = MultinomialWeights(us, p)
+            digest.update(f"{us!r}:{[_outcome(weights, n) for n in range(13)]!r};".encode())
+            for x in (rng.uniform(-2.0, 2.0), part() * 2):
+                for kind in FnKind:
+                    value = _outcome(multinomial_value, kind, us, x, p)
+                    digest.update(f"{kind.value}:{x!r}:{value!r};".encode())
+    return digest.hexdigest()
 
 
 class TestDeformedZeroSeries:
@@ -883,6 +990,11 @@ FUNCTION_GUARDS = {
         lambda: find_pi_u(FIB, F(1)),
         NoRootFound,
         "root scanning runs on the float backend",
+    ),
+    "a bivariate series of order -1": (
+        lambda: binomial_series2(EXP, F(1), F(2), FIB, -1),
+        ValueError,
+        "a series needs at least the constant coefficient",
     ),
     "a sum that never settles": (
         lambda: lucascalc.functions._adaptive_sum(itertools.repeat(1.0), 1e-12),

@@ -18,6 +18,8 @@ A zero found by bisection is off by at most half its 1e-13 bracket, plus
 the value tolerance at the zero over the slope there.
 """
 
+import math
+
 import mpmath
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
@@ -28,6 +30,7 @@ from lucascalc import (
     NoRootFound,
     SeriesDiverging,
     find_pi_u,
+    fn_value,
     fn_value_info,
     make_params,
     params_from_roots,
@@ -132,6 +135,31 @@ def test_find_pi_u_matches_mpmath_root(params, u_ratio):
     terms = oracle_terms(FnKind.SIN, root, u, params)
     slope = abs(MP.fsum(term * (2 * j + 1) for j, term in enumerate(terms)) / MP.mpf(root))
     assert abs(MP.mpf(root) - exact) <= BISECT_TOL / 2 + value_tolerance(terms) / slope
+
+
+def test_find_pi_u_past_512_stops_on_adjacent_floats():
+    """Past x = 512 one ulp is wider than the 1e-13 width rule, so the Illinois
+    refinement stops when its bracket's ends are adjacent floats.
+
+    The first sine zero of s = 2, t = -1, u = 0.026 lies near 584.27, where
+    one ulp is 1.1e-13.  The returned end and its neighbour straddle the sign
+    change of the float sine the search sums.  That sine is off by up to
+    1.2e-13 there against mpmath, 0.4 ulp of x at a slope of about -2.5, so the
+    series' root can lie just outside the bracket: it is 1.006 ulps from the
+    returned end and 0.006 ulp from the other one.  Hence the bound of two ulps.
+    """
+    params, u = make_params(2.0, -1.0), 0.026
+    root = find_pi_u(params, u, x_max=600.0).value
+    assert root > 512
+    below, above = math.nextafter(root, 0.0), math.nextafter(root, math.inf)
+    sign = [fn_value(FnKind.SIN, x, u, params) > 0 for x in (below, root, above)]
+    assert sign[0] != sign[1] or sign[1] != sign[2]
+
+    def sine(x):
+        return MP.fsum(oracle_terms(FnKind.SIN, x, u, params))
+
+    exact = MP.findroot(sine, MP.mpf(root))
+    assert abs(MP.mpf(root) - exact) <= 2 * math.ulp(root)
 
 
 @pytest.mark.parametrize("kind, reference", [(FnKind.EXP, "exp"), (FnKind.SIN, "sin"), (FnKind.COS, "cos")])

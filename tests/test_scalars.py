@@ -113,12 +113,16 @@ class TestBackends:
         class Ratio(F):
             pass
 
+        class Gaussian(GaussianRational):
+            pass
+
         class Real(float):
             pass
 
         assert backend_of(True) is Backend.RATIONAL
         assert backend_of(Count(3)) is Backend.RATIONAL
         assert backend_of(Ratio(1, 3)) is Backend.RATIONAL
+        assert backend_of(Gaussian(1, F(-1, 2))) is Backend.GAUSSIAN
         assert backend_of(Real(0.5)) is Backend.COMPLEX
 
     @pytest.mark.parametrize("value, name", [("1", "str"), (None, "NoneType"), ([1], "list")])

@@ -201,6 +201,7 @@ SERIES_GUARDS = {
     "-series": (lambda: -series(1, 2), TypeError),
     "dilate by another backend": (lambda: series(1, 2).dilate(0.5), BackendMismatch),
     "truncate upward": (lambda: series(1, 2).truncate(2), OrderMismatch),
+    "empty bivariate series": (lambda: TruncatedSeries2({}, -1, RAT), ValueError),
     "mixed bivariate coefficients": (
         lambda: TruncatedSeries2({(0, 0): F(1), (1, 0): 1.0}, 1, RAT),
         BackendMismatch,
