@@ -232,9 +232,13 @@ class MultinomialWeights:
 
 
 class DeformedPowerWeights:
-    """Memoized weights w(n) = deformed power of (x, y) at degree n (:func:`row_value`)."""
+    """Memoized weights w(n) = deformed power of (x, y) at degree n (:func:`row_value`).
+
+    The point, the deformations and the parameters must share one backend.
+    """
 
     def __init__(self, x: Scalar, y: Scalar, u: Scalar, v: Scalar, params: LucasParams):
+        common_backend(x, y, u, v, params.s)
         self.x, self.y, self.u, self.v = x, y, u, v
         self.params = params
         self._u_weights = PowerWeights(u)
@@ -245,8 +249,6 @@ class DeformedPowerWeights:
         if n < 0:
             raise IndexOutOfRange("n must be nonnegative")
         values = self._values
-        if len(values) <= n:
-            common_backend(self.x, self.y, self.u, self.v, self.params.s)
         while len(values) <= n:
             values.append(
                 row_value(len(values), self._u_weights, self._v_weights, self.x, self.y, self.params)

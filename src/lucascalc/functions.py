@@ -100,6 +100,10 @@ SERIES_KINDS = set(_PRIMARY) | {
     kind for kind, (_, denominator) in _QUOTIENTS.items() if _PRIMARY[denominator][0] == 0
 }
 
+# the relative tolerance every point value sums to: fn_value_info's default, and the
+# one the weighted values and find_pi_u's sine sums use
+_EPS = 1e-12
+
 _GROWTH_LIMIT = 8
 _SMALL_RUN = 3
 _MAX_VALUE_TERMS = 512
@@ -321,7 +325,7 @@ def _value_info(kind: FnKind, terms: Callable, eps: float, *args) -> EvalInfo:
 
 
 def fn_value_info(
-    kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float = 1e-12
+    kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float = _EPS
 ) -> EvalInfo:
     """Adaptive point evaluation, reporting the value and terms consumed.
 
@@ -337,19 +341,17 @@ def fn_value_info(
     return _value_info(kind, _primary_value_terms, eps, x, u, params, params.cache.value_tables(u))
 
 
-def fn_value(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float = 1e-12) -> Scalar:
-    return fn_value_info(kind, x, u, params, eps).value
+def fn_value(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams) -> Scalar:
+    return fn_value_info(kind, x, u, params).value
 
 
-def weighted_fn_value(
-    kind: FnKind, weights: Weights, x: Scalar, params: LucasParams, eps: float = 1e-12
-) -> Scalar:
+def weighted_fn_value(kind: FnKind, weights: Weights, x: Scalar, params: LucasParams) -> Scalar:
     """Adaptive evaluation of any kind with an arbitrary weight family at a point.
 
     The point and the weights' degree-0 value must share the parameters' backend.
     """
     common_backend(x, weights(0), params.s)
-    return _value_info(kind, _weighted_terms, eps, weights, x, params).value
+    return _value_info(kind, _weighted_terms, _EPS, weights, x, params).value
 
 
 def multinomial_series(
@@ -376,11 +378,9 @@ def multinomial_series(
     return _pattern_series(kind, product.coeffs.__getitem__, order, params.backend)
 
 
-def multinomial_value(
-    kind: FnKind, us: Sequence[Scalar], x: Scalar, params: LucasParams, eps: float = 1e-12
-) -> Scalar:
+def multinomial_value(kind: FnKind, us: Sequence[Scalar], x: Scalar, params: LucasParams) -> Scalar:
     """Point value of the multinomial-weighted family member."""
-    return weighted_fn_value(kind, MultinomialWeights(tuple(us), params), x, params, eps)
+    return weighted_fn_value(kind, MultinomialWeights(tuple(us), params), x, params)
 
 
 def deformed_zero_series(
@@ -389,10 +389,8 @@ def deformed_zero_series(
     return weighted_fn_series(kind, DeformedZeroWeights(u, v, params), params, order)
 
 
-def deformed_zero_value(
-    kind: FnKind, u: Scalar, v: Scalar, x: Scalar, params: LucasParams, eps: float = 1e-12
-) -> Scalar:
-    return weighted_fn_value(kind, DeformedZeroWeights(u, v, params), x, params, eps)
+def deformed_zero_value(kind: FnKind, u: Scalar, v: Scalar, x: Scalar, params: LucasParams) -> Scalar:
+    return weighted_fn_value(kind, DeformedZeroWeights(u, v, params), x, params)
 
 
 def binomial_series2(
@@ -426,7 +424,6 @@ def weighted_binomial_value(
     x: Scalar,
     y: Scalar,
     params: LucasParams,
-    eps: float = 1e-12,
 ) -> Scalar:
     """Point value of a binomial combination with weight families on both slots.
 
@@ -439,28 +436,20 @@ def weighted_binomial_value(
     def weights(n: int) -> Scalar:
         return row_value(n, x_weights, y_weights, x, y, params)
 
-    return weighted_fn_value(kind, weights, backend_one(params.backend), params, eps)
+    return weighted_fn_value(kind, weights, backend_one(params.backend), params)
 
 
 def binomial_value(
-    kind: FnKind,
-    x: Scalar,
-    y: Scalar,
-    u: Scalar,
-    v: Scalar,
-    params: LucasParams,
-    eps: float = 1e-12,
+    kind: FnKind, x: Scalar, y: Scalar, u: Scalar, v: Scalar, params: LucasParams
 ) -> Scalar:
     """Point value of the two-deformation binomial combination of (x, y)."""
-    return weighted_binomial_value(kind, PowerWeights(u), PowerWeights(v), x, y, params, eps)
+    return weighted_binomial_value(kind, PowerWeights(u), PowerWeights(v), x, y, params)
 
 
 _TILDE_KINDS = {FnKind.SIN, FnKind.COS, FnKind.SEC, FnKind.CSC, FnKind.TAN, FnKind.COT}
 
 
-def tilde_value(
-    kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, eps: float = 1e-12
-) -> Scalar:
+def tilde_value(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams) -> Scalar:
     """Normalized trigonometric value; sin and cos are divided by the square
     root of the deformed-zero cosine, sec and csc multiplied by it, and
     tan and cot pass through unchanged.
@@ -472,12 +461,12 @@ def tilde_value(
     if params.backend is not Backend.COMPLEX:
         raise NegativeNormalizer("normalized functions run on the float backend")
     if kind in (FnKind.TAN, FnKind.COT):
-        return fn_value(kind, x, u, params, eps)
-    normalizer = deformed_zero_value(FnKind.COS, u, u, x, params, eps)
+        return fn_value(kind, x, u, params)
+    normalizer = deformed_zero_value(FnKind.COS, u, u, x, params)
     if isinstance(normalizer, complex) or normalizer <= 0:
         raise NegativeNormalizer(f"deformed-zero cosine at {x} is {normalizer}")
     root = normalizer**0.5
-    value = fn_value(kind, x, u, params, eps)
+    value = fn_value(kind, x, u, params)
     return value / root if kind in _PRIMARY else value * root
 
 
@@ -497,7 +486,11 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
 
     The root is the bracket end with the smaller |sin|, and the residual is
     that |sin|; an exact zero of sin at a scan or refinement point is the
-    root itself.  Every point sums on the same ratio tables of (u, params),
+    root itself.  Past x = 512, where the ends are adjacent floats, the float
+    sine's own error can make that the end one float farther from the true
+    zero: at make_params(2.0, -1.0), u = 0.026, the root returned is 1.006
+    ulps from the series' 60-digit root.  No float sum can pick the nearer
+    end there.  Every point sums on the same ratio tables of (u, params),
     bound once, so each ratio of the sine series is formed once per search.
     Raises NoRootFound on exact parameters, for a complex u, s or t, and
     when no sign change appears before x_max or before the series starts
@@ -514,7 +507,7 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
     tables = params.cache.value_tables(u)
 
     def s(x: float) -> float:
-        return _adaptive_sum(_primary_value_terms(FnKind.SIN, x, u, params, tables), 1e-12)[0]
+        return _adaptive_sum(_primary_value_terms(FnKind.SIN, x, u, params, tables), _EPS)[0]
 
     prev_x = prev_val = None
     x = _PI_SCAN_STEP

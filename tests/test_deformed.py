@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from lucascalc import (
+    BackendMismatch,
     DeformedPowerWeights,
     DeformedZeroWeights,
     IndexOutOfRange,
@@ -291,6 +292,19 @@ DEFORMED_GUARDS = {
     "warm DeformedZeroWeights at -1": (
         lambda: _warm(DeformedZeroWeights(F(1), F(2), ROOTS))(-1),
         IndexOutOfRange,
+    ),
+    # backends are checked once, when the family is built, not per degree
+    "DeformedPowerWeights built at a float point": (
+        lambda: DeformedPowerWeights(0.5, F(2), F(1), F(2), ROOTS),
+        BackendMismatch,
+    ),
+    "DeformedPowerWeights built with a float deformation": (
+        lambda: DeformedPowerWeights(F(1), F(2), F(1), 0.5, ROOTS),
+        BackendMismatch,
+    ),
+    "DeformedZeroWeights built on float parameters": (
+        lambda: DeformedZeroWeights(F(1), F(2), make_params(1.0, 2.0)),
+        BackendMismatch,
     ),
 }
 

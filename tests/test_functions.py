@@ -1,6 +1,7 @@
 """Function families: series coefficients, adaptive values, and the sine zero."""
 
 import hashlib
+import inspect
 import itertools
 import random
 import re
@@ -253,7 +254,7 @@ class TestValues:
 
     def test_exact_value_evaluation(self):
         # adaptive summation terminates on exact backends too
-        value = fn_value(EXP, F(1, 3), F(1, 2), FIB, eps=1e-15)
+        value = fn_value_info(EXP, F(1, 3), F(1, 2), FIB, eps=1e-15).value
         series = fn_series(EXP, F(1, 2), FIB, 30)
         assert float(value) == pytest.approx(float(series.eval_at(F(1, 3))), rel=1e-13)
 
@@ -1009,3 +1010,31 @@ def test_function_guards(name):
     call, error, text = FUNCTION_GUARDS[name]
     with pytest.raises(error, match=re.escape(text)):
         call()
+
+
+def _public_callables():
+    """Every function ``lucascalc`` exports, and the constructor, ``__call__``
+    and public methods of every class it exports."""
+    for name, obj in vars(lucascalc).items():
+        if name.startswith("_") or not getattr(obj, "__module__", "").startswith("lucascalc."):
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr in vars(obj):
+                member = getattr(obj, attr)
+                if (not attr.startswith("_") or attr in ("__init__", "__call__")) and (
+                    inspect.isfunction(member) or inspect.ismethod(member)
+                ):
+                    yield f"{name}.{attr}", member
+
+
+def test_only_the_callers_tolerances_take_eps():
+    # every point value sums to one tolerance; eps stays only where a caller
+    # sets it: the CLI's --eps on eval, table and integrate, and the calculus identities
+    takes_eps = {
+        name: inspect.signature(fn).parameters["eps"].default
+        for name, fn in _public_callables()
+        if "eps" in inspect.signature(fn).parameters
+    }
+    assert takes_eps == {"fn_value_info": 1e-12, "integral_value": 1e-12, "integration_by_parts_residual": 1e-12}

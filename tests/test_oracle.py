@@ -19,6 +19,7 @@ the value tolerance at the zero over the slope there.
 """
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -29,10 +30,13 @@ from lucascalc import (
     FnKind,
     NoRootFound,
     SeriesDiverging,
+    binomial_value,
+    deformed_zero_value,
     find_pi_u,
     fn_value,
     fn_value_info,
     make_params,
+    multinomial_value,
     params_from_roots,
 )
 
@@ -65,23 +69,47 @@ def real_root_params(draw, phi_min=1.05, phi_max=3.0, ratio_max=0.85):
     return params_from_roots(phi, psi)
 
 
-def oracle_terms(kind, x, u, params):
-    """The signed series terms in 60 digits, until they fall below 1e-70 of the largest."""
-    first, step, alternating = PRIMARY[kind]
-    s, t, x, u = MP.mpf(params.s), MP.mpf(params.t), MP.mpf(x), MP.mpf(u)
+def mp_factorial(params):
+    """n -> {n}! in 60 digits, from the recurrence in exact s and t, grown on demand."""
+    s, t = MP.mpf(params.s), MP.mpf(params.t)
     seq, fact = [MP.mpf(0), MP.mpf(1)], [MP.mpf(1), MP.mpf(1)]
+
+    def factorial(n):
+        while len(fact) <= n:
+            seq.append(s * seq[-1] + t * seq[-2])
+            fact.append(fact[-1] * seq[-1])
+        return fact[n]
+
+    return factorial
+
+
+def weighted_oracle_terms(kind, coefficient, x):
+    """Pairs (t_j, |t_j|) of the series sign * c_m x^m, m = first + j * step, where
+    |t_j| is the magnitude coefficient(m) gives beside c_m, times |x|^m, until
+    it falls below 1e-70 of the largest."""
+    first, step, alternating = PRIMARY[kind]
+    x = MP.mpf(x)
     terms, largest = [], MP.mpf(0)
     for j in range(4096):
         m = first + j * step
-        while len(seq) <= m:
-            seq.append(s * seq[-1] + t * seq[-2])
-            fact.append(fact[-1] * seq[-1])
-        term = u ** (m * (m - 1) // 2) * x**m / fact[m]
-        terms.append(-term if alternating and j % 2 else term)
-        largest = max(largest, abs(term))
-        if j > 4 and abs(term) < MP.mpf(10) ** -70 * largest:
+        c, size = coefficient(m)
+        term, size = c * x**m, size * abs(x) ** m
+        terms.append((-term if alternating and j % 2 else term, size))
+        largest = max(largest, size)
+        if j > 4 and size < MP.mpf(10) ** -70 * largest:
             return terms
     raise AssertionError("oracle series did not settle")
+
+
+def oracle_terms(kind, x, u, params):
+    """The signed series terms in 60 digits, until they fall below 1e-70 of the largest."""
+    factorial, u = mp_factorial(params), MP.mpf(u)
+
+    def coefficient(m):
+        c = u ** (m * (m - 1) // 2) / factorial(m)
+        return c, abs(c)
+
+    return [term for term, _ in weighted_oracle_terms(kind, coefficient, x)]
 
 
 def value_tolerance(terms):
@@ -135,6 +163,135 @@ def test_find_pi_u_matches_mpmath_root(params, u_ratio):
     terms = oracle_terms(FnKind.SIN, root, u, params)
     slope = abs(MP.fsum(term * (2 * j + 1) for j, term in enumerate(terms)) / MP.mpf(root))
     assert abs(MP.mpf(root) - exact) <= BISECT_TOL / 2 + value_tolerance(terms) / slope
+
+
+def multinomial_coefficient(us, params):
+    """m -> the degree-m coefficient of the product of the parts' rows
+    u^T(k) z^k / {k}!, and the same coefficient of the product of the rows'
+    magnitudes."""
+    factorial = mp_factorial(params)
+    us = [MP.mpf(u) for u in us]
+    rows = [[] for _ in us]
+    products = [([], []) for _ in us[1:]]  # (signed, magnitude) products of rows 0..i
+
+    def coefficient(m):
+        while len(rows[0]) <= m:
+            n = len(rows[0])
+            for row, u in zip(rows, us):
+                row.append(u ** (n * (n - 1) // 2) / factorial(n))
+            signed, size = rows[0], [abs(c) for c in rows[0]]
+            for row, (p, a) in zip(rows[1:], products):
+                p.append(MP.fsum(row[k] * signed[n - k] for k in range(n + 1)))
+                a.append(MP.fsum(abs(row[k]) * size[n - k] for k in range(n + 1)))
+                signed, size = p, a
+        if not products:
+            return rows[0][m], abs(rows[0][m])
+        signed, size = products[-1]
+        return signed[m], size[m]
+
+    return coefficient
+
+
+def row_coefficient(u, v, x, y, params):
+    """n -> the Lucasnomial row over {n}!, sum_k C(n,k) u^T(n-k) v^T(k) x^(n-k) y^k / {n}!
+    with C(n,k) / {n}! = 1 / ({k}! {n-k}!), and the sum of its entries' magnitudes."""
+    factorial = mp_factorial(params)
+    u, v, x, y = (MP.mpf(c) for c in (u, v, x, y))
+
+    def coefficient(n):
+        entries = [
+            u ** ((n - k) * (n - k - 1) // 2) * v ** (k * (k - 1) // 2) * x ** (n - k) * y**k
+            / (factorial(k) * factorial(n - k))
+            for k in range(n + 1)
+        ]
+        return MP.fsum(entries), MP.fsum(map(abs, entries))
+
+    return coefficient
+
+
+def draw_params(rng):
+    """Float parameters from the ranges the numeric records draw (``_float_params``)."""
+    while True:
+        phi = rng.uniform(1.05, 3.0) * rng.choice((-1.0, 1.0))
+        psi = rng.uniform(0.08, 0.85) * abs(phi) * rng.choice((-1.0, 1.0))
+        if abs(phi + psi) >= 0.05 and abs(phi * psi) >= 0.02:
+            return params_from_roots(phi, psi)
+
+
+def draw_u(rng, params):
+    return rng.uniform(0.05, 0.7 * abs(params.phi)) * rng.choice((-1.0, 1.0))
+
+
+def draw_x(rng, hi):
+    return rng.uniform(0.05, hi) * rng.choice((-1.0, 1.0))
+
+
+def multinomial_draw(rng, kind, params):
+    # 1-4 parts, equal ones as the pi_u records take them, up to x = 8
+    n = rng.randint(1, 4)
+    us = (draw_u(rng, params),) * n if rng.random() < 0.5 else tuple(draw_u(rng, params) for _ in range(n))
+    x = draw_x(rng, 8.0)
+    return (
+        lambda: multinomial_value(kind, us, x, params),
+        weighted_oracle_terms(kind, multinomial_coefficient(us, params), x),
+    )
+
+
+def deformed_zero_draw(rng, kind, params):
+    # (u, u) as the normalizer and the pi_u setup take it, or two deformations
+    u = draw_u(rng, params)
+    v = u if rng.random() < 0.5 else draw_u(rng, params)
+    x = draw_x(rng, 8.0)
+    return (
+        lambda: deformed_zero_value(kind, u, v, x, params),
+        weighted_oracle_terms(kind, row_coefficient(u, v, 1.0, -1.0, params), x),
+    )
+
+
+def binomial_draw(rng, kind, params):
+    # the tangent addition records' draws
+    u, v = draw_u(rng, params), draw_u(rng, params)
+    x, y = draw_x(rng, 0.5), draw_x(rng, 0.5)
+    return (
+        lambda: binomial_value(kind, x, y, u, v, params),
+        weighted_oracle_terms(kind, row_coefficient(u, v, x, y, params), 1.0),
+    )
+
+
+# family -> (draw, number of seeds)
+WEIGHTED_DRAWS = {
+    "multinomial": (multinomial_draw, 60),
+    "deformed-zero": (deformed_zero_draw, 120),
+    "binomial": (binomial_draw, 120),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WEIGHTED_DRAWS))
+def test_weighted_values_match_mpmath_series(family):
+    """The weighted values against their series summed in 60 digits from the
+    definition, with the tolerance of the primary kinds.  A weighted term is a
+    sum itself (a Cauchy product, or a Lucasnomial row) that the library rounds
+    part by part, so |t_j| is the sum of its parts' magnitudes; at (u, u) the
+    odd rows of the deformed zero vanish, and only their parts bound the
+    rounding left in them.  Over seeds 0-2,999 per family the largest multiple
+    of 2^-53 * sum_j (j + 1) |t_j| seen was 2.9 for the multinomial values,
+    2.4 for the deformed zero and 3.1 for the binomial values; 112 of the
+    3,000 multinomial draws met the term-growth backstop.
+    """
+    draw, count = WEIGHTED_DRAWS[family]
+    checked = 0
+    for seed in range(count):
+        rng = random.Random(seed)
+        kind = rng.choice(sorted(PRIMARY))
+        evaluate, terms = draw(rng, kind, draw_params(rng))
+        try:
+            value = evaluate()
+        except SeriesDiverging:
+            continue  # the term-growth backstop's verdict on an entire series
+        checked += 1
+        tolerance = VALUE_ROUNDINGS * ULP * MP.fsum((j + 1) * size for j, (_, size) in enumerate(terms))
+        assert abs(MP.mpf(value) - MP.fsum(t for t, _ in terms)) <= tolerance, (seed, kind)
+    assert checked >= 0.9 * count
 
 
 def test_find_pi_u_past_512_stops_on_adjacent_floats():
