@@ -112,6 +112,15 @@ _MAX_VALUE_TERMS = 512
 _PI_SCAN_STEP = 0.05
 _PI_BRACKET_TOL = 1e-13
 _PI_MAX_SCAN_POINTS = 100_000
+# find_pi_u's certified skips: the first and the longest window one derivative
+# majorant serves, the share of its proven zero-free reach a skip takes, and the
+# calibrated multiple of 2^-53 * sum_j (j+1) |t_j| that bounds a float sum's
+# rounding (tests/test_oracle.py)
+_PI_FIRST_WINDOW = 1.0
+_PI_MAX_WINDOW = 2.0
+_PI_SKIP_SHARE = 0.9
+_ROUNDINGS = 32
+_ULP = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -231,12 +240,12 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
     share: ``tables[first]`` for sin, cos and the hyperbolic kinds,
     ``tables[2]`` for exp.  Step j takes term j to term j+1 as the pair
     (divisor, power): for exp, with n = j + 1, {n} and u^(n-1) as a running
-    product; for the other kinds, with degree m = first + 2j, {m+1}{m+2} and
-    u**(2m+1).  A table is a tuple that a longer one replaces, so a sum reads
-    the one it found as a snapshot and forms each later step only when it
-    first needs it: a vanishing {k} raises VanishingFactor, and a float power
-    of u that overflows raises OverflowError, at the same term as without the
-    table, and neither leaves a step behind.  Each new step is offered by its
+    product; for the other kinds the steps :func:`_ratio_steps` forms.  A table
+    is a tuple that a longer one replaces, so a sum reads the one it found as
+    a snapshot and forms each later step only when it first needs it: a
+    vanishing {k} raises VanishingFactor, and a float power of u that
+    overflows raises OverflowError, at the same term as without the table,
+    and neither leaves a step behind.  Each new step is offered by its
     own index, counted on from the snapshot's length, never by the table's
     length after the loop (:meth:`SeqCache.add_value_step`).  At x = 0 every
     term after the first vanishes, so only the first is drawn.
@@ -268,8 +277,24 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
         factor = xx / d * p
         term = term * (-factor if alternating else factor)
         yield term
+    for d, p in _ratio_steps(u, params, tables, first, len(known)):
+        factor = xx / d * p
+        term = term * (-factor if alternating else factor)
+        yield term
+
+
+def _ratio_steps(u: Scalar, params: LucasParams, tables: list, first: int, start: int):
+    """Form steps start, start+1, ... of ``tables[first]``, the table of the
+    kinds whose degrees start at first and rise by 2, offering each to the
+    table by its own index before it is yielded.
+
+    With m = first + 2j step j is ({m+1}{m+2}, u**(2m+1)): term j+1 is term j
+    times x^2 u^(2m+1) / ({m+1}{m+2}).  A vanishing {k} raises
+    VanishingFactor and a float power of u that overflows raises
+    OverflowError, both before the step is offered.
+    """
     add_step, seq = params.cache.add_value_step, params.cache.u
-    for j in itertools.count(len(known)):
+    for j in itertools.count(start):
         m = first + 2 * j
         d1 = seq(m + 1)
         if d1 == 0:
@@ -277,11 +302,9 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
         d2 = seq(m + 2)
         if d2 == 0:
             raise VanishingFactor(m + 2)
-        d, p = d1 * d2, u ** (2 * m + 1)
-        add_step(tables, first, j, (d, p))
-        factor = xx / d * p
-        term = term * (-factor if alternating else factor)
-        yield term
+        step = (d1 * d2, u ** (2 * m + 1))
+        add_step(tables, first, j, step)
+        yield step
 
 
 def _weighted_terms(kind: FnKind, weights: Weights, x: Scalar, params: LucasParams):
@@ -480,9 +503,104 @@ class PiU:
     residual: float
 
 
+def _sine_majorant(u: float, params: LucasParams, tables: list):
+    """The majorant M(X) = sum_j (2j+1) |a_j| X^(2j) of the sine
+    sum_j a_j x^(2j+1) of (u, params), which bounds |sin'| on [0, X], as a
+    function of X; None where no bound can be proven.
+
+    The function returns the tail sums of M(X): entry k bounds
+    sum_(j>=k) (2j+1) |a_j| X^(2j), so entry 0 is M(X), and the last entry,
+    at the step J where its pass stops, bounds the whole tail from J on.
+    |a_(j+1)| / |a_j| is |p / d| for step j of the sine's ratio table
+    ``tables[1]``, read as the sums read it and formed by :func:`_ratio_steps`
+    where the table ends.
+
+    The tail bound is geometric.  With phi the root of larger modulus and
+    |psi| < |phi|, |{n}| >= (|phi|^n - |psi|^n) / |phi - psi|, so with
+    q = |u| / |phi|, r = |psi| / |phi| and m = 2j + 1, the ratio of terms j+1
+    and j of M is at most
+
+        B_j = (2j+3)/(2j+1) X^2 q^(2m+1) |phi - psi|^2 / |phi|^2 / ((1 - r^(m+1)) (1 - r^(m+2))),
+
+    which falls with j once q < 1.  So the terms from J on sum to at most
+    term J / (1 - B_J) when B_J < 1, and a pass stops at the first J where
+    that is at most 2^-53 of the terms before it.  X^2 is widened by 2^-30,
+    which covers the rounding of the float {n} and of the pass itself, so M
+    is no smaller than the same sum in exact arithmetic.
+
+    None when |u| >= |phi| or |psi| = |phi| (the complex roots of
+    s^2 + 4t < 0, and the repeated root, as at s = 2, t = -1).  The function
+    returns None when its pass meets a vanishing {k}, a float exception (an
+    overflowing power of u, a product of {k} that underflows to 0), a
+    non-finite M or the term budget, and when eight steps in a row have
+    a term ratio |p / d| X^2 of 1 or more: a sum at some x <= X could then
+    meet the summer's growth backstop, which a skipped point must not hide.
+    """
+    phi, psi = abs(params.phi), abs(params.phi_prime)
+    if psi > phi:
+        phi, psi = psi, phi
+    if not (psi < phi and abs(u) < phi):
+        return None
+    q, r = abs(u) / phi, psi / phi
+    spread = abs(params.phi - params.phi_prime) ** 2 / (phi * phi)
+
+    def tails(X: float):
+        XX = (1 + 2.0**-30) * X * X
+        scale = spread * XX
+        known = tables[1]
+        steps = itertools.chain(known, _ratio_steps(u, params, tables, 1, len(known)))
+        terms, total, term, run = [1.0], 1.0, 1.0, 0
+        try:
+            for j, (d, p) in zip(range(_MAX_VALUE_TERMS), steps):  # step j: term j to term j+1
+                ratio = abs(p / d) * XX
+                run = run + 1 if ratio >= 1 - 2.0**-30 else 0
+                if run >= _GROWTH_LIMIT:
+                    return None
+                term *= ratio * (2 * j + 3) / (2 * j + 1)
+                if term <= _ULP * total:  # else the tail from j+1 is no smaller, whatever B_(j+1)
+                    m = 2 * j + 3
+                    bound = (m + 2) / m * scale * q ** (2 * m + 1) / ((1 - r ** (m + 1)) * (1 - r ** (m + 2)))
+                    if bound < 1 and term / (1 - bound) <= _ULP * total:
+                        break
+                terms.append(term)
+                total += term
+            else:
+                return None
+        except (VanishingFactor, ArithmeticError):
+            return None
+        sums = list(itertools.accumulate(reversed(terms), initial=term / (1 - bound)))
+        sums.reverse()
+        return sums if sums[0] < math.inf else None
+
+    return tails
+
+
 def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
-    """Scan (0, x_max] in steps of 0.05 for the first sign change of sin and
-    narrow that bracket to a width of 1e-13 by Illinois regula falsi.
+    """Scan (0, x_max] on a grid of step 0.05 for the first sign change of
+    sin, skipping the grid points it proves zero-free, and narrow that
+    bracket to a width of 1e-13 by Illinois regula falsi.
+
+    A skip is one Lipschitz bound (Moore, Kearfott & Cloud, *Introduction to
+    Interval Analysis*, SIAM 2009, ch. 8).  On a window [x, x + H], H from
+    0.05 up to 2 and 1 at first, M = :func:`_sine_majorant` at x + H bounds
+    |sin'|, and every summed point of the window reuses it.  At a summed
+    point x the sum s is within delta = x (32 * 2^-53 M + tail) of the
+    series: the rounding form calibrated in tests/test_oracle.py, plus the
+    majorant's bound on the terms the sum left out.  So sin has no zero on
+    [x, x + h] for h = 0.9 (|s| - delta) / M, and the grid points up to
+    min(x + h, window end) are not summed.  While the majorant's terms after
+    the first sum to less than 0.9, sin y / y > 0.1 on (0, x + H], and the
+    whole window is skipped.  H doubles after a skip reaches the window's end
+    and halves, down to 0.05, after a skip shorter than one grid step.  Where
+    the majorant gives no bound (|u| >= |phi|, |psi| = |phi| as on the
+    classical member, and so on), the scan sums every grid point.
+
+    The grid points are accumulated as ``x += 0.05`` whether summed or
+    skipped, and when the first point summed after a skip has the other sign,
+    the last skipped point is summed too, so the bracket, the refinement and
+    the root are those of summing every grid point.  A skipped stretch is
+    proven zero-free; a 0.05 step between two summed points of one sign is
+    not, so two zeros inside one such step go unseen.
 
     The root is the bracket end with the smaller |sin|, and the residual is
     that |sin|; an exact zero of sin at a scan or refinement point is the
@@ -490,12 +608,12 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
     sine's own error can make that the end one float farther from the true
     zero: at make_params(2.0, -1.0), u = 0.026, the root returned is 1.006
     ulps from the series' 60-digit root.  No float sum can pick the nearer
-    end there.  Every point sums on the same ratio tables of (u, params),
-    bound once, so each ratio of the sine series is formed once per search.
-    Raises NoRootFound on exact parameters, for a complex u, s or t, and
-    when no sign change appears before x_max or before the series starts
-    diverging; BackendMismatch for a u of another backend; and ValueError
-    for an x_max past the scan cap of 100,000 points (5,000).
+    end there.  Every point and every majorant reads the same ratio tables
+    of (u, params), bound once, so each ratio of the sine series is formed
+    once per search.  Raises NoRootFound on exact parameters, for a complex
+    u, s or t, and when no sign change appears before x_max or before the
+    series starts diverging; BackendMismatch for a u of another backend; and
+    ValueError for an x_max past the scan cap of 100,000 points (5,000).
     """
     if params.backend is not Backend.COMPLEX:
         raise NoRootFound("root scanning runs on the float backend")
@@ -506,22 +624,45 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
         raise NoRootFound("root scanning needs a real u, s and t: a complex sine has no sign")
     tables = params.cache.value_tables(u)
 
-    def s(x: float) -> float:
-        return _adaptive_sum(_primary_value_terms(FnKind.SIN, x, u, params, tables), _EPS)[0]
+    def s(x: float) -> tuple[float, int]:
+        return _adaptive_sum(_primary_value_terms(FnKind.SIN, x, u, params, tables), _EPS)
 
-    prev_x = prev_val = None
+    limit = x_max + 1e-12
+    majorant = _sine_majorant(u, params, tables)
+    window, end = _PI_FIRST_WINDOW, 0.0
+    prev_x = prev_val = skipped = None
     x = _PI_SCAN_STEP
-    while x <= x_max + 1e-12:
+    while x <= limit:
         try:
-            val = s(x)
+            val, count = s(x)
         except SeriesDiverging:
             raise NoRootFound(f"series diverges at x={x:.4g} before any sign change") from None
         if val == 0.0:
             return PiU(params, u, x, 0.0)
         if prev_val is not None and (val < 0) != (prev_val < 0):
+            if skipped is not None:  # proven of prev_val's sign
+                prev_x, prev_val = skipped, s(skipped)[0]
             break
         prev_x, prev_val = x, val
-        x += _PI_SCAN_STEP
+        skipped, x_next = None, x + _PI_SCAN_STEP
+        if majorant is not None and x >= end:
+            end = x + window
+            tails = majorant(end)
+            if tails is None:  # a longer window has no bound either
+                majorant = None
+        if majorant is not None:
+            slope = tails[0]
+            delta = x * (_ROUNDINGS * _ULP * slope + tails[min(count, len(tails) - 1)])
+            reach = x + _PI_SKIP_SHARE * (abs(val) - delta) / slope
+            if tails[1] < _PI_SKIP_SHARE:  # |sin y / y - 1| <= tails[1] on (0, end]
+                reach = end
+            if reach >= end:
+                reach, window = end, min(2 * window, _PI_MAX_WINDOW)
+            elif reach < x_next:
+                window = max(window / 2, _PI_SCAN_STEP)
+            while x_next <= reach and x_next <= limit:
+                skipped, x_next = x_next, x_next + _PI_SCAN_STEP
+        x = x_next
     else:
         raise NoRootFound(f"no sign change of sin on (0, {x_max}]")
     # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
@@ -537,7 +678,7 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
         mid = min(max(mid, math.nextafter(lo, hi)), math.nextafter(hi, lo))
         if not lo < mid < hi:  # adjacent floats, wider than the width rule past x = 512
             break
-        f_mid = s(mid)
+        f_mid = s(mid)[0]
         if f_mid == 0.0:
             return PiU(params, u, mid, 0.0)
         if (f_mid < 0) == (f_lo < 0):

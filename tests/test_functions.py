@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import itertools
+import math
 import random
 import re
 import sys
@@ -819,6 +820,64 @@ class TestTilde:
             tilde_value(SIN, F(1, 4), F(1), FIB)
 
 
+def _golden_pi_draws():
+    """The 80 (params, u, x_max) searches of the pi_u golden digest."""
+    rng = random.Random(59)
+    for _ in range(40):
+        p = _pi_range_params(rng)
+        u = rng.uniform(0.2, 1.0) * min(1.0, 0.95 * abs(p.phi))
+        for x_max in (8.0, 10.0):
+            yield p, u, x_max
+
+
+def _grid_scan_pi_u(params, u, x_max):
+    """The first zero of sin by summing every point of the 0.05 grid, then
+    Illinois regula falsi: the search find_pi_u made before it skipped
+    stretches it proves zero-free, kept as the reference its skips must
+    reproduce bit for bit, errors and their texts included."""
+
+    def s(x):
+        return fn_value(SIN, x, u, params)
+
+    prev_x = prev_val = None
+    x = 0.05
+    while x <= x_max + 1e-12:
+        try:
+            val = s(x)
+        except SeriesDiverging:
+            raise NoRootFound(f"series diverges at x={x:.4g} before any sign change") from None
+        if val == 0.0:
+            return PiU(params, u, x, 0.0)
+        if prev_val is not None and (val < 0) != (prev_val < 0):
+            break
+        prev_x, prev_val = x, val
+        x += 0.05
+    else:
+        raise NoRootFound(f"no sign change of sin on (0, {x_max}]")
+    lo, hi, f_lo, f_hi = prev_x, x, prev_val, val
+    w_lo, w_hi, kept = f_lo, f_hi, None
+    while hi - lo > 1e-13:
+        mid = hi - w_hi * (hi - lo) / (w_hi - w_lo)
+        mid = min(max(mid, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        if not lo < mid < hi:
+            break
+        f_mid = s(mid)
+        if f_mid == 0.0:
+            return PiU(params, u, mid, 0.0)
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo, w_lo = mid, f_mid, f_mid
+            if kept == "hi":
+                w_hi *= 0.5
+            kept = "hi"
+        else:
+            hi, f_hi, w_hi = mid, f_mid, f_mid
+            if kept == "lo":
+                w_lo *= 0.5
+            kept = "lo"
+    root, f_root = (hi, f_hi) if abs(f_hi) < abs(f_lo) else (lo, f_lo)
+    return PiU(params, u, root, abs(f_root))
+
+
 class TestPiU:
     def test_fibonacci_unit_root(self):
         p = make_params(1.0, 1.0)
@@ -857,7 +916,11 @@ class TestPiU:
 
     @staticmethod
     def _fake_sine(monkeypatch, sine):
-        """Make find_pi_u's sums return sine(x), and log every x it sums at."""
+        """Make find_pi_u's sums return sine(x), and log every x it sums at.
+
+        The ratio tables do not describe the fake, so the majorant that
+        certifies skips gives no bound, and the scan sums every grid point.
+        """
         seen = []
 
         def terms(kind, x, u, params, tables):
@@ -865,6 +928,7 @@ class TestPiU:
             return itertools.chain((sine(x),), itertools.repeat(0.0))
 
         monkeypatch.setattr(lucascalc.functions, "_primary_value_terms", terms)
+        monkeypatch.setattr(lucascalc.functions, "_sine_majorant", lambda u, params, tables: None)
         return seen
 
     def test_exact_zero_at_a_scan_point(self, monkeypatch):
@@ -883,6 +947,19 @@ class TestPiU:
         assert seen[:3] == [self.X1, self.X2, self.X3] and len(seen) == 4
         assert self.X2 < seen[3] < self.X3
         assert root == PiU(p, 1.0, seen[3], 0.0)
+
+    def test_a_sign_change_after_a_skip_brackets_at_the_last_skipped_point(self, monkeypatch):
+        # the fake sine 0.97 - x, with 1 for the majorant of its slope: from
+        # 0.05 the scan skips to 0.85 and from 0.9 over 0.95, and 1.0 has the
+        # other sign, so 0.95 is summed after it and the bracket is the grid's
+        seen = self._fake_sine(monkeypatch, lambda x: 0.97 - x)
+        majorant = [1.0, 0.95, 0.0]  # M, then the tails from its second and third terms
+        monkeypatch.setattr(lucascalc.functions, "_sine_majorant", lambda u, params, tables: lambda X: majorant)
+        p = make_params(1.0, 1.0)
+        grid = list(itertools.accumulate([0.05] * 20))  # the scan's floats
+        root = find_pi_u(p, 1.0)
+        assert seen[:4] == [grid[0], grid[17], grid[19], grid[18]]
+        assert root == _grid_scan_pi_u(p, 1.0, 10.0)
 
     @staticmethod
     def _log_points(monkeypatch):
@@ -926,6 +1003,51 @@ class TestPiU:
                 refinement_sums += len(xs) - 1 - xs.index(max(xs))
         assert roots == 35
         assert refinement_sums <= roots * 39 / 2
+
+    def test_skips_cut_the_golden_draws_sums_to_a_third(self, monkeypatch):
+        # summing every grid point took 11,353 sine sums over these 80 searches
+        xs = self._log_points(monkeypatch)
+        roots = 0
+        for p, u, x_max in _golden_pi_draws():
+            try:
+                find_pi_u(p, u, x_max=x_max)
+            except NoRootFound:
+                continue
+            roots += 1
+        assert roots == 35
+        assert len(xs) <= 11_353 / 3
+
+    # members where the majorant gives no bound, or none past some window:
+    # the classical member (a repeated root), |u| >= |phi|, complex roots, and
+    # u near phi, where eight steps grow in a row before x = 10
+    UNCERTIFIED = [
+        (make_params(2.0, -1.0), 1.0, 10.0),
+        (make_params(2.0, -1.0), 0.5, 10.0),
+        (make_params(2.0, -1.0), 1.2, 6.0),
+        (make_params(1.0, 1.0), 1.618033988749895, 10.0),
+        (make_params(1.0, 1.0), -1.7, 10.0),
+        (make_params(-1.5, 1.0), 2.5, 10.0),
+        (make_params(1.0, -0.5), 0.6, 10.0),
+        (make_params(1.0, 1.0), 1.45, 10.0),
+        (make_params(1.0, 1.0), 1.55, 10.0),
+        (make_params(2.5, -1.0), 1.9, 10.0),
+    ]
+
+    def test_skips_reproduce_the_grid_scan(self, monkeypatch):
+        # every search gives what summing every grid point gives, root, residual
+        # or error text alike, and sums no point past x_max; the golden draws
+        # with a root are also cut off just before it and just after it
+        xs = self._log_points(monkeypatch)
+        cases = list(_golden_pi_draws()) + self.UNCERTIFIED + [(make_params(1.0, 1.0), 1.0, 0.03)]
+        for p, u, x_max in list(cases):
+            root = _outcome(_grid_scan_pi_u, p, u, x_max)
+            if isinstance(root, PiU) and x_max == 8.0:
+                cases += [(p, u, root.value - 0.01), (p, u, root.value + 0.01)]
+        for p, u, x_max in cases:
+            expected = _outcome(_grid_scan_pi_u, p, u, x_max)
+            xs.clear()
+            assert _outcome(find_pi_u, p, u, x_max=x_max) == expected, (p, u, x_max)
+            assert max(xs, default=0.0) <= x_max + 1e-12
 
     def test_error_paths(self):
         with pytest.raises(VanishingFactor, match=re.escape("sequence term {3} vanishes")):

@@ -38,7 +38,9 @@ from lucascalc import (
     make_params,
     multinomial_value,
     params_from_roots,
+    tilde_value,
 )
+from lucascalc.functions import _sine_majorant
 
 MP = mpmath.MPContext()
 MP.dps = 60
@@ -163,6 +165,84 @@ def test_find_pi_u_matches_mpmath_root(params, u_ratio):
     terms = oracle_terms(FnKind.SIN, root, u, params)
     slope = abs(MP.fsum(term * (2 * j + 1) for j, term in enumerate(terms)) / MP.mpf(root))
     assert abs(MP.mpf(root) - exact) <= BISECT_TOL / 2 + value_tolerance(terms) / slope
+
+
+# the (s, t) pairs the benchmark's CLI launches pass to ``piu``
+CLI_PIU_MEMBERS = ((1.0, 1.0), (2.5, -1.0), (-1.5, 1.0), (3.0, -2.0))
+
+# the most M(X) may exceed the series it bounds, as a multiple of it
+MAJORANT_EXCESS = 1e-8
+
+
+def majorant_draw(seed):
+    """(params, u, X) for find_pi_u's derivative majorant: odd seeds from the
+    pi_u records' ranges, as the golden pi_u digest draws them, even seeds
+    from the CLI's members with u up to 0.95 |phi| either sign.  A window
+    ends at most 2 past x_max = 10, so X is drawn up to 12."""
+    rng = random.Random(seed)
+    if seed % 2:
+        while True:
+            phi = rng.uniform(1.25, 2.4) * rng.choice((-1.0, 1.0))
+            psi = rng.uniform(0.08, 0.75) * abs(phi) * rng.choice((-1.0, 1.0))
+            if abs(phi + psi) >= 0.05 and abs(phi * psi) >= 0.02:
+                break
+        params = params_from_roots(phi, psi)
+        u = rng.uniform(0.2, 1.0) * min(1.0, 0.95 * abs(phi))
+    else:
+        params = make_params(*CLI_PIU_MEMBERS[seed // 2 % len(CLI_PIU_MEMBERS)])
+        phi = max(abs(params.phi), abs(params.phi_prime))
+        u = rng.uniform(0.05, 0.95) * phi * rng.choice((-1.0, 1.0))
+    return params, u, rng.uniform(0.05, 12.0)
+
+
+def test_sine_majorant_bounds_the_derivative_series():
+    """Each tail sum of find_pi_u's majorant is at least the same tail of
+    sum_j (2j+1) |t_j(X)| / X, summed in 60 digits from the sine's terms t_j,
+    and M(X) itself is within a factor 1 + MAJORANT_EXCESS of the whole sum.
+    Over seeds 0-9,999 M(X) was never below the sum and at most 1 + 7.5e-9
+    times it (X^2 is widened by 2^-30 per step); 277 of the 10,000 draws, all
+    with u near phi and X large, had eight growing steps in a row and no bound.
+    """
+    bounded = 0
+    for seed in range(300):
+        params, u, X = majorant_draw(seed)
+        tails = _sine_majorant(u, params, params.cache.value_tables(u))(X)
+        if tails is None:
+            continue
+        bounded += 1
+        sizes = [(2 * j + 1) * abs(t) / X for j, t in enumerate(oracle_terms(FnKind.SIN, X, u, params))]
+        exact = [MP.fsum(sizes[k:]) for k in range(len(tails))]
+        assert all(MP.mpf(tail) >= part for tail, part in zip(tails, exact)), seed
+        assert tails[0] <= (1 + MAJORANT_EXCESS) * exact[0], seed
+    assert bounded >= 0.9 * 300
+
+
+# inputs where the majorant gives no bound at all, by name
+NO_MAJORANT = {
+    "u = phi": (make_params(1.0, 1.0), (1 + 5**0.5) / 2),
+    "|u| > |phi|, phi the second root": (make_params(-1.5, 1.0), -2.5),
+    "the classical member s = 2, t = -1, a repeated root": (make_params(2.0, -1.0), 1.0),
+    "complex roots of equal modulus": (make_params(1.0, -1.0), 0.5),
+}
+
+# inputs where it has no bound at X, by name: (params, u, X)
+NO_BOUND_AT_X = {
+    "eight growing steps in a row": (make_params(1.0, 1.0), 1.55, 12.0),
+    "an overflowing power of u": (params_from_roots(100.0, 1.0), 99.0, 1.0),
+    "the term budget": (params_from_roots(1.0, 0.5), 1 - 1e-9, 1.998),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_MAJORANT))
+def test_sine_majorant_gives_no_bound_off_the_entire_class(name):
+    params, u = NO_MAJORANT[name]
+    assert _sine_majorant(u, params, params.cache.value_tables(u)) is None
+
+
+@pytest.mark.parametrize("name", sorted(NO_BOUND_AT_X))
+def test_sine_majorant_gives_no_bound_where_its_pass_fails(name):
+    params, u, X = NO_BOUND_AT_X[name]
+    assert _sine_majorant(u, params, params.cache.value_tables(u))(X) is None
 
 
 def multinomial_coefficient(us, params):
@@ -292,6 +372,42 @@ def test_weighted_values_match_mpmath_series(family):
         tolerance = VALUE_ROUNDINGS * ULP * MP.fsum((j + 1) * size for j, (_, size) in enumerate(terms))
         assert abs(MP.mpf(value) - MP.fsum(t for t, _ in terms)) <= tolerance, (seed, kind)
     assert checked >= 0.9 * count
+
+
+# the multiple of 2^-53 * |value| * (R_f + R_n) a normalized value may miss by
+TILDE_ROUNDINGS = 5
+
+# each normalized kind and the primary kind its value is summed from
+TILDE_PARTS = {FnKind.SIN: FnKind.SIN, FnKind.COS: FnKind.COS, FnKind.SEC: FnKind.COS, FnKind.CSC: FnKind.SIN}
+
+
+def test_tilde_values_match_mpmath_series():
+    """sin and cos over the square root of the deformed-zero cosine at (u, u),
+    and sec and csc times it, against the same quotients of the series summed
+    in 60 digits, on draws from the numeric records' ranges up to x = 8.  The
+    value's relative error is the sine's or cosine's plus half the
+    normalizer's, and a square root and a quotient add an ulp or two, so the
+    tolerance relative to the value is TILDE_ROUNDINGS * 2^-53 * (R_f + R_n),
+    with R = sum_j (j + 1) |t_j| / |sum| of each series (R >= 1).  Over seeds
+    0-2,999 the largest multiple of 2^-53 * |value| * (R_f + R_n) seen was
+    1.66, and no draw had a normalizer of 0 or less; the bound keeps a margin
+    of about three.
+    """
+    for seed in range(120):
+        rng = random.Random(seed)
+        kind = rng.choice(sorted(TILDE_PARTS))
+        params = draw_params(rng)
+        u, x = draw_u(rng, params), draw_x(rng, 8.0)
+        value = tilde_value(kind, x, u, params)
+        terms = oracle_terms(TILDE_PARTS[kind], x, u, params)
+        normalizer_terms = weighted_oracle_terms(FnKind.COS, row_coefficient(u, u, 1.0, -1.0, params), x)
+        part, normalizer = MP.fsum(terms), MP.fsum(t for t, _ in normalizer_terms)
+        root = MP.sqrt(normalizer)
+        exact = part / root if kind in (FnKind.SIN, FnKind.COS) else root / part
+        spread = MP.fsum((j + 1) * abs(t) for j, t in enumerate(terms)) / abs(part) + MP.fsum(
+            (j + 1) * size for j, (_, size) in enumerate(normalizer_terms)
+        ) / abs(normalizer)
+        assert abs(MP.mpf(value) - exact) <= TILDE_ROUNDINGS * ULP * abs(exact) * spread, (seed, kind)
 
 
 def test_find_pi_u_past_512_stops_on_adjacent_floats():
