@@ -12,9 +12,11 @@ the multinomial, deformed-zero and binomial-combination variants swap in
 another weight family.  Every series is one sign-and-degree pattern over a
 row of degree-m coefficients: w(m) / {m}! for :func:`weighted_fn_series`,
 and for :func:`multinomial_series` the product of the parts' rows, which
-already carries the 1/{m}!.  Every point value goes through
-:func:`weighted_fn_value`.  tan/sec (and tanh/sech) are series quotients;
-cot/csc/coth/csch have a pole at 0 and exist as values only.
+already carries the 1/{m}!.  :func:`fn_value_info` sums ratio-form terms
+on the ratio tables of (u, params), kept here under one module lock, and
+every weight family's value goes through :func:`weighted_fn_value`.
+tan/sec (and tanh/sech) are series quotients; cot/csc/coth/csch have a
+pole at 0 and exist as values only.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import cmath
 import enum
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
@@ -232,11 +235,51 @@ def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> Trunc
     return weighted_fn_series(kind, PowerWeights(u), params, order)
 
 
+_TABLE_LOCK = threading.Lock()  # the ratio tables' slots and growth; never nests with a SeqCache lock
+
+
+def _value_tables(u: Scalar, params: LucasParams) -> list:
+    """The point-value ratio tables of (u, params), [even, odd, exp]: the even
+    table serves cos and cosh, the odd one sin and sinh.
+
+    The slot on ``params.cache`` keeps the tables of the last u asked for; a
+    later u of the same type that compares equal gets the same list.  A float
+    or complex u with a zero part gets fresh tables and leaves the slot alone:
+    u = 0.0 and -0.0 compare equal, but the sign of a zero changes ``u ** k``.
+    """
+    cache = params.cache
+    slot = cache._value_slot
+    if type(slot[0]) is type(u) and slot[0] == u:
+        return slot[1]
+    with _TABLE_LOCK:
+        slot = cache._value_slot
+        if type(slot[0]) is type(u) and slot[0] == u:
+            return slot[1]
+        tables = [(), (), ()]
+        if not ((u.real == 0 or u.imag == 0) if isinstance(u, complex) else (isinstance(u, float) and u == 0)):
+            cache._value_slot = (u, tables)
+    return tables
+
+
+def _add_value_step(tables: list, which: int, index: int, step: tuple) -> None:
+    """Extend ``tables[which]`` from :func:`_value_tables` by step if index is its length.
+
+    A table is a tuple that a longer one replaces, so a reader holding it
+    keeps a snapshot.  Another thread may have added the same step since
+    the caller read the table; its value is the same, so it is not added
+    twice.
+    """
+    with _TABLE_LOCK:
+        steps = tables[which]
+        if len(steps) == index:
+            tables[which] = steps + (step,)
+
+
 def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams, tables: list):
     """Incremental term generator; consecutive-term ratios avoid huge powers.
 
     ``tables`` holds the ratio tables of (u, params) from
-    :meth:`SeqCache.value_tables`, which every kind and every point at that u
+    :func:`_value_tables`, which every kind and every point at that u
     share: ``tables[first]`` for sin, cos and the hyperbolic kinds,
     ``tables[2]`` for exp.  Step j takes term j to term j+1 as the pair
     (divisor, power): for exp, with n = j + 1, {n} and u^(n-1) as a running
@@ -244,11 +287,11 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
     is a tuple that a longer one replaces, so a sum reads the one it found as
     a snapshot and forms each later step only when it first needs it: a
     vanishing {k} raises VanishingFactor, and a float power of u that
-    overflows raises OverflowError, at the same term as without the table,
-    and neither leaves a step behind.  Each new step is offered by its
-    own index, counted on from the snapshot's length, never by the table's
-    length after the loop (:meth:`SeqCache.add_value_step`).  At x = 0 every
-    term after the first vanishes, so only the first is drawn.
+    overflows or a divisor that underflows to 0 raises OverflowError, at the
+    same term as without the table, and neither leaves a step behind.  A new
+    step is offered by its own index, counted on from the snapshot's length,
+    never by the table's length after the loop (:func:`_add_value_step`).
+    At x = 0 every term after the first vanishes, so only the first is drawn.
     """
     first, step, alternating = _PRIMARY[kind]
     one = backend_one(params.backend)
@@ -261,13 +304,13 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
         for d, p in known:
             term = term * p * x / d
             yield term
-        add_step, seq = params.cache.add_value_step, params.cache.u
+        seq = params.cache.u
         p = known[-1][1] * u if known else one
         for n in itertools.count(len(known) + 1):
             d = seq(n)
             if d == 0:
                 raise VanishingFactor(n)
-            add_step(tables, 2, n - 1, (d, p))
+            _add_value_step(tables, 2, n - 1, (d, p))
             term = term * p * x / d
             yield term
             p = p * u
@@ -290,10 +333,11 @@ def _ratio_steps(u: Scalar, params: LucasParams, tables: list, first: int, start
 
     With m = first + 2j step j is ({m+1}{m+2}, u**(2m+1)): term j+1 is term j
     times x^2 u^(2m+1) / ({m+1}{m+2}).  A vanishing {k} raises
-    VanishingFactor and a float power of u that overflows raises
-    OverflowError, both before the step is offered.
+    VanishingFactor, and a float power of u that overflows or a product
+    {m+1}{m+2} that underflows to 0 raises OverflowError, all before the step
+    is offered.
     """
-    add_step, seq = params.cache.add_value_step, params.cache.u
+    seq = params.cache.u
     for j in itertools.count(start):
         m = first + 2 * j
         d1 = seq(m + 1)
@@ -302,8 +346,10 @@ def _ratio_steps(u: Scalar, params: LucasParams, tables: list, first: int, start
         d2 = seq(m + 2)
         if d2 == 0:
             raise VanishingFactor(m + 2)
-        step = (d1 * d2, u ** (2 * m + 1))
-        add_step(tables, first, j, step)
+        if (d := d1 * d2) == 0:  # the product of two tiny floats
+            raise OverflowError(f"{{{m + 1}}}{{{m + 2}}} underflows to 0")
+        step = (d, u ** (2 * m + 1))
+        _add_value_step(tables, first, j, step)
         yield step
 
 
@@ -353,15 +399,15 @@ def fn_value_info(
     """Adaptive point evaluation, reporting the value and terms consumed.
 
     The sum reads the ratio tables of (u, params) from the one-entry slot on
-    ``params.cache`` (:meth:`SeqCache.value_tables`), which every kind and
-    every call at the parameters' most recent u share and which grow under
-    the cache's lock; values are what fresh tables give, bit for bit.  The
+    ``params.cache`` (:func:`_value_tables`), which every kind and every
+    call at the parameters' most recent u share and which grow under this
+    module's lock; values are what fresh tables give, bit for bit.  The
     backends are checked before the slot is read, so a u of another backend
     leaves it alone.
     """
     if not (backend_of(x) is backend_of(u) is params.backend):
         common_backend(x, u, params.s)  # raises, naming the backends of all three
-    return _value_info(kind, _primary_value_terms, eps, x, u, params, params.cache.value_tables(u))
+    return _value_info(kind, _primary_value_terms, eps, x, u, params, _value_tables(u, params))
 
 
 def fn_value(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams) -> Scalar:
@@ -622,7 +668,7 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
     common_backend(u, params.s)
     if any(isinstance(v, complex) for v in (u, params.s, params.t)):
         raise NoRootFound("root scanning needs a real u, s and t: a complex sine has no sign")
-    tables = params.cache.value_tables(u)
+    tables = _value_tables(u, params)
 
     def s(x: float) -> tuple[float, int]:
         return _adaptive_sum(_primary_value_terms(FnKind.SIN, x, u, params, tables), _EPS)

@@ -349,26 +349,21 @@ def gaussian_sqrt(value: GaussianRational) -> Optional[GaussianRational]:
 
 
 class SeqCache:
-    """Grow-only cache of one parameter pair's sequences, factorials and Lucasnomials.
+    """Grow-only cache of one parameter pair's sequence {n}, its factorials and Lucasnomials.
 
     The recurrence runs on numerators.  With a scale c, S = c s and T = c^2 t,
 
         U_n = S U_(n-1) + T U_(n-2),  U_0 = 0, U_1 = 1,   {n} = U_n / c^(n-1),
-        V_n = S V_(n-1) + T V_(n-2),  V_0 = 2, V_1 = S,   <n> = V_n / c^n,
 
-    since multiplying {n} = s {n-1} + t {n-2} through by c^(n-1) gives the
-    first line.  Over the rationals c = lcm(den s, den t), so the numerators
-    are integers, the recurrence needs no gcd, and each cached Fraction is
-    built once from its numerator and power of c.  The Gaussian and float
-    backends are the case c = 1: their numerator lists are the value lists.
-    The companion V_n is extended only when it is asked for, and the factorial
-    {n}! = {n-1}! {n} only when a factorial is read, so reading {n} costs no
-    product of n terms.  The Lucasnomial rows come from the same numerators
-    (:meth:`lucasnomial_parts`).
-
-    One slot holds the point-value ratio tables of the most recent u
-    (:meth:`value_tables`), which grow under the same lock; what a step is,
-    ``functions._primary_value_terms`` alone knows.
+    since multiplying {n} = s {n-1} + t {n-2} through by c^(n-1) gives it.
+    Over the rationals c = lcm(den s, den t), so the numerators are
+    integers, the recurrence needs no gcd, and each cached Fraction is built
+    once from its numerator and power of c.  The Gaussian and float backends
+    are the case c = 1: their numerator list is the value list.  The
+    factorial {n}! = {n-1}! {n} is extended only when a factorial is read,
+    so reading {n} costs no product of n terms.  The Lucasnomial rows come
+    from the same numerators (:meth:`lucasnomial_parts`), and the companion
+    from {n} itself (:meth:`v`).
 
     Extension happens under a lock; lists are append-only so concurrent
     readers always observe a consistent prefix.
@@ -376,44 +371,38 @@ class SeqCache:
 
     def __init__(self, s: Scalar, t: Scalar, backend: Backend):
         self._backend = backend
+        self._t = t
         self._first_zero: Optional[int] = None
         self._lock = threading.Lock()
         one = backend_one(backend)
         self._u = [backend_zero(backend), one]
-        self._v = [one + one, s]
         self._fact = [one]
-        self._value_slot: tuple = (None, None)
+        self._value_slot: tuple = (None, None)  # functions' ratio tables of one u, never read here
         if backend is Backend.RATIONAL:
             c = math.lcm(s.denominator, t.denominator)
             self._scale = c
             self._scaled_s = s.numerator * (c // s.denominator)
             self._scaled_t = t.numerator * (c // t.denominator) * c
-            self._scaled_u, self._scaled_v = [0, 1], [2, self._scaled_s]
+            self._scaled_u = [0, 1]
         else:
             self._scale = 1
             self._scaled_s, self._scaled_t = s, t
-            self._scaled_u, self._scaled_v = self._u, self._v
+            self._scaled_u = self._u
 
-    def _extend(self, n: int, companion: bool = False) -> None:
+    def _extend(self, n: int) -> None:
         with self._lock:
-            s, t = self._scaled_s, self._scaled_t
-            su, sv = self._scaled_u, self._scaled_v
+            s, t, su = self._scaled_s, self._scaled_t, self._scaled_u
             while len(su) <= n:
                 term = s * su[-1] + t * su[-2]
                 # set before the append: a reader that sees {k} must see a zero at k
                 if self._first_zero is None and term == 0:
                     self._first_zero = len(su)
                 su.append(term)
-            while companion and len(sv) <= n:
-                sv.append(s * sv[-1] + t * sv[-2])
-            if su is self._u:
-                return
+            values, c = self._u, self._scale
             # over the rationals: one Fraction per new numerator, over its power of c
-            c = self._scale
-            for values, nums, power in ((self._u, su, lambda m: m - 1), (self._v, sv, lambda m: m)):
-                while len(values) < len(nums):
-                    m = len(values)
-                    values.append(Fraction(nums[m], c ** power(m)))
+            while len(values) < len(su):
+                m = len(values)
+                values.append(Fraction(su[m], c ** (m - 1)))
 
     def u(self, n: int) -> Scalar:
         if n >= len(self._u):
@@ -421,9 +410,11 @@ class SeqCache:
         return self._u[n]
 
     def v(self, n: int) -> Scalar:
-        if n >= len(self._v):
-            self._extend(n, companion=True)
-        return self._v[n]
+        """The companion <n> = {n+1} + t {n-1} (E. Lucas, Amer. J. Math. 1, 1878), <0> = 2."""
+        if n == 0:
+            one = backend_one(self._backend)
+            return one + one
+        return self.u(n + 1) + self._t * self.u(n - 1)
 
     def factorial(self, n: int) -> Scalar:
         if n >= len(self._u):
@@ -437,44 +428,6 @@ class SeqCache:
                 while len(fact) <= n:
                     fact.append(fact[-1] * u[len(fact)])
         return fact[n]
-
-    def value_tables(self, u: Scalar) -> list:
-        """The point-value ratio tables of u, [even, odd, exp]: the even table
-        serves cos and cosh, the odd one sin and sinh.
-
-        The slot keeps the tables of the last u asked for, and a later u of the
-        same type that compares equal gets the same list.  A float or complex
-        u with a zero part gets fresh tables and leaves the slot alone: u = 0.0
-        and -0.0 compare equal, but the sign of a zero changes ``u ** k``.
-        """
-        slot = self._value_slot
-        if type(slot[0]) is type(u) and slot[0] == u:
-            return slot[1]
-        with self._lock:
-            slot = self._value_slot
-            if type(slot[0]) is type(u) and slot[0] == u:
-                return slot[1]
-            tables = [(), (), ()]
-            if isinstance(u, complex):
-                signed_zero = u.real == 0 or u.imag == 0
-            else:
-                signed_zero = isinstance(u, float) and u == 0
-            if not signed_zero:
-                self._value_slot = (u, tables)
-        return tables
-
-    def add_value_step(self, tables: list, which: int, index: int, step: tuple) -> None:
-        """Extend ``tables[which]`` from :meth:`value_tables` by step if index is its length.
-
-        A table is a tuple that a longer one replaces, so a reader holding it
-        keeps a snapshot.  Another thread may have added the same step since
-        the caller read the table; its value is the same, so it is not added
-        twice.
-        """
-        with self._lock:
-            steps = tables[which]
-            if len(steps) == index:
-                tables[which] = steps + (step,)
 
     def lucasnomial_parts(self, n: int, k: int) -> tuple[list, list]:
         """Numerators Ĉ(n,0..k) and denominators c^(j(n-j)) of C(n,0..k).
@@ -607,7 +560,7 @@ def lucas_u(n: int, params: LucasParams) -> Scalar:
 
 
 def lucas_v(n: int, params: LucasParams) -> Scalar:
-    """Companion term <n> with seeds 2, s and the same recurrence."""
+    """Companion term <n> = {n+1} + t {n-1}: seeds 2, s and the same recurrence."""
     if n < 0:
         raise IndexOutOfRange("n must be nonnegative")
     return params.cache.v(n)

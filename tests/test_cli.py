@@ -66,6 +66,17 @@ class TestSeq:
         )
         assert [row["value"] for row in json.loads(out)] == [2, 1, 3, 4, 7, 11]
 
+    def test_exact_companion_prints_lucas_numbers(self, capsys):
+        # L_90 is past 2^53: a float on the way would not print it exactly
+        code, out, _ = run_cli(
+            capsys, "seq", "--exact", "--s", "1", "--t", "1", "--n", "90", "--companion", "--format", "json"
+        )
+        assert code == 0
+        lucas = [2, 1]
+        while len(lucas) <= 90:
+            lucas.append(lucas[-1] + lucas[-2])
+        assert [F(row["value"]) for row in json.loads(out)] == lucas
+
     def test_zero_parameter_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "seq", "--s", "0", "--t", "1", "--n", "3")
         assert code == 3
@@ -261,6 +272,19 @@ class TestTable:
         assert rows[0] == {"x": 0.0, "value": 1.0, "diverged": False}
         assert rows[1]["diverged"] is True
 
+    def test_divisor_that_underflows_marks_rows_diverged(self, capsys):
+        # {2}{3} = 1e-200 * 1e-200 underflows to 0: a point call exits 3, and a table marks the row
+        argv = ["--fn", "sin", "--s", "1e-200", "--t", "1e-200", "--u", "0.5", "--format", "json"]
+        code, out, err = run_cli(capsys, "eval", *argv, "--x", "1")
+        assert (code, out) == (3, "")
+        assert "non-finite" in err
+        code, out, _ = run_cli(capsys, "table", *argv, "--from", "0", "--to", "1", "--step", "1")
+        assert code == 0
+        assert json.loads(out) == [
+            {"x": 0.0, "value": 0.0, "diverged": False},
+            {"x": 1.0, "value": None, "diverged": True},
+        ]
+
     def test_float_power_overflow_row_is_diverged(self, capsys):
         code, out, _ = run_cli(
             capsys, "table", "--fn", "sin", "--s", "1", "--t", "1", "--u", "1e200",
@@ -448,6 +472,12 @@ class TestPiU:
     def test_no_root_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "piu", "--s", "1", "--t", "1", "--u", "3")
         assert code == 4
+
+    def test_divisor_that_underflows_exits_4(self, capsys):
+        # the sine's first divisor {2}{3} = 1e-200 * 1e-200 underflows to 0
+        code, out, err = run_cli(capsys, "piu", "--s", "1e-200", "--t", "1e-200", "--u", "1e-101")
+        assert (code, out) == (4, "")
+        assert "series diverges" in err
 
     @pytest.mark.parametrize("bad", BAD_POSITIVE)
     def test_bad_xmax_exits_2(self, capsys, bad):
@@ -705,9 +735,10 @@ class TestBoundedWork:
 # the exit-code contract over drawn inputs
 # ---------------------------------------------------------------------------
 
-# zeros, subnormals, huge and largest floats, p/q, a zero denominator, and a few plain values
+# zeros, subnormals, a float whose square underflows, huge and largest floats, p/q,
+# a zero denominator, and a few plain values
 VALUES = st.sampled_from([
-    "0", "-0", "5e-324", "-2.5e-320", "1e-310", "1e300", "-1e300", "1.7976931348623157e308",
+    "0", "-0", "5e-324", "-2.5e-320", "1e-310", "1e-200", "1e300", "-1e300", "1.7976931348623157e308",
     "-1.7976931348623157e308", "3/7", "-5/2", "1/0", "1", "-1", "0.5",
 ])
 DEFAULTED = st.one_of(st.none(), VALUES)  # None leaves the option at its default

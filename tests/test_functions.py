@@ -231,6 +231,17 @@ class TestValues:
             fn_value_info(SIN, 1e-80, 1e25, p)
         assert fn_value_info(SIN, 1e-100, 1e25, p) == EvalInfo(1e-100, 4)
 
+    def test_divisor_that_underflows_is_diverging(self):
+        # s = t = 1e-200: {2} = {3} = 1e-200, but the sine's first divisor
+        # {2}{3} underflows to 0; it is raised before it is kept or divided by
+        p = make_params(1e-200, 1e-200)
+        for kind in (SIN, SINH, CSC, COT):
+            with pytest.raises(SeriesDiverging, match="non-finite"):
+                fn_value_info(kind, 0.5, 0.5, p)
+        assert lucascalc.functions._value_tables(0.5, p)[1] == ()
+        with pytest.raises(NoRootFound, match="series diverges at x=0.05"):
+            find_pi_u(p, 1e-101)
+
     @pytest.mark.parametrize("kind", [EXP, SIN, COS, SINH, COSH])
     def test_origin_draws_only_the_first_term(self, kind):
         # u ** 3 would overflow, and s = 1, t = -1 has {3} = 0: neither is reached at 0
@@ -562,13 +573,13 @@ class TestSharedTables:
         # the backends are checked before the slot is read
         p = make_params(1.0, 1.0)
         fn_value_info(SIN, 1.0, 0.7, p)
-        tables = p.cache.value_tables(0.7)
+        tables = lucascalc.functions._value_tables(0.7, p)
         held = tuple(tables)
         assert held[1]
         mixed = "mixed scalar backends: ['complex-float', 'rational']"
         with pytest.raises(BackendMismatch, match=re.escape(mixed)):
             fn_value_info(SIN, 1.0, F(7, 10), p)
-        assert p.cache.value_tables(0.7) is tables and tuple(tables) == held
+        assert lucascalc.functions._value_tables(0.7, p) is tables and tuple(tables) == held
 
     @pytest.mark.parametrize("kind", [EXP, SIN, COS])
     def test_a_sum_goes_on_from_its_snapshot_when_the_table_grows(self, kind):
@@ -576,7 +587,7 @@ class TestSharedTables:
         # read its snapshot of the table when another sum grows the table
         p, u = make_params(1.0, 1.0), 0.7
         fn_value_info(kind, 0.5, u, p)
-        terms = lucascalc.functions._primary_value_terms(kind, 2.0, u, p, p.cache.value_tables(u))
+        terms = lucascalc.functions._primary_value_terms(kind, 2.0, u, p, lucascalc.functions._value_tables(u, p))
         drawn = [next(terms), next(terms)]
         fn_value_info(kind, 4.0, u, p)
         value, used = lucascalc.functions._adaptive_sum(itertools.chain(drawn, terms), 1e-12)
@@ -584,7 +595,7 @@ class TestSharedTables:
         alone = make_params(1.0, 1.0)
         for x in (0.5, 4.0, 2.0):
             fn_value_info(kind, x, u, alone)
-        assert p.cache.value_tables(u) == alone.cache.value_tables(u)
+        assert lucascalc.functions._value_tables(u, p) == lucascalc.functions._value_tables(u, alone)
 
     def test_threads_grow_one_table(self):
         # each thread walks the points in its own order, so one thread grows a
@@ -619,7 +630,7 @@ class TestSharedTables:
             assert not any(thread.is_alive() for thread in threads)
             assert len(results) == workers * len(points)
             assert all(bits == expect[point] for point, bits in results)
-            assert shared.cache.value_tables(u) == alone.cache.value_tables(u)
+            assert lucascalc.functions._value_tables(u, shared) == lucascalc.functions._value_tables(u, alone)
 
 
 class TestMultinomial:

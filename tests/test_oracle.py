@@ -18,8 +18,10 @@ A zero found by bisection is off by at most half its 1e-13 bracket, plus
 the value tolerance at the zero over the slope there.
 """
 
+import functools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -35,12 +37,13 @@ from lucascalc import (
     find_pi_u,
     fn_value,
     fn_value_info,
+    integral_value,
     make_params,
     multinomial_value,
     params_from_roots,
     tilde_value,
 )
-from lucascalc.functions import _sine_majorant
+from lucascalc.functions import _QUOTIENTS, _sine_majorant, _value_tables
 
 MP = mpmath.MPContext()
 MP.dps = 60
@@ -206,7 +209,7 @@ def test_sine_majorant_bounds_the_derivative_series():
     bounded = 0
     for seed in range(300):
         params, u, X = majorant_draw(seed)
-        tails = _sine_majorant(u, params, params.cache.value_tables(u))(X)
+        tails = _sine_majorant(u, params, _value_tables(u, params))(X)
         if tails is None:
             continue
         bounded += 1
@@ -230,19 +233,20 @@ NO_BOUND_AT_X = {
     "eight growing steps in a row": (make_params(1.0, 1.0), 1.55, 12.0),
     "an overflowing power of u": (params_from_roots(100.0, 1.0), 99.0, 1.0),
     "the term budget": (params_from_roots(1.0, 0.5), 1 - 1e-9, 1.998),
+    "a divisor that underflows": (params_from_roots(1e-20, 5e-21), 9e-21, 3.0),  # {10}{11}
 }
 
 
 @pytest.mark.parametrize("name", sorted(NO_MAJORANT))
 def test_sine_majorant_gives_no_bound_off_the_entire_class(name):
     params, u = NO_MAJORANT[name]
-    assert _sine_majorant(u, params, params.cache.value_tables(u)) is None
+    assert _sine_majorant(u, params, _value_tables(u, params)) is None
 
 
 @pytest.mark.parametrize("name", sorted(NO_BOUND_AT_X))
 def test_sine_majorant_gives_no_bound_where_its_pass_fails(name):
     params, u, X = NO_BOUND_AT_X[name]
-    assert _sine_majorant(u, params, params.cache.value_tables(u))(X) is None
+    assert _sine_majorant(u, params, _value_tables(u, params))(X) is None
 
 
 def multinomial_coefficient(us, params):
@@ -408,6 +412,147 @@ def test_tilde_values_match_mpmath_series():
             (j + 1) * size for j, (_, size) in enumerate(normalizer_terms)
         ) / abs(normalizer)
         assert abs(MP.mpf(value) - exact) <= TILDE_ROUNDINGS * ULP * abs(exact) * spread, (seed, kind)
+
+
+# the multiple of 2^-53 * |value| * (R_num + R_den) a quotient kind may miss by
+QUOTIENT_ROUNDINGS = 8
+
+
+def quotient_draw(seed):
+    """(kind, params, u, x) for a quotient kind: odd seeds from the numeric
+    records' ranges, even seeds from the CLI's members with u up to 0.95 |phi|
+    either sign, x up to 8 either sign."""
+    rng = random.Random(seed)
+    kind = rng.choice(sorted(_QUOTIENTS))
+    if seed % 2:
+        params = draw_params(rng)
+        u = draw_u(rng, params)
+    else:
+        params = make_params(*CLI_PIU_MEMBERS[seed // 2 % len(CLI_PIU_MEMBERS)])
+        phi = max(abs(params.phi), abs(params.phi_prime))
+        u = rng.uniform(0.05, 0.95) * phi * rng.choice((-1.0, 1.0))
+    return kind, params, u, draw_x(rng, 8.0)
+
+
+def test_quotient_values_match_mpmath_series():
+    """tan, cot, sec, csc and their hyperbolic kin against the quotient of
+    their parts' series summed in 60 digits.  Each part is summed as a
+    primary kind, and the division adds one rounding, so the tolerance
+    relative to the value is QUOTIENT_ROUNDINGS * 2^-53 * (R_num + R_den),
+    with R = sum_j (j + 1) |t_j| / |sum| of each part (R_num = 0 where the
+    numerator is 1).  Over seeds 0-2,999 the largest multiple of
+    2^-53 * |value| * (R_num + R_den) seen was 2.72, and 59 draws met the
+    term-growth backstop; the bound keeps a margin of about three.
+    """
+    checked, count = 0, 120
+    for seed in range(count):
+        kind, params, u, x = quotient_draw(seed)
+        try:
+            value = fn_value_info(kind, x, u, params).value
+        except SeriesDiverging:
+            continue  # the term-growth backstop's verdict on an entire series
+        checked += 1
+        exact, spread = MP.mpf(1), MP.mpf(0)
+        for part, power in zip(_QUOTIENTS[kind], (1, -1)):
+            if part is not None:
+                terms = oracle_terms(part, x, u, params)
+                total = MP.fsum(terms)
+                exact *= total**power
+                spread += MP.fsum((j + 1) * abs(t) for j, t in enumerate(terms)) / abs(total)
+        assert abs(MP.mpf(value) - exact) <= QUOTIENT_ROUNDINGS * ULP * abs(exact) * spread, (seed, kind)
+    assert checked >= 0.9 * count
+
+
+# the multiple of 2^-53 * (max(1, |I|) + sum_k (k + 1) |t_k|) an integral may miss by
+INTEGRAL_ROUNDINGS = 10
+
+
+def node_terms(params, a, b, f):
+    """The node series of ``integral_value`` in 60 digits, as pairs (t_k, |t_k|):
+    t_k = (lead - other) (b f(b n_k) - a f(a n_k)) n_k with n_k = r^k / lead,
+    where f(y) gives (f(y), sum_j (j + 1) |f_j(y)|) over f's terms f_j, and
+    |t_k| carries that size in place of |f|; until |t_k| falls below 1e-30 of
+    the largest."""
+    phi, psi = MP.mpf(params.phi), MP.mpf(params.phi_prime)
+    lead, other = (phi, psi) if abs(psi) < abs(phi) else (psi, phi)
+    ratio, node, a, b = other / lead, 1 / lead, MP.mpf(a), MP.mpf(b)
+    terms, largest = [], MP.mpf(0)
+    for k in range(4096):
+        (fb, size_b), (fa, size_a) = f(b * node), f(a * node)
+        weight = (lead - other) * node
+        terms.append((weight * (b * fb - a * fa), abs(weight) * (abs(b) * size_b + abs(a) * size_a)))
+        largest = max(largest, terms[-1][1])
+        if k > 4 and terms[-1][1] < MP.mpf(10) ** -30 * largest:
+            return terms
+        node *= ratio
+    raise AssertionError("node series did not settle")
+
+
+def polynomial_integral(rng):
+    """A polynomial sum_m c_m x^m of degree <= 6, evaluated by Horner's rule,
+    integrated from a to b (a = 0 in a quarter of the draws); its reference is
+    the closed form sum_m c_m (b^(m+1) - a^(m+1)) / {m+1} in exact Fractions,
+    with {n} from the exact roots phi, phi' the node family uses."""
+    params = draw_params(rng)
+    coeffs = [rng.uniform(-2.0, 2.0) for _ in range(rng.randint(1, 7))]
+    a = 0.0 if rng.random() < 0.25 else rng.uniform(-1.5, 1.5)
+    b = rng.uniform(-1.5, 1.5)
+    value = integral_value(
+        lambda x: functools.reduce(lambda acc, c: acc * x + c, reversed(coeffs)), a, b, params, eps=ULP
+    )
+    phi, psi = Fraction(params.phi), Fraction(params.phi_prime)
+    seq = [Fraction(0), Fraction(1)]
+    while len(seq) <= len(coeffs):
+        seq.append((phi + psi) * seq[-1] - phi * psi * seq[-2])
+    exact = sum(
+        Fraction(c) * (Fraction(b) ** (m + 1) - Fraction(a) ** (m + 1)) / seq[m + 1] for m, c in enumerate(coeffs)
+    )
+
+    def poly(y):
+        parts = [MP.mpf(c) * y**m for m, c in enumerate(coeffs)]
+        return MP.fsum(parts), MP.fsum((m + 1) * abs(part) for m, part in enumerate(parts))
+
+    return value, MP.mpf(exact.numerator) / exact.denominator, node_terms(params, a, b, poly)
+
+
+def exp_integral(rng):
+    """f = fn_value(EXP, ., u, params) integrated from a to b; its reference is
+    the same node series summed in 60 digits over the oracle's exp."""
+    params = draw_params(rng)
+    u = draw_u(rng, params)
+    a = 0.0 if rng.random() < 0.25 else rng.uniform(-1.0, 1.0)
+    b = rng.uniform(-1.0, 1.0)
+    value = integral_value(lambda x: fn_value(FnKind.EXP, x, u, params), a, b, params, eps=ULP)
+
+    def exp(y):
+        terms = oracle_terms(FnKind.EXP, y, u, params)
+        return MP.fsum(terms), MP.fsum((j + 1) * abs(t) for j, t in enumerate(terms))
+
+    terms = node_terms(params, a, b, exp)
+    return value, MP.fsum(t for t, _ in terms), terms
+
+
+# integrand -> (draw, number of seeds)
+INTEGRAL_DRAWS = {"polynomial": (polynomial_integral, 120), "exp": (exp_integral, 30)}
+
+
+@pytest.mark.parametrize("integrand", sorted(INTEGRAL_DRAWS))
+def test_integral_value_matches_its_reference(integrand):
+    """The node-series integral on contracting members from the numeric
+    records' ranges, summed to eps = 2^-53, against an exact or 60-digit
+    reference.  The tolerance covers the truncation, max(1, |I|) 2^-53, and
+    the rounding of the terms, each a value of f at a node times a running
+    product of node ratios, with |t_k| the sum of f's terms' sizes
+    sum_j (j + 1) |f_j| in place of |f|.  The largest multiple of
+    2^-53 * (max(1, |I|) + sum_k (k + 1) |t_k|) seen was 2.86 over seeds
+    0-2,999 for the polynomials and 3.06 over seeds 0-1,499 for exp; the bound
+    keeps a margin of about three.
+    """
+    draw, count = INTEGRAL_DRAWS[integrand]
+    for seed in range(count):
+        value, exact, terms = draw(random.Random(seed))
+        sizes = MP.fsum((k + 1) * size for k, (_, size) in enumerate(terms))
+        assert abs(MP.mpf(value) - exact) <= INTEGRAL_ROUNDINGS * ULP * (max(1, abs(exact)) + sizes), seed
 
 
 def test_find_pi_u_past_512_stops_on_adjacent_floats():
