@@ -376,6 +376,17 @@ class TestWeightedPath:
                     digest.update(f"{kind.value}:{results!r};".encode())
         assert digest.hexdigest() == self.GOLDEN_SHA256
 
+    # sha256 over repr() of deformed_zero_value, binomial_value and
+    # weighted_binomial_value results (or the error) for every kind, at complex
+    # deformations and points with zero parts of both signs, on real and
+    # complex s and t; computed while the rows called their weight families
+    # entry by entry.  The real-only digest above cannot see the sign of a
+    # zero part.
+    COMPLEX_SHA256 = "ec171893e30230f8ed902bab782cdf15956cd569e2575fd708f24a6110144a53"
+
+    def test_complex_results_match_golden_digest(self):
+        assert _complex_row_digest() == self.COMPLEX_SHA256
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -452,6 +463,32 @@ class TestWeightedPath:
             u, x = rng.uniform(0.2, 0.9), rng.uniform(0.1, 0.9)
             expect = fn_value(kind, x, u, p)
             assert weighted_fn_value(kind, PowerWeights(u), x, p) == pytest.approx(expect, rel=1e-12)
+
+
+def _complex_row_digest():
+    rng = random.Random(89)
+
+    def part():
+        return complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+
+    digest = hashlib.sha256()
+    for s, t in ((1.0, 1.0), (1.5, -0.5), (1 + 0.5j, 0.5 - 0.25j), (2j, 1.0)):
+        p = make_params(s, t)
+        deformations = [(0j, complex(-0.0, 0.5)), (complex(0.5, -0.0), -0.25j), (0.6, complex(0.0, -0.7))]
+        points = [(complex(0.3, -0.0), complex(-0.0, 0.2)), (complex(-0.0, -0.4), 0.25), (-0.5, 0j)]
+        deformations.append((part(), part()))
+        points.append((part(), part() / 2))
+        for u, v in deformations:
+            for x, y in points:
+                for kind in FnKind:
+                    x_weights, y_weights = MultinomialWeights((u, v), p), PowerWeights(v)
+                    results = [
+                        _outcome(deformed_zero_value, kind, u, v, x, p),
+                        _outcome(binomial_value, kind, x, y, u, v, p),
+                        _outcome(weighted_binomial_value, kind, x_weights, y_weights, x, y, p),
+                    ]
+                    digest.update(f"{u!r}:{v!r}:{x!r}:{y!r}:{kind.value}:{results!r};".encode())
+    return digest.hexdigest()
 
 
 def _pi_range_params(rng):
