@@ -126,9 +126,14 @@ def integral_value(
 
     The node family is chosen by the contraction test |ratio| < 1 (only a
     contracting family can converge, whichever printed condition a source
-    attaches to it).  Partial sums stop once the geometric tail bound drops
-    below eps relative to the accumulated scale; a non-finite partial sum
-    raises NonConvergent at once.  As the scale is at least max(1, |total|), a
+    attaches to it).  Term k is prefactor * (b f(b n_k) - a f(a n_k)) * n_k
+    with |n_k| = |ratio|^k / |lead|.  The scale is the largest of 1, |total|
+    and |b f(b n)| + |a f(a n)| seen so far, so while the boundary parts
+    stay within it (the nodes shrink toward 0, where f(b n) and f(a n)
+    meet f(0)), scale * |prefactor| * |ratio|^(k+1) / (|lead| (1 - |ratio|))
+    bounds the terms after k.  Partial sums stop once that tail bound drops
+    below eps * max(1, |total|); a non-finite partial sum raises
+    NonConvergent at once.  As the scale is at least max(1, |total|), a
     ratio whose bound at the budget's last term is 2 eps or more (eps plus room
     for rounding) can never stop the sum, and raises NonConvergent before it.
     """
@@ -150,7 +155,7 @@ def integral_value(
         total = total + prefactor * (fb - fa) * node
         if not magnitude(total) < math.inf:  # inf or NaN never decays; stop here, not at the budget
             raise NonConvergent(f"partial sum {k} of the node series is not finite")
-        scale = max(scale, magnitude(fb), magnitude(fa), magnitude(total))
+        scale = max(scale, magnitude(fb) + magnitude(fa), magnitude(total))
         tail = scale * magnitude(prefactor) * (rmag ** (k + 1)) / (magnitude(lead) * (1.0 - rmag))
         if tail < eps * max(1.0, magnitude(total)) and k >= 2:
             return total

@@ -6,9 +6,12 @@ where C is the Lucasnomial and T(m) = m(m-1)/2.  Zero deformations follow
 the limit convention 0^0 = 1, so the k in {0, 1} terms survive u = 0.
 
 Each degree-n row is built in O(n): the Lucasnomials come from one
-telescoped pass (``SeqCache.lucasnomial_parts``), and u^T(n-k), v^T(k) come from
-one :class:`PowerWeights` per deformation parameter, which callers building
-many rows (series, weight families) hold for all of them.  Multinomial
+telescoped pass (``SeqCache.lucasnomial_parts``), and the weights u^T(n-k),
+v^T(k) are read from two rows indexed by degree.  The row builders call no
+weight family: their callers grow the rows once, from one
+:class:`PowerWeights` per deformation parameter or from the families they are
+given, and hold them for every degree they build.  :class:`DeformedPowerWeights`
+forms only the degrees it is asked for.  Multinomial
 numbers multiply the parts' rows u_i^T(k) / {k}! one degree at a time, the
 lazy product the point path reads term by term; a multinomial series
 multiplies the same rows with the series ``*`` instead.
@@ -50,26 +53,27 @@ class DeformedBinomial:
 
 
 def _rational_parts(
-    n: int, u_weights: Weights, v_weights: Weights, params: LucasParams, scale: Scalar = 1
+    n: int, u_row: Sequence, v_row: Sequence, params: LucasParams, scale: Scalar = 1
 ) -> tuple:
     """Integer numerators and denominators of the rational row entries times scale, k = 0..n."""
     nums, dens = params.cache.lucasnomial_parts(n, n)
     p, q = scale.as_integer_ratio()
     out_nums, out_dens = [], []
     for k, (num, den) in enumerate(zip(nums, dens)):
-        a, c = u_weights(n - k).as_integer_ratio()
-        b, d = v_weights(k).as_integer_ratio()
+        a, c = u_row[n - k].as_integer_ratio()
+        b, d = v_row[k].as_integer_ratio()
         out_nums.append(num * a * b * p)
         out_dens.append(den * c * d * q)
     return out_nums, out_dens
 
 
 def deformed_row(
-    n: int, u_weights: Weights, v_weights: Weights, params: LucasParams, scale: Scalar | None = None
+    n: int, u_row: Sequence, v_row: Sequence, params: LucasParams, scale: Scalar | None = None
 ) -> list:
-    """c_k = C(n,k) * u_weights(n-k) * v_weights(k) * scale, k = 0..n, in O(n).
+    """c_k = C(n,k) * u_row[n-k] * v_row[k] * scale, k = 0..n, in O(n).
 
-    With ``PowerWeights(u)`` and ``PowerWeights(v)`` these are the deformed
+    The weights are rows indexed by degree, each longer than n: with the
+    powers u^T(m) and v^T(m) of :class:`PowerWeights` these are the deformed
     power coefficients; other weight families give the weighted binomial rows.
     Over the rationals each entry is one Fraction from the row's integer parts
     and the scale's; over the fields the row is multiplied by the scale last.
@@ -78,27 +82,31 @@ def deformed_row(
     """
     if params.backend is not Backend.RATIONAL:
         nums, _ = params.cache.lucasnomial_parts(n, n)
-        row = [c * u_weights(n - k) * v_weights(k) for k, c in enumerate(nums)]
+        row = [c * u_row[n - k] * v_row[k] for k, c in enumerate(nums)]
         return row if scale is None else [c * scale for c in row]
-    parts = _rational_parts(n, u_weights, v_weights, params, 1 if scale is None else scale)
+    parts = _rational_parts(n, u_row, v_row, params, 1 if scale is None else scale)
     return list(map(Fraction, *parts))
 
 
 def row_value(
-    n: int, u_weights: Weights, v_weights: Weights, x: Scalar, y: Scalar, params: LucasParams
+    n: int, u_row: Sequence, v_row: Sequence, x: Scalar, y: Scalar, params: LucasParams
 ) -> Scalar:
-    """The degree-n row at (x, y): sum over k of C(n,k) u_weights(n-k) v_weights(k) x^(n-k) y^k.
+    """The degree-n row at (x, y): sum over k of C(n,k) u_row[n-k] v_row[k] x^(n-k) y^k.
 
-    Over the rationals the terms are summed as integers over one common
-    denominator, lcm(entry denominators) * (den x * den y)^n, from the row's
-    integer parts, and reduced once; no entry is built as a Fraction.
+    Over the fields each term is formed left to right and added in one pass,
+    the same products in the same order as :func:`deformed_row`'s entries
+    times x^(n-k) y^k.  Over the rationals the terms are summed as integers
+    over one common denominator, lcm(entry denominators) * (den x * den y)^n,
+    from the row's integer parts, and reduced once; no entry is built as a
+    Fraction.
     """
     if params.backend is not Backend.RATIONAL:
+        nums, _ = params.cache.lucasnomial_parts(n, n)
         total = backend_zero(params.backend)
-        for k, c in enumerate(deformed_row(n, u_weights, v_weights, params)):
-            total = total + c * x ** (n - k) * y**k
+        for k, c in enumerate(nums):
+            total = total + c * u_row[n - k] * v_row[k] * x ** (n - k) * y**k
         return total
-    nums, dens = _rational_parts(n, u_weights, v_weights, params)
+    nums, dens = _rational_parts(n, u_row, v_row, params)
     den = math.lcm(*dens)
     # term k is its numerator * (den / dens[k]) * p^(n-k) * q^k over den * (den x * den y)^n
     p = x.numerator * y.denominator
@@ -115,7 +123,8 @@ def deformed_power_coeffs(n: int, u: Scalar, v: Scalar, params: LucasParams) -> 
     if n < 0:
         raise IndexOutOfRange("n must be nonnegative")
     common_backend(u, v, params.s)
-    return DeformedBinomial(n, u, v, tuple(deformed_row(n, PowerWeights(u), PowerWeights(v), params)))
+    u_row, v_row = (list(map(PowerWeights(w), range(n + 1))) for w in (u, v))
+    return DeformedBinomial(n, u, v, tuple(deformed_row(n, u_row, v_row, params)))
 
 
 def deformed_power_value(
@@ -125,7 +134,8 @@ def deformed_power_value(
     if n < 0:
         raise IndexOutOfRange("n must be nonnegative")
     common_backend(x, y, u, v, params.s)
-    return row_value(n, PowerWeights(u), PowerWeights(v), x, y, params)
+    u_row, v_row = (list(map(PowerWeights(w), range(n + 1))) for w in (u, v))
+    return row_value(n, u_row, v_row, x, y, params)
 
 
 def phi_product_power(n: int, x: Scalar, y: Scalar, params: LucasParams) -> Scalar:
@@ -234,7 +244,11 @@ class MultinomialWeights:
 class DeformedPowerWeights:
     """Memoized weights w(n) = deformed power of (x, y) at degree n (:func:`row_value`).
 
-    The point, the deformations and the parameters must share one backend.
+    Each call forms the row of its own degree alone, so a sum that reads every
+    other degree forms half the rows.  The rows read the powers u^T(m) and
+    v^T(m) from two lists, grown from one :class:`PowerWeights` each up to the
+    highest degree asked for.  The point, the deformations and the parameters
+    must share one backend.
     """
 
     def __init__(self, x: Scalar, y: Scalar, u: Scalar, v: Scalar, params: LucasParams):
@@ -243,17 +257,18 @@ class DeformedPowerWeights:
         self.params = params
         self._u_weights = PowerWeights(u)
         self._v_weights = PowerWeights(v)
-        self._values: list[Scalar] = []
+        self._u_row: list[Scalar] = []
+        self._v_row: list[Scalar] = []
+        self._values: dict[int, Scalar] = {}
 
     def __call__(self, n: int) -> Scalar:
         if n < 0:
             raise IndexOutOfRange("n must be nonnegative")
-        values = self._values
-        while len(values) <= n:
-            values.append(
-                row_value(len(values), self._u_weights, self._v_weights, self.x, self.y, self.params)
-            )
-        return values[n]
+        if n not in self._values:
+            for row, weights in ((self._u_row, self._u_weights), (self._v_row, self._v_weights)):
+                row.extend(map(weights, range(len(row), n + 1)))
+            self._values[n] = row_value(n, self._u_row, self._v_row, self.x, self.y, self.params)
+        return self._values[n]
 
 
 class DeformedZeroWeights(DeformedPowerWeights):

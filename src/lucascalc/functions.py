@@ -474,14 +474,12 @@ def binomial_series2(
         raise PoleAtOrigin(f"{kind.value} has no bivariate series form")
     common_backend(u, v, params.s)
     first, step, alternating = _PRIMARY[kind]
-    # every row reads its weights entry by entry: list lookups cost less than PowerWeights calls
-    u_weights = list(map(PowerWeights(u), range(order + 1))).__getitem__
-    v_weights = list(map(PowerWeights(v), range(order + 1))).__getitem__
+    u_row, v_row = (list(map(PowerWeights(w), range(order + 1))) for w in (u, v))
     out: dict[tuple[int, int], Scalar] = {}
     for j, n in enumerate(range(first, order + 1, step)):
         fact = params.cache.factorial(n)
         scale = -1 / fact if alternating and j % 2 else 1 / fact
-        for k, c in enumerate(deformed_row(n, u_weights, v_weights, params, scale)):
+        for k, c in enumerate(deformed_row(n, u_row, v_row, params, scale)):
             out[(n - k, k)] = c
     return TruncatedSeries2(out, order, params.backend)
 
@@ -497,13 +495,17 @@ def weighted_binomial_value(
     """Point value of a binomial combination with weight families on both slots.
 
     This is the weighted family at 1 whose degree-N weight is the sum over k
-    of C(N,k) xw(N-k) yw(k) x^(N-k) y^k.  The points and the weights' degree-0
-    values must share the parameters' backend.
+    of C(N,k) xw(N-k) yw(k) x^(N-k) y^k.  Each family is called once per
+    degree, as the rows it fills grow to the highest degree a sum reads.  The
+    points and the weights' degree-0 values must share the parameters' backend.
     """
-    common_backend(x, y, x_weights(0), y_weights(0), params.s)
+    x_row, y_row = [x_weights(0)], [y_weights(0)]
+    common_backend(x, y, x_row[0], y_row[0], params.s)
 
     def weights(n: int) -> Scalar:
-        return row_value(n, x_weights, y_weights, x, y, params)
+        for row, family in ((x_row, x_weights), (y_row, y_weights)):
+            row.extend(map(family, range(len(row), n + 1)))
+        return row_value(n, x_row, y_row, x, y, params)
 
     return weighted_fn_value(kind, weights, backend_one(params.backend), params)
 

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import lucascalc.deformed
 import lucascalc.functions
 from lucascalc import (
     Backend,
@@ -386,6 +387,25 @@ class TestWeightedPath:
 
     def test_complex_results_match_golden_digest(self):
         assert _complex_row_digest() == self.COMPLEX_SHA256
+
+    @pytest.mark.parametrize("kind", [EXP, SIN, COS])
+    def test_weighted_binomial_calls_each_family_once_per_degree(self, kind):
+        p = make_params(1.5, -0.5)
+        calls = {"x": [], "y": []}
+
+        def counting(name, weights):
+            def family(n):
+                calls[name].append(n)
+                return weights(n)
+
+            return family
+
+        x_weights, y_weights = counting("x", PowerWeights(0.6)), counting("y", PowerWeights(-0.4))
+        value = weighted_binomial_value(kind, x_weights, y_weights, 0.7, 0.3, p)
+        expect = weighted_binomial_value(kind, PowerWeights(0.6), PowerWeights(-0.4), 0.7, 0.3, p)
+        assert repr(value) == repr(expect)
+        assert len(calls["x"]) > 10
+        assert calls["x"] == calls["y"] == list(range(len(calls["x"])))
 
     @pytest.mark.parametrize(
         "call",
@@ -816,6 +836,22 @@ def _complex_multinomial_digest():
 
 
 class TestDeformedZeroSeries:
+    @pytest.mark.parametrize("kind", [COS, COSH, SIN, SINH])
+    def test_value_forms_only_the_rows_its_kind_reads(self, kind, monkeypatch):
+        # the one even row a sine forms is degree 0, which weighted_fn_value
+        # reads to check the weights' backend
+        formed, row_value = [], lucascalc.deformed.row_value
+
+        def recording(n, *args):
+            formed.append(n)
+            return row_value(n, *args)
+
+        monkeypatch.setattr(lucascalc.deformed, "row_value", recording)
+        deformed_zero_value(kind, 0.7, 0.7, 2.5, params_from_roots(1.8, -0.9))
+        first, step, _ = PRIMARY[kind]
+        assert formed[0] == 0 and len(formed) > 10
+        assert formed[1:] == list(range(first or step, formed[-1] + 1, step))
+
     def test_cos_kind_at_origin(self):
         p = make_params(1.0, 1.0)
         assert deformed_zero_value(COS, 0.5, 0.75, 0.0, p) == 1.0

@@ -30,7 +30,9 @@ from hypothesis import strategies as st
 
 from lucascalc import (
     FnKind,
+    MultinomialWeights,
     NoRootFound,
+    PowerWeights,
     SeriesDiverging,
     binomial_value,
     deformed_zero_value,
@@ -42,6 +44,7 @@ from lucascalc import (
     multinomial_value,
     params_from_roots,
     tilde_value,
+    weighted_binomial_value,
 )
 from lucascalc.functions import _QUOTIENTS, _sine_majorant, _value_tables
 
@@ -141,7 +144,7 @@ def test_fn_value_matches_mpmath_series(kind, params, u_ratio, u_sign, x, x_sign
     try:
         value = fn_value_info(kind, x, u, params).value
     except SeriesDiverging:
-        reject()  # the term-growth backstop on an entire series, ROADMAP item 4
+        reject()  # the term-growth backstop on an entire series, ROADMAP item 5
     terms = oracle_terms(kind, x, u, params)
     assert abs(MP.mpf(value) - MP.fsum(terms)) <= value_tolerance(terms)
 
@@ -378,6 +381,69 @@ def test_weighted_values_match_mpmath_series(family):
     assert checked >= 0.9 * count
 
 
+def multinomial_row_coefficient(us, v, x, y, params):
+    """n -> the degree-n weight of the binomial with a multinomial x-family over {n}!,
+    sum_k m_(n-k) x^(n-k) v^T(k) y^k / {k}! with m the multinomial coefficient
+    (C(n,k) / {n}! = 1 / ({k}! {n-k}!), and the x-weight over {n-k}! is m_(n-k)),
+    and the sum of its entries' magnitudes.  The y-row v^T(k) / {k}! is the
+    multinomial coefficient of the one part v; with one part u in the x-family
+    as well, this is :func:`row_coefficient` of (u, v, x, y)."""
+    x_row, y_row = multinomial_coefficient(us, params), multinomial_coefficient((v,), params)
+    x, y = MP.mpf(x), MP.mpf(y)
+
+    def coefficient(n):
+        entries = [(x_row(n - k), y_row(k), x ** (n - k) * y**k) for k in range(n + 1)]
+        return (
+            MP.fsum(a * b * power for (a, _), (b, _), power in entries),
+            MP.fsum(a * b * abs(power) for (_, a), (_, b), power in entries),
+        )
+
+    return coefficient
+
+
+def periodic_draw(rng, kind, params):
+    # the periodicity records' call: a multinomial x-family of 1-4 parts, equal
+    # ones in half the draws, at x up to 8, and a power y-family at y up to 0.5
+    n = rng.randint(1, 4)
+    us = (draw_u(rng, params),) * n if rng.random() < 0.5 else tuple(draw_u(rng, params) for _ in range(n))
+    v = draw_u(rng, params)
+    x, y = draw_x(rng, 8.0), draw_x(rng, 0.5)
+    return (
+        lambda: weighted_binomial_value(kind, MultinomialWeights(us, params), PowerWeights(v), x, y, params),
+        weighted_oracle_terms(kind, multinomial_row_coefficient(us, v, x, y, params), 1.0),
+    )
+
+
+def test_periodic_binomial_values_match_mpmath_series():
+    """weighted_binomial_value with the periodicity records' families against
+    its series summed in 60 digits, with the tolerance of the weighted values:
+    VALUE_ROUNDINGS * 2^-53 * sum_j (j + 1) |t_j|, |t_j| the sum of the
+    magnitudes of term j's parts.  Over seeds 0-2,999 the largest multiple of
+    2^-53 * sum_j (j + 1) |t_j| seen was 2.5, and 108 of the 3,000 draws met
+    the term-growth backstop.
+    """
+    # the reference with one x-part is row_coefficient's
+    params = draw_params(random.Random(0))
+    one_part = multinomial_row_coefficient((0.6,), -0.4, 3.0, 0.3, params)
+    row = row_coefficient(0.6, -0.4, 3.0, 0.3, params)
+    for n in range(16):
+        (a, size), (b, _) = one_part(n), row(n)
+        assert abs(a - b) <= MP.mpf(10) ** -50 * size
+    checked, count = 0, 60
+    for seed in range(count):
+        rng = random.Random(seed)
+        kind = rng.choice(sorted(PRIMARY))
+        evaluate, terms = periodic_draw(rng, kind, draw_params(rng))
+        try:
+            value = evaluate()
+        except SeriesDiverging:
+            continue  # the term-growth backstop's verdict on an entire series
+        checked += 1
+        tolerance = VALUE_ROUNDINGS * ULP * MP.fsum((j + 1) * size for j, (_, size) in enumerate(terms))
+        assert abs(MP.mpf(value) - MP.fsum(t for t, _ in terms)) <= tolerance, (seed, kind)
+    assert checked >= 0.9 * count
+
+
 # the multiple of 2^-53 * |value| * (R_f + R_n) a normalized value may miss by
 TILDE_ROUNDINGS = 5
 
@@ -488,18 +554,15 @@ def node_terms(params, a, b, f):
     raise AssertionError("node series did not settle")
 
 
-def polynomial_integral(rng):
-    """A polynomial sum_m c_m x^m of degree <= 6, evaluated by Horner's rule,
-    integrated from a to b (a = 0 in a quarter of the draws); its reference is
-    the closed form sum_m c_m (b^(m+1) - a^(m+1)) / {m+1} in exact Fractions,
-    with {n} from the exact roots phi, phi' the node family uses."""
+def polynomial_draw(rng):
+    """A polynomial sum_m c_m x^m of degree <= 6 and its integral from a to b
+    (a = 0 in a quarter of the draws), as (coefficients, params, a, b, I):
+    I is the closed form sum_m c_m (b^(m+1) - a^(m+1)) / {m+1} in exact
+    Fractions, with {n} from the exact roots phi, phi' the node family uses."""
     params = draw_params(rng)
     coeffs = [rng.uniform(-2.0, 2.0) for _ in range(rng.randint(1, 7))]
     a = 0.0 if rng.random() < 0.25 else rng.uniform(-1.5, 1.5)
     b = rng.uniform(-1.5, 1.5)
-    value = integral_value(
-        lambda x: functools.reduce(lambda acc, c: acc * x + c, reversed(coeffs)), a, b, params, eps=ULP
-    )
     phi, psi = Fraction(params.phi), Fraction(params.phi_prime)
     seq = [Fraction(0), Fraction(1)]
     while len(seq) <= len(coeffs):
@@ -507,6 +570,18 @@ def polynomial_integral(rng):
     exact = sum(
         Fraction(c) * (Fraction(b) ** (m + 1) - Fraction(a) ** (m + 1)) / seq[m + 1] for m, c in enumerate(coeffs)
     )
+    return coeffs, params, a, b, exact
+
+
+def horner(coeffs):
+    return lambda x: functools.reduce(lambda acc, c: acc * x + c, reversed(coeffs))
+
+
+def polynomial_integral(rng):
+    """A :func:`polynomial_draw` polynomial, evaluated by Horner's rule and
+    integrated to eps = 2^-53; its reference is the exact closed form."""
+    coeffs, params, a, b, exact = polynomial_draw(rng)
+    value = integral_value(horner(coeffs), a, b, params, eps=ULP)
 
     def poly(y):
         parts = [MP.mpf(c) * y**m for m, c in enumerate(coeffs)]
@@ -553,6 +628,20 @@ def test_integral_value_matches_its_reference(integrand):
         value, exact, terms = draw(random.Random(seed))
         sizes = MP.fsum((k + 1) * size for k, (_, size) in enumerate(terms))
         assert abs(MP.mpf(value) - exact) <= INTEGRAL_ROUNDINGS * ULP * (max(1, abs(exact)) + sizes), seed
+
+
+def test_integral_value_meets_its_default_eps_on_polynomials():
+    """At the default eps = 1e-12 the node-series integral of each of the
+    1,000 polynomials of seeds 0-999 is within eps * max(1, |I|) of the exact
+    closed form.  Each term carries b f(b n) - a f(a n), so the tail bound's
+    scale sums the two parts' magnitudes; with their max in its place, 12 of
+    the 1,000 missed, the worst by 1.16 eps (seed 734).
+    """
+    eps = 1e-12
+    for seed in range(1000):
+        coeffs, params, a, b, exact = polynomial_draw(random.Random(seed))
+        value = integral_value(horner(coeffs), a, b, params)
+        assert abs(Fraction(value) - exact) <= eps * max(1, abs(exact)), seed
 
 
 def test_find_pi_u_past_512_stops_on_adjacent_floats():
