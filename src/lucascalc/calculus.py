@@ -136,7 +136,10 @@ def integral_value(
     NonConvergent at once.  As the scale is at least max(1, |total|), a
     ratio whose bound at the budget's last term is 2 eps or more (eps plus room
     for rounding) can never stop the sum, and raises NonConvergent before it.
+    An eps that is not a finite number above 0 raises ValueError.
     """
+    if not 0 < eps < math.inf:  # NaN too
+        raise ValueError(f"eps must be a finite number above 0, got {eps!r}")
     if params.backend is not Backend.COMPLEX:
         raise NonContractingNodes("the node-series integral runs on the float backend")
     if a == b:

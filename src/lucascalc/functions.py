@@ -115,12 +115,10 @@ _MAX_VALUE_TERMS = 512
 _PI_SCAN_STEP = 0.05
 _PI_BRACKET_TOL = 1e-13
 _PI_MAX_SCAN_POINTS = 100_000
-# find_pi_u's certified skips: the first and the longest window one derivative
-# majorant serves, the share of its proven zero-free reach a skip takes, and the
-# calibrated multiple of 2^-53 * sum_j (j+1) |t_j| that bounds a float sum's
-# rounding (tests/test_oracle.py)
-_PI_FIRST_WINDOW = 1.0
-_PI_MAX_WINDOW = 2.0
+# find_pi_u's certified skips: the window one derivative majorant serves, the share of
+# its proven zero-free reach a skip takes, and the calibrated multiple of
+# 2^-53 * sum_j (j+1) |t_j| that bounds a float sum's rounding (tests/test_oracle.py)
+_PI_WINDOW = 2.0
 _PI_SKIP_SHARE = 0.9
 _ROUNDINGS = 32
 _ULP = 2.0**-53
@@ -403,8 +401,10 @@ def fn_value_info(
     call at the parameters' most recent u share and which grow under this
     module's lock; values are what fresh tables give, bit for bit.  The
     backends are checked before the slot is read, so a u of another backend
-    leaves it alone.
+    leaves it alone.  An eps not a finite number above 0 raises ValueError.
     """
+    if not 0 < eps < math.inf:  # NaN too
+        raise ValueError(f"eps must be a finite number above 0, got {eps!r}")
     if not (backend_of(x) is backend_of(u) is params.backend):
         common_backend(x, u, params.s)  # raises, naming the backends of all three
     return _value_info(kind, _primary_value_terms, eps, x, u, params, _value_tables(u, params))
@@ -629,19 +629,17 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
     bracket to a width of 1e-13 by Illinois regula falsi.
 
     A skip is one Lipschitz bound (Moore, Kearfott & Cloud, *Introduction to
-    Interval Analysis*, SIAM 2009, ch. 8).  On a window [x, x + H], H from
-    0.05 up to 2 and 1 at first, M = :func:`_sine_majorant` at x + H bounds
-    |sin'|, and every summed point of the window reuses it.  At a summed
-    point x the sum s is within delta = x (32 * 2^-53 M + tail) of the
-    series: the rounding form calibrated in tests/test_oracle.py, plus the
-    majorant's bound on the terms the sum left out.  So sin has no zero on
-    [x, x + h] for h = 0.9 (|s| - delta) / M, and the grid points up to
-    min(x + h, window end) are not summed.  While the majorant's terms after
-    the first sum to less than 0.9, sin y / y > 0.1 on (0, x + H], and the
-    whole window is skipped.  H doubles after a skip reaches the window's end
-    and halves, down to 0.05, after a skip shorter than one grid step.  Where
-    the majorant gives no bound (|u| >= |phi|, |psi| = |phi| as on the
-    classical member, and so on), the scan sums every grid point.
+    Interval Analysis*, SIAM 2009, ch. 8).  M = :func:`_sine_majorant` at
+    w + 2 bounds |sin'| on a window [w, w + 2], and every point summed in
+    the window reuses it.  From a summed point x the scan skips the grid
+    points up to its reach: the window's end while the majorant's terms after
+    the first sum to less than 0.9, as sin y / y > 0.1 on (0, w + 2] then;
+    else min(x + h, w + 2) for h = 0.9 (|s| - delta) / M, since the sum s is
+    within delta = x (32 * 2^-53 M + tail) of the series (the rounding form
+    calibrated in tests/test_oracle.py plus the majorant's bound on the terms
+    the sum left out), so sin has no zero on [x, x + h].  Where the majorant
+    gives no bound (|u| >= |phi|, |psi| = |phi| as on the classical member,
+    and so on), the scan sums every grid point.
 
     The grid points are accumulated as ``x += 0.05`` whether summed or
     skipped, and when the first point summed after a skip has the other sign,
@@ -661,10 +659,12 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
     once per search.  Raises NoRootFound on exact parameters, for a complex
     u, s or t, and when no sign change appears before x_max or before the
     series starts diverging; BackendMismatch for a u of another backend; and
-    ValueError for an x_max past the scan cap of 100,000 points (5,000).
+    ValueError for an x_max not above 0 or past the scan cap of 5,000.
     """
     if params.backend is not Backend.COMPLEX:
         raise NoRootFound("root scanning runs on the float backend")
+    if not x_max > 0:  # NaN too
+        raise ValueError(f"x_max must be a finite number above 0, got {x_max!r}")
     if x_max > _PI_MAX_SCAN_POINTS * _PI_SCAN_STEP:
         raise ValueError(f"x_max {x_max:g} is past the scan cap {_PI_MAX_SCAN_POINTS * _PI_SCAN_STEP:g}")
     common_backend(u, params.s)
@@ -676,8 +676,7 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
         return _adaptive_sum(_primary_value_terms(FnKind.SIN, x, u, params, tables), _EPS)
 
     limit = x_max + 1e-12
-    majorant = _sine_majorant(u, params, tables)
-    window, end = _PI_FIRST_WINDOW, 0.0
+    majorant, end = _sine_majorant(u, params, tables), 0.0
     prev_x = prev_val = skipped = None
     x = _PI_SCAN_STEP
     while x <= limit:
@@ -694,20 +693,16 @@ def find_pi_u(params: LucasParams, u: Scalar, x_max: float = 10.0) -> PiU:
         prev_x, prev_val = x, val
         skipped, x_next = None, x + _PI_SCAN_STEP
         if majorant is not None and x >= end:
-            end = x + window
+            end = x + _PI_WINDOW
             tails = majorant(end)
-            if tails is None:  # a longer window has no bound either
+            if tails is None:  # a later window has no bound either
                 majorant = None
         if majorant is not None:
-            slope = tails[0]
-            delta = x * (_ROUNDINGS * _ULP * slope + tails[min(count, len(tails) - 1)])
-            reach = x + _PI_SKIP_SHARE * (abs(val) - delta) / slope
-            if tails[1] < _PI_SKIP_SHARE:  # |sin y / y - 1| <= tails[1] on (0, end]
-                reach = end
-            if reach >= end:
-                reach, window = end, min(2 * window, _PI_MAX_WINDOW)
-            elif reach < x_next:
-                window = max(window / 2, _PI_SCAN_STEP)
+            reach = end  # while |sin y / y - 1| <= tails[1] < 0.9 on (0, end]
+            if tails[1] >= _PI_SKIP_SHARE:
+                slope = tails[0]
+                delta = x * (_ROUNDINGS * _ULP * slope + tails[min(count, len(tails) - 1)])
+                reach = min(end, x + _PI_SKIP_SHARE * (abs(val) - delta) / slope)
             while x_next <= reach and x_next <= limit:
                 skipped, x_next = x_next, x_next + _PI_SCAN_STEP
         x = x_next

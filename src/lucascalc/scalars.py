@@ -429,7 +429,7 @@ class SeqCache:
                     fact.append(fact[-1] * u[len(fact)])
         return fact[n]
 
-    def lucasnomial_parts(self, n: int, k: int) -> tuple[list, list]:
+    def lucasnomial_parts(self, n: int, k: int) -> tuple[list, Optional[list]]:
         """Numerators Ĉ(n,0..k) and denominators c^(j(n-j)) of C(n,0..k).
 
         Ĉ(n,0) = 1 and Ĉ(n,j) = Ĉ(n,j-1) U_(n-j+1) / U_j: the telescoped
@@ -437,9 +437,9 @@ class SeqCache:
         is the Lucasnomial of the integer sequence U, an integer polynomial in
         S and T (Sagan and Savage, Integers 10, 2010), so Ĉ(n,j-1) U_(n-j+1) =
         Ĉ(n,j) U_j and the step is an exact ``//``; the fields divide with ``/``
-        and every denominator is 1.  The exact backends multiply out j <= n/2
-        only and mirror the rest, C(n,j) = C(n,n-j); floats run the whole
-        product.  The first vanishing {j}, j <= k, raises DivisionByZeroFactor.
+        and, as c = 1, form no denominators (None).  The exact backends multiply
+        out j <= n/2 only and mirror the rest, C(n,j) = C(n,n-j); floats run the
+        whole product.  The first vanishing {j}, j <= k, raises DivisionByZeroFactor.
         """
         if n >= len(self._u):
             self._extend(n)
@@ -450,14 +450,15 @@ class SeqCache:
         divide = operator.floordiv if backend is Backend.RATIONAL else operator.truediv
         last = k if backend is Backend.COMPLEX else min(k, n // 2)
         su, c = self._scaled_u, self._scale
-        nums, dens = [su[1]], [1]  # the empty product, 1 in the numerators' type
+        nums = [su[1]]  # the empty product, 1 in the numerators' type
         for j in range(1, last + 1):
             nums.append(divide(nums[-1] * su[n - j + 1], su[j]))
-            dens.append(c ** (j * (n - j)))
         for j in range(last + 1, k + 1):
             nums.append(nums[n - j])
-            dens.append(dens[n - j])
-        return nums, dens
+        if backend is not Backend.RATIONAL:
+            return nums, None
+        dens = [c ** (j * (n - j)) for j in range(last + 1)]
+        return nums, dens + dens[n - k : n - last][::-1]  # dens[n - j] for j = last+1..k
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,8 @@ from lucascalc import (
     fn_series,
     fn_value,
     fn_value_info,
+    integral_value,
+    integration_by_parts_residual,
     lucastorial,
     make_params,
     multinomial_number,
@@ -1101,6 +1103,39 @@ class TestPiU:
         assert roots == 35
         assert len(xs) <= 11_353 / 3
 
+    def test_every_majorant_pass_serves_one_fixed_window(self, monkeypatch):
+        # a search's first pass bounds |sin'| on [0.05, 0.05 + H], and a new
+        # pass comes only once a summed point leaves the last window, so
+        # passes are at least H apart
+        window = lucascalc.functions._PI_WINDOW
+        majorant = lucascalc.functions._sine_majorant
+        passes = []
+
+        def logging(u, params, tables):
+            tails = majorant(u, params, tables)
+            if tails is None:
+                return None
+
+            def logged(X):
+                passes.append(X)
+                return tails(X)
+
+            return logged
+
+        monkeypatch.setattr(lucascalc.functions, "_sine_majorant", logging)
+        searches = 0
+        for p, u, x_max in _golden_pi_draws():
+            passes.clear()
+            try:
+                find_pi_u(p, u, x_max=x_max)
+            except NoRootFound:
+                pass
+            if passes:
+                searches += 1
+                assert passes[0] == 0.05 + window
+                assert all(b - a >= window - 1e-9 for a, b in itertools.pairwise(passes)), passes
+        assert searches > 0
+
     # members where the majorant gives no bound, or none past some window:
     # the classical member (a repeated root), |u| >= |phi|, complex roots, and
     # u near phi, where eight steps grow in a row before x = 10
@@ -1244,3 +1279,27 @@ def test_only_the_callers_tolerances_take_eps():
         if "eps" in inspect.signature(fn).parameters
     }
     assert takes_eps == {"fn_value_info": 1e-12, "integral_value": 1e-12, "integration_by_parts_residual": 1e-12}
+
+
+# each caller-set tolerance or scan bound, as a call of the bad value
+BOUNDED_CALLS = {
+    "fn_value_info eps": lambda bad: fn_value_info(SIN, 1.0, 0.5, make_params(1.0, 1.0), eps=bad),
+    "integral_value eps": lambda bad: integral_value(lambda x: x, 0.0, 1.0, make_params(1.0, 1.0), eps=bad),
+    "integration_by_parts_residual eps": lambda bad: integration_by_parts_residual(
+        lambda x: x, lambda x: x, 0.0, 1.0, make_params(1.0, 1.0), eps=bad
+    ),
+    "find_pi_u x_max": lambda bad: find_pi_u(make_params(1.0, 1.0), 0.5, x_max=bad),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-12, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("name", sorted(BOUNDED_CALLS))
+def test_a_bound_that_is_not_a_finite_number_above_0_is_refused(monkeypatch, name, bad):
+    # no such value gives a true verdict: a NaN eps runs the integral's whole term
+    # budget, a zero eps calls the node ratio too close to 1, an inf eps stops
+    # after three terms, and a NaN x_max finds "no sign change"; so each is
+    # refused before any sum
+    xs = TestPiU._log_points(monkeypatch)
+    with pytest.raises(ValueError, match="finite number above 0|past the scan cap"):
+        BOUNDED_CALLS[name](bad)
+    assert xs == []

@@ -517,6 +517,20 @@ class TestLucasnomialRow:
                 with pytest.raises(DivisionByZeroFactor, match=r"^\{3\} = 0 in the denominator$"):
                     lucasnomial(n, k, p)
 
+    @pytest.mark.parametrize("backend", sorted(POINTS))
+    def test_only_the_rationals_form_denominators(self, backend):
+        # the fields have c = 1 and their readers drop the denominators; over
+        # the rationals, with c = lcm(2, 5) = 10, denominator j is c^(j(n-j))
+        p = make_params(*self.POINTS[backend])
+        for n in range(13):
+            for k in range(n + 1):
+                nums, dens = p.cache.lucasnomial_parts(n, k)
+                assert len(nums) == k + 1
+                if backend == "rational":
+                    assert dens == [10 ** (j * (n - j)) for j in range(k + 1)]
+                else:
+                    assert dens is None
+
     def test_negative_degree(self):
         with pytest.raises(IndexOutOfRange):
             lucasnomial_row(-1, make_params(F(1), F(1)))
