@@ -133,52 +133,55 @@ class EvalInfo:
 
 
 def _adaptive_sum(terms, eps: float) -> tuple[Scalar, int]:
-    """Sum terms until three consecutive magnitudes drop below eps * scale,
-    and return the pair (sum, number of terms drawn).
+    """Sum terms until three in a row have magnitudes at or below eps * scale,
+    and return (sum, number of terms drawn); no terms give (None, 0).
 
-    scale is the running maximum magnitude of the partial sums.  Eight
-    consecutive strictly growing term magnitudes raise SeriesDiverging, as
-    do exhausting the term budget, a non-finite term or partial sum, and an
-    OverflowError while drawing a term (float powers of a large u or x).
-    Float and complex terms are measured with the builtin ``abs``, which is
-    what :func:`magnitude` returns for them.
+    scale is the running maximum magnitude of the partial sums.  Eight terms
+    in a row above eps * scale, each larger than the one before, raise
+    SeriesDiverging, as do exhausting the term budget, a partial sum that is
+    not finite (a float inf or NaN term makes one), an exact term too large
+    for a float, and an OverflowError while drawing a term (float powers of a
+    large u or x).  Float and complex terms are measured with the builtin
+    ``abs``, which is what :func:`magnitude` returns for them.
     """
     inf = math.inf
-    total = None
-    scale = 0.0
-    small_run = 0
-    grow_run = 0
-    prev_mag = inf  # the first term never counts as growth
-    count = 0
+    terms = iter(terms)
     try:
+        if (total := next(terms, None)) is None:
+            return None, 0
+        size = abs if isinstance(total, (float, complex)) else magnitude
+        prev_mag = scale = size(total)
+        if not scale < inf:  # inf or NaN: every later term looks small
+            raise SeriesDiverging("non-finite term or partial sum encountered")
+        tol = eps * scale
+        small_run = 1 if prev_mag <= tol else 0  # one term is never a run of _SMALL_RUN
+        grow_run = 0  # the first term never counts as growth
+        count = 1
         for term in terms:
             count += 1
-            if total is None:
-                total = term
-                size = abs if isinstance(term, (float, complex)) else magnitude
-            else:
-                total = total + term
             mag = size(term)
+            total = total + term
             total_mag = size(total)
-            if not (mag < inf and total_mag < inf):  # inf or NaN: every later term looks small
+            if not total_mag < inf:
                 raise SeriesDiverging("non-finite term or partial sum encountered")
             if total_mag > scale:
                 scale = total_mag
-            tol = eps * scale
+                tol = eps * scale
             if mag <= tol:
                 small_run += 1
                 if small_run >= _SMALL_RUN:
                     return total, count
+                grow_run = 0
             else:
                 small_run = 0
-            if mag > prev_mag and mag > tol:
-                grow_run += 1
-                if grow_run >= _GROWTH_LIMIT:
-                    raise SeriesDiverging(
-                        f"terms grew for {_GROWTH_LIMIT} consecutive orders"
-                    )
-            else:
-                grow_run = 0
+                if mag > prev_mag:
+                    if mag == inf:  # an exact term past float range, its partial sum not
+                        raise SeriesDiverging("non-finite term or partial sum encountered")
+                    grow_run += 1
+                    if grow_run >= _GROWTH_LIMIT:
+                        raise SeriesDiverging(f"terms grew for {_GROWTH_LIMIT} consecutive orders")
+                else:
+                    grow_run = 0
             prev_mag = mag
             if count >= _MAX_VALUE_TERMS:
                 raise SeriesDiverging("series did not settle within the term budget")
@@ -292,8 +295,7 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
     At x = 0 every term after the first vanishes, so only the first is drawn.
     """
     first, step, alternating = _PRIMARY[kind]
-    one = backend_one(params.backend)
-    term = x if first == 1 else one
+    term = x if first == 1 else backend_one(params.backend)
     yield term
     if x == 0:
         return
@@ -303,7 +305,7 @@ def _primary_value_terms(kind: FnKind, x: Scalar, u: Scalar, params: LucasParams
             term = term * p * x / d
             yield term
         seq = params.cache.u
-        p = known[-1][1] * u if known else one
+        p = known[-1][1] * u if known else backend_one(params.backend)
         for n in itertools.count(len(known) + 1):
             d = seq(n)
             if d == 0:

@@ -37,6 +37,8 @@ class Backend(enum.Enum):
     GAUSSIAN = "gaussian-rational"
     COMPLEX = "complex-float"
 
+    __hash__ = object.__hash__  # members compare by identity; Enum.__hash__ is a Python call per lookup
+
 
 class GaussianRational:
     """Exact element of Q(i), stored as an integer triple (a, b, d) meaning (a+bi)/d.
@@ -471,14 +473,10 @@ class LucasParams:
     phi: Optional[Scalar]
     phi_prime: Optional[Scalar]
     backend: Backend
-    _cache: SeqCache = field(init=False, repr=False, compare=False)
+    cache: SeqCache = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_cache", SeqCache(self.s, self.t, self.backend))
-
-    @property
-    def cache(self) -> SeqCache:
-        return self._cache
+        object.__setattr__(self, "cache", SeqCache(self.s, self.t, self.backend))
 
     @property
     def roots_available(self) -> bool:

@@ -572,6 +572,39 @@ class TestFloatPointDigest:
         assert digest.hexdigest() == self.PIU_SHA256
 
 
+class TestComplexPointDigest:
+    """Complex point evaluation, with ±0.0 parts in s, t, u and x."""
+
+    # sha256 over the type, the repr of the real and imaginary parts and the
+    # terms used of fn_value_info, or the error, for every kind at seeded
+    # complex points; computed before the adaptive summer's loop was
+    # streamlined, and every bit, zero sign, term count and message must stay
+    VALUE_SHA256 = "bd84058f8fa12e69f05aac68517ce5de48cb88fb33749637488cf29de4c7e3c4"
+
+    def test_values_match_golden_digest(self):
+        rng = random.Random(61)
+
+        def part(scale):
+            return rng.choice((0.0, -0.0, rng.uniform(-scale, scale), rng.uniform(-scale, scale)))
+
+        def draw(scale):
+            z = complex(part(scale), part(scale))
+            return z if z else complex(scale / 2, part(scale))  # s and t are nonzero
+
+        digest = hashlib.sha256()
+        for _ in range(12):
+            p = make_params(draw(2.0), draw(1.5))
+            for _ in range(6):
+                u, x = draw(1.0), draw(4.0)
+                for kind in FnKind:
+                    info = _outcome(fn_value_info, kind, x, u, p)
+                    if not isinstance(info, str):
+                        v = info.value
+                        info = f"{type(v).__name__} {v.real!r} {v.imag!r} {info.terms_used}"
+                    digest.update(f"{kind.value}:{info};".encode())
+        assert digest.hexdigest() == self.VALUE_SHA256
+
+
 def _bits(info) -> str:
     """An outcome of :func:`_outcome` as text that tells every value apart, -0.0 from 0.0 too."""
     if isinstance(info, str):
@@ -1244,6 +1277,62 @@ FUNCTION_GUARDS = {
         "did not settle within the term budget",
     ),
 }
+
+
+def _one_then_overflow():
+    yield 1.0
+    raise OverflowError("a float power of u overflows")
+
+
+_HUGE = F(17 * 10**307)  # above half the largest float, so twice it is past float range
+_NON_FINITE = "SeriesDiverging: non-finite term or partial sum encountered"
+_GREW = "SeriesDiverging: terms grew for 8 consecutive orders"
+_BUDGET = "SeriesDiverging: series did not settle within the term budget"
+
+# name: (terms, or a function that makes them; eps; the (sum, terms drawn) or the error)
+ADAPTIVE_SUM_CASES = {
+    "no terms": ([], 1e-12, (None, 0)),
+    "a zero first term starts a run": ([0.0, 0.0, -0.0, 5.0], 1e-12, (0.0, 3)),
+    "three small terms in a row stop": ([1.0, 1e-13, 1e-13, 1e-13, 7.0], 1e-12, (1.0 + 1e-13 + 1e-13 + 1e-13, 4)),
+    # scale stays 4 and tol = 1: a term of magnitude 1 is at the bound, and so small
+    "terms at eps * scale are small": ([4.0, -1.0, 1.0, -1.0, 9.0], 0.25, (3.0, 4)),
+    "a larger term resets the run": ([4.0, -1.0, 1.0, -2.0, 1.0, -1.0, 1.0, 9.0], 0.25, (3.0, 7)),
+    # seven growing terms above the bound, then -129 grows but is at or below 0.9 * 214
+    "growth at or below the bound is not growth": (
+        [1.0, -2.0, 4.0, -8.0, 16.0, -32.0, 64.0, -128.0, -129.0, 0.0, 0.0, 9.0],
+        0.9,
+        (-214.0, 11),
+    ),
+    "seven growing terms then a drop": ([2.0**k for k in range(8)] + [1.0, 0.0, 0.0, 0.0], 1e-12, (256.0, 12)),
+    "eight growing terms": ([2.0**k for k in range(9)] + [0.0, 0.0, 0.0], 1e-12, _GREW),
+    "an inf term": ([1.0, 2.0, math.inf, 0.0], 1e-12, _NON_FINITE),
+    "a NaN term": ([1.0, math.nan, 0.0], 1e-12, _NON_FINITE),
+    "a NaN first term": ([math.nan, 0.0], 1e-12, _NON_FINITE),
+    "finite terms whose sum overflows": ([1e308, 1e308, 0.0], 1e-12, _NON_FINITE),
+    "an inf complex part": ([1j, complex(math.inf, 0.0)], 1e-12, _NON_FINITE),
+    "an OverflowError while drawing": (_one_then_overflow, 1e-12, _NON_FINITE),
+    "511 terms that never settle": ([1.0] * 511, 1e-12, (511.0, 511)),
+    "the 512-term budget": ([1.0] * 512, 1e-12, _BUDGET),
+    "fractions are sized by magnitude": (
+        [F(1), F(1, 10**13), F(-1, 10**13), F(1, 10**13), F(5)],
+        1e-12,
+        (F(10**13 + 1, 10**13), 4),
+    ),
+    "a fraction past float range": ([F(1), _HUGE * 10, F(0)], 1e-12, _NON_FINITE),
+    "a fraction past float range with a finite sum": ([-_HUGE, 2 * _HUGE, F(0)], 1e-12, _NON_FINITE),
+    "gaussian terms": (
+        [GaussianRational(0, 1), GaussianRational(F(1, 10**13)), GaussianRational(0), GaussianRational(0)],
+        1e-12,
+        (GaussianRational(F(1, 10**13), 1), 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADAPTIVE_SUM_CASES))
+def test_adaptive_sum_decisions(name):
+    terms, eps, expect = ADAPTIVE_SUM_CASES[name]
+    got = _outcome(lucascalc.functions._adaptive_sum, terms() if callable(terms) else iter(terms), eps)
+    assert repr(got) == repr(expect)
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTION_GUARDS))

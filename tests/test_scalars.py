@@ -221,6 +221,16 @@ class TestParams:
         assert p.phi + p.phi_prime == p.s
         assert p.phi * p.phi_prime == -p.t
 
+    def test_the_cache_is_left_out_of_equality_hash_and_repr(self):
+        p, q = make_params(F(3), F(-2)), make_params(F(3), F(-2))
+        assert p.cache is not q.cache and p.cache.u(5) == 31
+        assert p == q and p != make_params(F(3), F(-1))
+        assert hash(p) == hash(q) == hash((p.s, p.t, p.disc, p.phi, p.phi_prime, p.backend))
+        assert repr(p) == (
+            "LucasParams(s=Fraction(3, 1), t=Fraction(-2, 1), disc=Fraction(1, 1), phi=Fraction(2, 1), "
+            "phi_prime=Fraction(1, 1), backend=<Backend.RATIONAL: 'rational'>)"
+        )
+
     def test_promote_params_keeps_roots(self):
         p = params_from_roots(F(2), F(-1))
         q = promote_params(p, Backend.GAUSSIAN)

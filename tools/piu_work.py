@@ -9,13 +9,17 @@ checkout).  For each seed from FIRST to LAST inclusive the script runs
 ``find_pi_u`` search the identities make: the searches, the sine sums, the
 terms those sums drew, and the passes of the derivative majorant.  It also
 hashes each search's arguments and outcome (root and residual, or error
-type and text) in order.  It prints one line:
+type and text) in order.  Then, over every adaptive sum the selection
+makes, searches or not, it counts the sums and the terms they drew and
+hashes each sum's outcome (the value's type and the repr of its parts,
+zero signs included, with the terms used; or the error type and text) in
+order.  It prints one line:
 
-    calls 742 sums 12076 terms 94231 passes 2527 outcomes 8cbabfc4bcbeb3cc
+    calls 742 sums 12076 terms 94231 passes 2527 outcomes 8cbabfc4bcbeb3cc all_sums 13640 all_terms 111628 sum_outcomes ac339aa9e64f7783
 
 The counts do not depend on the machine's timing, so two trees can be
 compared on them; two trees whose searches end alike print the same
-outcome hash:
+outcome hash, and two whose sums end alike the same sum_outcomes hash:
 
     python3 tools/piu_work.py /path/to/old/src --seeds 11-18 > old.txt
     python3 tools/piu_work.py src --seeds 11-18 > new.txt
@@ -41,7 +45,8 @@ def main(argv=None) -> int:
     from lucascalc import functions, identities, run_suite
 
     counts = {"calls": 0, "sums": 0, "terms": 0, "passes": 0}
-    outcomes = hashlib.sha256()
+    every = {"all_sums": 0, "all_terms": 0}
+    outcomes, sum_outcomes = hashlib.sha256(), hashlib.sha256()
     searching = False
     find_pi_u, adaptive_sum, sine_majorant = identities.find_pi_u, functions._adaptive_sum, functions._sine_majorant
 
@@ -61,14 +66,21 @@ def main(argv=None) -> int:
         return root
 
     def counting_adaptive_sum(terms, eps):
-        if searching:
-            counts["sums"] += 1
-            terms = drawn(terms)
-        return adaptive_sum(terms, eps)
+        every["all_sums"] += 1
+        counts["sums"] += searching
+        try:
+            value, used = adaptive_sum(drawn(terms, searching), eps)
+        except Exception as error:
+            sum_outcomes.update(f"{type(error).__name__}: {error}\n".encode())
+            raise
+        parts = f"{value.real!r} {value.imag!r}" if isinstance(value, complex) else repr(value)
+        sum_outcomes.update(f"{type(value).__name__} {parts} {used}\n".encode())
+        return value, used
 
-    def drawn(terms):
+    def drawn(terms, in_search):
         for term in terms:
-            counts["terms"] += 1
+            every["all_terms"] += 1
+            counts["terms"] += in_search
             yield term
 
     def counting_sine_majorant(u, params, tables):
@@ -87,7 +99,14 @@ def main(argv=None) -> int:
     functions._sine_majorant = counting_sine_majorant
     for seed in seeds:
         run_suite(selection, trials=args.trials, order=16, seed=seed)
-    print(" ".join(f"{name} {count}" for name, count in counts.items()), "outcomes", outcomes.hexdigest()[:16])
+    print(
+        " ".join(f"{name} {count}" for name, count in counts.items()),
+        "outcomes",
+        outcomes.hexdigest()[:16],
+        " ".join(f"{name} {count}" for name, count in every.items()),
+        "sum_outcomes",
+        sum_outcomes.hexdigest()[:16],
+    )
     return 0
 
 
