@@ -10,8 +10,10 @@ telescoped pass (``SeqCache.lucasnomial_parts``), and the weights u^T(n-k),
 v^T(k) are read from two rows indexed by degree.  The row builders call no
 weight family: their callers grow the rows once, from one
 :class:`PowerWeights` per deformation parameter or from the families they are
-given, and hold them for every degree they build.  :class:`DeformedPowerWeights`
-forms only the degrees it is asked for.  Multinomial
+given, and hold them for every degree they build.  Every point value of a row
+is one degree of :class:`DeformedPowerWeights`, whose slots take a
+deformation or a weight family and which forms only the degrees it is asked
+for.  Multinomial
 numbers multiply the parts' rows u_i^T(k) / {k}! one degree at a time, the
 lazy product the point path reads term by term; a multinomial series
 multiplies the same rows with the series ``*`` instead.
@@ -36,7 +38,6 @@ from .scalars import (
     backend_zero,
     binom2,
     common_backend,
-    lucastorial,
 )
 
 Weights = Callable[[int], Scalar]
@@ -93,18 +94,21 @@ def row_value(
 ) -> Scalar:
     """The degree-n row at (x, y): sum over k of C(n,k) u_row[n-k] v_row[k] x^(n-k) y^k.
 
-    Over the fields each term is formed left to right and added in one pass,
-    the same products in the same order as :func:`deformed_row`'s entries
-    times x^(n-k) y^k.  Over the rationals the terms are summed as integers
-    over one common denominator, lcm(entry denominators) * (den x * den y)^n,
-    from the row's integer parts, and reduced once; no entry is built as a
-    Fraction.
+    Read by :class:`DeformedPowerWeights` alone.  Over the fields each term
+    is formed left to right and added in one pass, the same products in the
+    same order as :func:`deformed_row`'s entries times x^(n-k) y^k; at a zero
+    coordinate only the terms that do not vanish are summed (k = n at x = 0,
+    k = 0 at y = 0, none past degree 0 at both), so a weight that overflows
+    to inf meets no vanishing power of 0.  Over the rationals the terms are
+    summed as integers over one common denominator, lcm(entry denominators) *
+    (den x * den y)^n, from the row's integer parts, and reduced once; no
+    entry is built as a Fraction.
     """
     if params.backend is not Backend.RATIONAL:
         nums, _ = params.cache.lucasnomial_parts(n, n)
         total = backend_zero(params.backend)
-        for k, c in enumerate(nums):
-            total = total + c * u_row[n - k] * v_row[k] * x ** (n - k) * y**k
+        for k in range(n if x == 0 else 0, 1 if y == 0 else n + 1):
+            total = total + nums[k] * u_row[n - k] * v_row[k] * x ** (n - k) * y**k
         return total
     nums, dens = _rational_parts(n, u_row, v_row, params)
     den = math.lcm(*dens)
@@ -133,9 +137,7 @@ def deformed_power_value(
     """Evaluate the degree-n deformed power at the point (x, y)."""
     if n < 0:
         raise IndexOutOfRange("n must be nonnegative")
-    common_backend(x, y, u, v, params.s)
-    u_row, v_row = (list(map(PowerWeights(w), range(n + 1))) for w in (u, v))
-    return row_value(n, u_row, v_row, x, y, params)
+    return DeformedPowerWeights(x, y, u, v, params)(n)
 
 
 def phi_product_power(n: int, x: Scalar, y: Scalar, params: LucasParams) -> Scalar:
@@ -156,8 +158,7 @@ def phi_product_power(n: int, x: Scalar, y: Scalar, params: LucasParams) -> Scal
 
 def deformed_zero(n: int, u: Scalar, v: Scalar, params: LucasParams) -> Scalar:
     """The alternating deformed power at (1, -1); vanishes for n >= 1 at (u,v) = roots."""
-    one = backend_one(params.backend)
-    return deformed_power_value(n, one, -one, u, v, params)
+    return DeformedZeroWeights(u, v, params)(n)
 
 
 def multinomial_number(us: Sequence[Scalar], n: int, params: LucasParams) -> Scalar:
@@ -227,7 +228,7 @@ class MultinomialWeights:
         values = self._values
         while len(values) <= n:
             m = len(values)
-            fact, zero = lucastorial(m, self.params), backend_zero(self.params.backend)
+            fact, zero = self.params.cache.factorial(m), backend_zero(self.params.backend)
             # every entry is formed before a row grows: a float power that overflows
             # raises with the rows and products still in step
             for row, entry in zip(self._rows, [u ** binom2(m) / fact for u in self.us]):
@@ -242,23 +243,25 @@ class MultinomialWeights:
 
 
 class DeformedPowerWeights:
-    """Memoized weights w(n) = deformed power of (x, y) at degree n (:func:`row_value`).
+    """Memoized weights w(n) = sum over k of C(n,k) U(n-k) V(k) x^(n-k) y^k (:func:`row_value`).
 
-    Each call forms the row of its own degree alone, so a sum that reads every
-    other degree forms half the rows.  The rows read the powers u^T(m) and
-    v^T(m) from two lists, grown from one :class:`PowerWeights` each up to the
-    highest degree asked for.  The point, the deformations and the parameters
-    must share one backend.
+    Each slot takes a deformation parameter u, read as the powers u^T(m) of
+    one :class:`PowerWeights` (w(n) is then the deformed power of (x, y)), or
+    a weight family, any callable of the degree.  Each call forms the row of
+    its own degree alone, so a sum that reads every other degree forms half
+    the rows, and each family is asked for each degree once, as the two rows
+    grow to the highest degree asked for.  Each row starts with its family's
+    degree-0 value; the point, those values and the parameters must share
+    one backend.
     """
 
-    def __init__(self, x: Scalar, y: Scalar, u: Scalar, v: Scalar, params: LucasParams):
-        common_backend(x, y, u, v, params.s)
+    def __init__(self, x: Scalar, y: Scalar, u: Scalar | Weights, v: Scalar | Weights, params: LucasParams):
         self.x, self.y, self.u, self.v = x, y, u, v
         self.params = params
-        self._u_weights = PowerWeights(u)
-        self._v_weights = PowerWeights(v)
-        self._u_row: list[Scalar] = []
-        self._v_row: list[Scalar] = []
+        self._u_weights = u if callable(u) else PowerWeights(u)
+        self._v_weights = v if callable(v) else PowerWeights(v)
+        self._u_row, self._v_row = [self._u_weights(0)], [self._v_weights(0)]
+        common_backend(x, y, self._u_row[0], self._v_row[0], params.s)
         self._values: dict[int, Scalar] = {}
 
     def __call__(self, n: int) -> Scalar:

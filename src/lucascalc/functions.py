@@ -31,12 +31,12 @@ from functools import reduce
 from typing import Callable, Sequence
 
 from .deformed import (
+    DeformedPowerWeights,
     DeformedZeroWeights,
     MultinomialWeights,
     PowerWeights,
     Weights,
     deformed_row,
-    row_value,
 )
 from .errors import (
     DivisionByZeroValue,
@@ -497,19 +497,14 @@ def weighted_binomial_value(
     """Point value of a binomial combination with weight families on both slots.
 
     This is the weighted family at 1 whose degree-N weight is the sum over k
-    of C(N,k) xw(N-k) yw(k) x^(N-k) y^k.  Each family is called once per
-    degree, as the rows it fills grow to the highest degree a sum reads.  The
-    points and the weights' degree-0 values must share the parameters' backend.
+    of C(N,k) xw(N-k) yw(k) x^(N-k) y^k, one degree of
+    :class:`DeformedPowerWeights` with the families in its slots: each
+    family is called once per degree and each row formed once.  The points
+    and the weights' degree-0 values must share the parameters' backend.
     """
-    x_row, y_row = [x_weights(0)], [y_weights(0)]
-    common_backend(x, y, x_row[0], y_row[0], params.s)
-
-    def weights(n: int) -> Scalar:
-        for row, family in ((x_row, x_weights), (y_row, y_weights)):
-            row.extend(map(family, range(len(row), n + 1)))
-        return row_value(n, x_row, y_row, x, y, params)
-
-    return weighted_fn_value(kind, weights, backend_one(params.backend), params)
+    return weighted_fn_value(
+        kind, DeformedPowerWeights(x, y, x_weights, y_weights, params), backend_one(params.backend), params
+    )
 
 
 def binomial_value(

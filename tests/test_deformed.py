@@ -113,6 +113,35 @@ class TestValues:
         row = deformed_power_coeffs(3, F(0), F(5), p).coeffs
         assert row[0] == 0 and row[1] == 0 and row[2] != 0 and row[3] != 0
 
+    @pytest.mark.parametrize(
+        "x, y, u, v, expect",
+        [
+            (0.0, 0.5, 1e100, 0.5, 0.5**15 * 0.5**6),  # k = 6 alone: v^T(6) y^6
+            (0.5, 0.0, 0.5, 1e100, 0.5**15 * 0.5**6),  # k = 0 alone: u^T(6) x^6
+            (0j, 0.5, 1e100, 0.5, 0.5**15 * 0.5**6),
+            (0.0, 0.0, 1e100, 1e100, 0.0),
+        ],
+        ids=["x=0", "y=0", "complex x=0", "x=y=0"],
+    )
+    def test_zero_coordinate_sums_only_the_surviving_term(self, x, y, u, v, expect):
+        # 1e100^T(6) overflows to inf, and inf times a vanishing power of 0 is NaN
+        p = make_params(1.0, 1.0)
+        assert deformed_power_value(6, x, y, u, v, p) == expect
+        assert deformed_power_value(0, x, y, u, v, p) == 1.0
+
+    def test_slot_takes_a_deformation_or_a_weight_family(self):
+        p = make_params(F(3, 2), F(-1, 2))
+        x, y, u, v = F(2, 3), F(-1, 4), F(1, 2), F(3)
+        family = MultinomialWeights((F(1, 2), F(2)), p)
+        mixed = DeformedPowerWeights(x, y, family, v, p)
+        by_family = DeformedPowerWeights(x, y, PowerWeights(u), PowerWeights(v), p)
+        for n in range(8):
+            assert by_family(n) == deformed_power_value(n, x, y, u, v, p)
+            assert mixed(n) == sum(
+                lucasnomial(n, k, p) * family(n - k) * v ** binom2(k) * x ** (n - k) * y**k
+                for k in range(n + 1)
+            )
+
 
 class TestPhiProduct:
     def test_empty_product(self):

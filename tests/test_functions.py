@@ -415,11 +415,13 @@ class TestWeightedPath:
             lambda p: multinomial_value(COS, (1e100,), 0.0, p),
             lambda p: deformed_zero_value(COS, 1e100, 1e100, 0.0, p),
             lambda p: tilde_value(COS, 0.0, 1e100, p),
+            lambda p: binomial_value(COS, 0.0, 0.0, 1e100, 1e100, p),
         ],
-        ids=["multinomial", "deformed-zero", "tilde"],
+        ids=["multinomial", "deformed-zero", "tilde", "binomial"],
     )
     def test_origin_draws_only_the_first_weight(self, call):
-        # the degree-4 weight u^T(4) = 1e600 overflows; at x = 0 it is never drawn
+        # the degree-4 weight u^T(4) = 1e600 overflows; at x = 0 it is never drawn,
+        # and a row at (x, y) = (0, 0) sums no term past degree 0
         assert call(make_params(1.0, 1.0)) == 1.0
 
     def test_origin_value_on_the_exact_backend(self):
@@ -874,7 +876,7 @@ class TestDeformedZeroSeries:
     @pytest.mark.parametrize("kind", [COS, COSH, SIN, SINH])
     def test_value_forms_only_the_rows_its_kind_reads(self, kind, monkeypatch):
         # the one even row a sine forms is degree 0, which weighted_fn_value
-        # reads to check the weights' backend
+        # reads to check the weights' backend; a cosine reads it again from the memo
         formed, row_value = [], lucascalc.deformed.row_value
 
         def recording(n, *args):
@@ -882,10 +884,16 @@ class TestDeformedZeroSeries:
             return row_value(n, *args)
 
         monkeypatch.setattr(lucascalc.deformed, "row_value", recording)
-        deformed_zero_value(kind, 0.7, 0.7, 2.5, params_from_roots(1.8, -0.9))
+        p = params_from_roots(1.8, -0.9)
         first, step, _ = PRIMARY[kind]
-        assert formed[0] == 0 and len(formed) > 10
-        assert formed[1:] == list(range(first or step, formed[-1] + 1, step))
+        for value in (
+            lambda: deformed_zero_value(kind, 0.7, 0.7, 2.5, p),
+            lambda: binomial_value(kind, 2.0, 0.5, 0.95, 0.9, p),
+        ):
+            formed.clear()
+            value()
+            assert formed[0] == 0 and len(formed) > 10
+            assert formed[1:] == list(range(first or step, formed[-1] + 1, step))
 
     def test_cos_kind_at_origin(self):
         p = make_params(1.0, 1.0)

@@ -7,8 +7,13 @@ SRC is the directory that holds the ``lucascalc`` package (``src`` in a
 checkout).  The script runs ``run_suite("all", 25, order, seed)`` for seeds 7,
 1 and 2024 and orders 16 and 24, and writes one row per record and run: id,
 status, failure count, the failures' params and sides, and the count and
-sha256 of the random draws the record made.  Two trees with the same seeded
-outcomes write identical files, so compare them with ``cmp``:
+sha256 of the random draws the record made.  It prints one line, the number
+of rows and the sha256 of the file it wrote:
+
+    rows 612 sha256 46c2bf9a62086645879c3eb2be16419de4f9488e19fd065a8b4f6577cc654d36
+
+Two trees with the same seeded outcomes write identical files and print the
+same line, so compare the lines, or the files with ``cmp``:
 
     python3 tools/compare_outcomes.py /path/to/old/src old.json
     python3 tools/compare_outcomes.py src new.json
@@ -60,5 +65,7 @@ for seed in (7, 1, 2024):
             ]
             for r in run_suite("all", 25, order, seed).results
         ]
+text = json.dumps(data, sort_keys=True)
 with open(sys.argv[2], "w") as out:
-    json.dump(data, out, sort_keys=True)
+    out.write(text)
+print(f"rows {sum(map(len, data.values()))} sha256 {hashlib.sha256(text.encode()).hexdigest()}")
