@@ -130,6 +130,79 @@ def _exact_digest():
     return digest.hexdigest()
 
 
+def _gaussian_grid():
+    """Seeded Gaussian parameter points, each with deformations (u, v) and a point (x, y)."""
+    rng = random.Random(73)
+
+    def gauss(re, im=0):
+        return GaussianRational(re, im)
+
+    def small():
+        return gauss(F(rng.randint(-30, 30), rng.randint(1, 12)), F(rng.randint(-30, 30), rng.randint(1, 12)))
+
+    pairs = [
+        (gauss(1), gauss(1)),  # real Fibonacci: real factorials
+        (gauss(F(2, 3)), gauss(F(-4, 9))),  # real, {3} = s^2 + t = 0
+        (gauss(F(7, 11)), gauss(F(-13, 17))),  # real, coprime denominators
+        (gauss(1, 1), gauss(0, -2)),  # non-real, {3} = s^2 + t = 0
+        (gauss(F(1, 2), -1), gauss(F(3, 5), F(2, 7))),  # non-real factorials
+        (gauss(0, 1), gauss(1)),  # s = i
+    ]
+    pairs += [(small(), small()) for _ in range(2)]
+    deformations = [
+        (gauss(0), gauss(1)),
+        (gauss(1), gauss(0)),
+        (gauss(F(-1, 2)), gauss(F(2, 3))),  # real deformations
+        (gauss(F(3, 4), F(-1, 3)), gauss(0, F(5, 7))),
+        (small(), small()),
+    ]
+    grid = []
+    for s, t in pairs:
+        p = make_params(s, t)
+        for u, v in deformations:
+            grid.append((p, u, v, small(), small()))
+    return grid
+
+
+class TestGaussianRowDigest:
+    # sha256 over repr() of the series of all nine series kinds, bivariate
+    # series, deformed power rows, deformed-power and deformed-zero weights and
+    # multinomial series (or the error text where a call fails) on the Gaussian
+    # grid above: real and non-real s and t, vanishing {3} among them; computed
+    # while each Gaussian row entry was a chain of scalar products.  Every
+    # value, type and message must stay.
+    GOLDEN_SHA256 = "6dd46e102dfee70a89863c9877efd322964d3753d5e40777b3d1dc6c59a905b2"
+
+    def test_gaussian_results_match_golden_digest(self):
+        assert _gaussian_digest() == self.GOLDEN_SHA256
+
+
+def _gaussian_digest():
+    digest = hashlib.sha256()
+
+    def feed(tag, value):
+        digest.update(f"{tag}:{value!r};".encode())
+
+    for p, u, v, x, y in _gaussian_grid():
+        for n in range(9):
+            coeffs = _outcome(deformed_power_coeffs, n, u, v, p)
+            feed("coeffs", coeffs if isinstance(coeffs, str) else coeffs.coeffs)
+        power = DeformedPowerWeights(x, y, u, v, p)
+        zero = DeformedZeroWeights(u, v, p)
+        for n in range(8):
+            feed("power", _outcome(power, n))
+            feed("zero", _outcome(zero, n))
+        for kind in sorted(SERIES_KINDS):
+            feed(kind.value, _outcome(lambda: fn_series(kind, u, p, 9).coeffs))
+        for us in ((u,), (u, v), (v, x, u)):
+            for kind in (FnKind.EXP, FnKind.SIN, FnKind.TANH):
+                feed("multi", _outcome(lambda: multinomial_series(kind, us, p, 8).coeffs))
+        for kind in (FnKind.EXP, FnKind.SIN, FnKind.COS, FnKind.SINH, FnKind.COSH):
+            series = _outcome(binomial_series2, kind, u, v, p, 8)
+            feed("bivariate", series if isinstance(series, str) else sorted(series.coeffs.items()))
+    return digest.hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # the integer layer against an independent oracle
 # ---------------------------------------------------------------------------
