@@ -10,13 +10,16 @@ telescoped pass (``SeqCache.lucasnomial_parts``), and the weights u^T(n-k),
 v^T(k) are read from two rows indexed by degree.  The row builders call no
 weight family: their callers grow the rows once, from one
 :class:`PowerWeights` per deformation parameter or from the families they are
-given, and hold them for every degree they build.  Every point value of a row
-is one degree of :class:`DeformedPowerWeights`, whose slots take a
+given, and hold them for every degree they build.  Over the exact backends
+each entry is normalised once, from integer parts.  Every point value of a
+row is one degree of :class:`DeformedPowerWeights`, whose slots take a
 deformation or a weight family and which forms only the degrees it is asked
-for.  Multinomial
-numbers multiply the parts' rows u_i^T(k) / {k}! one degree at a time, the
-lazy product the point path reads term by term; a multinomial series
-multiplies the same rows with the series ``*`` instead.
+for.  :func:`power_coefficient` builds the one-parameter coefficient
+u^T(m) / {m}! the same way, for the exact function series and the parts'
+rows of a multinomial series.  Multinomial numbers multiply the parts' rows
+u_i^T(k) / {k}! one degree at a time, the lazy product the point path reads
+term by term; a multinomial series multiplies the same rows with the series
+``*`` instead.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Callable, Sequence
 from .errors import IndexOutOfRange
 from .scalars import (
     Backend,
+    GaussianRational,
     LucasParams,
     Scalar,
     backend_of,
@@ -68,6 +72,53 @@ def _rational_parts(
     return out_nums, out_dens
 
 
+def _gaussian_product(*triples: tuple) -> tuple[int, int, int]:
+    """The product of integer triples (a, b, d), each meaning (a+bi)/d, not reduced."""
+    a, b, d = 1, 0, 1
+    for p, q, r in triples:
+        a, b, d = a * p - b * q, a * q + b * p, d * r
+    return a, b, d
+
+
+def _gaussian_power(a: int, b: int, n: int) -> tuple[int, int]:
+    """(a+bi)^n for n >= 0 over the Gaussian integers, by squaring."""
+    ra, rb = 1, 0
+    while n:
+        if n & 1:
+            ra, rb = ra * a - rb * b, ra * b + rb * a
+        n >>= 1
+        if n:
+            a, b = a * a - b * b, 2 * a * b
+    return ra, rb
+
+
+def power_coefficient(u: Scalar, params: LucasParams, m: int, negative: bool = False) -> Scalar:
+    """The degree-m coefficient u^T(m) / {m}! of the one-parameter functions, negated if asked.
+
+    Over the exact backends it is built with one normalisation, a Fraction
+    or a ``GaussianRational.from_triple``, from u's integer parts raised to
+    T(m) and the parts of {m}!, the sign folded into the numerator.  Over
+    the floats it is u ** T(m) / {m}!.  A vanishing {k}, k <= m, raises
+    VanishingFactor(k) as the factorial does.
+    """
+    power = binom2(m)
+    backend = params.backend
+    if backend is Backend.COMPLEX:
+        value = u**power / params.cache.factorial(m)
+        return -value if negative else value
+    if backend is Backend.RATIONAL:
+        a, c = u.as_integer_ratio()
+        p, q = params.cache.factorial(m).as_integer_ratio()
+        num = a**power * q
+        return Fraction(-num if negative else num, c**power * p)
+    a, b, d = u.as_triple()
+    a, b = _gaussian_power(a, b, power)
+    p, q, e = params.cache.factorial(m).as_triple()
+    # (a+bi)/d^T over (p+qi)/e is (a+bi)(p-qi) e / (d^T (p^2 + q^2))
+    a, b, d = _gaussian_product((a, b, d**power), (p * e, -q * e, p * p + q * q))
+    return GaussianRational.from_triple(-a if negative else a, -b if negative else b, d)
+
+
 def deformed_row(
     n: int, u_row: Sequence, v_row: Sequence, params: LucasParams, scale: Scalar | None = None
 ) -> list:
@@ -77,16 +128,27 @@ def deformed_row(
     powers u^T(m) and v^T(m) of :class:`PowerWeights` these are the deformed
     power coefficients; other weight families give the weighted binomial rows.
     Over the rationals each entry is one Fraction from the row's integer parts
-    and the scale's; over the fields the row is multiplied by the scale last.
-    A scale of None leaves the row as it is: over the complex floats even
+    and the scale's; over the Gaussian rationals one ``from_triple`` of the
+    product of the Lucasnomial's, the weights' and the scale's integer
+    triples; over the floats the row is multiplied by the scale last.  A
+    scale of None leaves the row as it is: over the complex floats even
     ``c * 1.0`` can flip the sign of a zero part.
     """
-    if params.backend is not Backend.RATIONAL:
-        nums, _ = params.cache.lucasnomial_parts(n, n)
-        row = [c * u_row[n - k] * v_row[k] for k, c in enumerate(nums)]
-        return row if scale is None else [c * scale for c in row]
-    parts = _rational_parts(n, u_row, v_row, params, 1 if scale is None else scale)
-    return list(map(Fraction, *parts))
+    backend = params.backend
+    if backend is Backend.RATIONAL:
+        parts = _rational_parts(n, u_row, v_row, params, 1 if scale is None else scale)
+        return list(map(Fraction, *parts))
+    nums, _ = params.cache.lucasnomial_parts(n, n)
+    if backend is Backend.GAUSSIAN:
+        factor = (1, 0, 1) if scale is None else scale.as_triple()
+        return [
+            GaussianRational.from_triple(
+                *_gaussian_product(c.as_triple(), u_row[n - k].as_triple(), v_row[k].as_triple(), factor)
+            )
+            for k, c in enumerate(nums)
+        ]
+    row = [c * u_row[n - k] * v_row[k] for k, c in enumerate(nums)]
+    return row if scale is None else [c * scale for c in row]
 
 
 def row_value(
@@ -250,9 +312,11 @@ class DeformedPowerWeights:
     a weight family, any callable of the degree.  Each call forms the row of
     its own degree alone, so a sum that reads every other degree forms half
     the rows, and each family is asked for each degree once, as the two rows
-    grow to the highest degree asked for.  Each row starts with its family's
-    degree-0 value; the point, those values and the parameters must share
-    one backend.
+    grow to the highest degree asked for.  Over the fields the row of a zero
+    coordinate stays at degree 0, the one entry :func:`row_value` reads from
+    it there, so a family that would overflow past it is never asked.  Each
+    row starts with its family's degree-0 value; the point, those values and
+    the parameters must share one backend.
     """
 
     def __init__(self, x: Scalar, y: Scalar, u: Scalar | Weights, v: Scalar | Weights, params: LucasParams):
@@ -262,13 +326,20 @@ class DeformedPowerWeights:
         self._v_weights = v if callable(v) else PowerWeights(v)
         self._u_row, self._v_row = [self._u_weights(0)], [self._v_weights(0)]
         common_backend(x, y, self._u_row[0], self._v_row[0], params.s)
+        # over the fields row_value reads the row of a zero coordinate at degree 0 alone
+        exact = params.backend is Backend.RATIONAL
+        self._growing = [
+            (row, weights)
+            for row, weights, coordinate in ((self._u_row, self._u_weights, x), (self._v_row, self._v_weights, y))
+            if exact or coordinate != 0
+        ]
         self._values: dict[int, Scalar] = {}
 
     def __call__(self, n: int) -> Scalar:
         if n < 0:
             raise IndexOutOfRange("n must be nonnegative")
         if n not in self._values:
-            for row, weights in ((self._u_row, self._u_weights), (self._v_row, self._v_weights)):
+            for row, weights in self._growing:
                 row.extend(map(weights, range(len(row), n + 1)))
             self._values[n] = row_value(n, self._u_row, self._v_row, self.x, self.y, self.params)
         return self._values[n]

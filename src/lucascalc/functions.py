@@ -11,10 +11,12 @@ With power weights w(m) = u^T(m) these are the one-parameter functions;
 the multinomial, deformed-zero and binomial-combination variants swap in
 another weight family.  Every series is one sign-and-degree pattern over a
 row of degree-m coefficients: w(m) / {m}! for :func:`weighted_fn_series`,
-and for :func:`multinomial_series` the product of the parts' rows, which
-already carries the 1/{m}!.  :func:`fn_value_info` sums ratio-form terms
-on the ratio tables of (u, params), kept here under one module lock, and
-every weight family's value goes through :func:`weighted_fn_value`.
+the exact u^T(m) / {m}! of ``deformed.power_coefficient``, signed as it is
+built, for :func:`fn_series`, and for :func:`multinomial_series` the product
+of the parts' rows, which already carries the 1/{m}!.  :func:`fn_value_info`
+sums ratio-form terms on the ratio tables of (u, params), kept here under
+one module lock, and every weight family's value goes through
+:func:`weighted_fn_value`.
 tan/sec (and tanh/sech) are series quotients; cot/csc/coth/csch have a
 pole at 0 and exist as values only.
 """
@@ -27,7 +29,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 from .deformed import (
@@ -37,6 +39,7 @@ from .deformed import (
     PowerWeights,
     Weights,
     deformed_row,
+    power_coefficient,
 )
 from .errors import (
     DivisionByZeroValue,
@@ -53,7 +56,6 @@ from .scalars import (
     backend_of,
     backend_one,
     backend_zero,
-    binom2,
     common_backend,
     magnitude,
 )
@@ -196,10 +198,11 @@ def _require_series_kind(kind: FnKind) -> None:
 
 
 def _pattern_series(
-    kind: FnKind, coefficient: Callable[[int], Scalar], order: int, backend: Backend
+    kind: FnKind, coefficient: Callable[[int, bool], Scalar], order: int, backend: Backend
 ) -> TruncatedSeries:
     """Series of a series kind whose primary kinds take their degree-m
-    coefficient from coefficient(m), signed per their pattern.
+    coefficient from coefficient(m, negative), negative where their pattern's
+    sign is -1.
 
     Only the degrees a primary kind's pattern reaches are read.  Quotient
     kinds multiply the numerator series by the reciprocal of the denominator
@@ -214,8 +217,13 @@ def _pattern_series(
     first, step, alternating = _PRIMARY[kind]
     coeffs = [backend_zero(backend)] * (order + 1)
     for j, m in enumerate(range(first, order + 1, step)):
-        coeffs[m] = -coefficient(m) if alternating and j % 2 else coefficient(m)
+        coeffs[m] = coefficient(m, alternating and j % 2 == 1)
     return TruncatedSeries(coeffs, backend)
+
+
+def _negated_after(coefficient: Callable[[int], Scalar]) -> Callable[[int, bool], Scalar]:
+    """coefficient(m), negated where the pattern asks, for :func:`_pattern_series`."""
+    return lambda m, negative: -coefficient(m) if negative else coefficient(m)
 
 
 def weighted_fn_series(
@@ -224,16 +232,25 @@ def weighted_fn_series(
     """Series of a kind with an arbitrary weight family: degree m carries w(m) / {m}!."""
     _require_series_kind(kind)
     common_backend(weights(0), params.s)
-    return _pattern_series(kind, lambda m: weights(m) / params.cache.factorial(m), order, params.backend)
+    coefficient = _negated_after(lambda m: weights(m) / params.cache.factorial(m))
+    return _pattern_series(kind, coefficient, order, params.backend)
 
 
 def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> TruncatedSeries:
     """Power-series expansion of a one-parameter function family member.
 
     The u = 0 limits come out of the same formula via the 0^0 = 1
-    convention: only the degree 0 and 1 weights survive.
+    convention: only the degree 0 and 1 weights survive.  Over the exact
+    backends each coefficient the kind reads is one
+    :func:`~lucascalc.deformed.power_coefficient`, signed as it is built; the
+    floats keep the running product of :class:`PowerWeights`.
     """
-    return weighted_fn_series(kind, PowerWeights(u), params, order)
+    if params.backend is Backend.COMPLEX:
+        return weighted_fn_series(kind, PowerWeights(u), params, order)
+    backend_of(u)  # an unsupported type raises before the kind is checked, as PowerWeights(u) does
+    _require_series_kind(kind)
+    common_backend(u, params.s)
+    return _pattern_series(kind, partial(power_coefficient, u, params), order, params.backend)
 
 
 _TABLE_LOCK = threading.Lock()  # the ratio tables' slots and growth; never nests with a SeqCache lock
@@ -431,22 +448,21 @@ def multinomial_series(
     """Series of the multinomial-weighted family member: the kind's pattern over
     the product of the parts' rows u^T(m) z^m / {m}!.
 
-    The rows are formed as :class:`MultinomialWeights` forms them and multiplied
-    as ``row * product`` from the first part on, so the exact backends run the
-    integer kernel of ``*`` and each float coefficient adds its terms in the
-    order the point path does.  The rows stop at the last degree the kind
-    reads, so a vanishing {k} past it is never divided by.
+    Each row entry is one :func:`~lucascalc.deformed.power_coefficient`, over
+    the floats the u ** T(m) / {m}! that :class:`MultinomialWeights` forms, and
+    the rows are multiplied as ``row * product`` from the first part on, so
+    the exact backends run the integer kernel of ``*`` and each float
+    coefficient adds its terms in the order the point path does.  The rows
+    stop at the last degree the kind reads, so a vanishing {k} past it is
+    never divided by.
     """
     us = MultinomialWeights(us, params).us  # no parts, or parts of another backend, raise here
     _require_series_kind(kind)
     parts = [_PRIMARY[part] for part in _QUOTIENTS.get(kind, (kind,)) if part is not None]
     top = max(0, *(order - (order - first) % step for first, step, _ in parts))
-    rows = [
-        TruncatedSeries([u ** binom2(m) / params.cache.factorial(m) for m in range(top + 1)], params.backend)
-        for u in us
-    ]
+    rows = [TruncatedSeries([power_coefficient(u, params, m) for m in range(top + 1)], params.backend) for u in us]
     product = reduce(lambda product, row: row * product, rows)
-    return _pattern_series(kind, product.coeffs.__getitem__, order, params.backend)
+    return _pattern_series(kind, _negated_after(product.coeffs.__getitem__), order, params.backend)
 
 
 def multinomial_value(kind: FnKind, us: Sequence[Scalar], x: Scalar, params: LucasParams) -> Scalar:

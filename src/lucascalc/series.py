@@ -19,7 +19,11 @@ negation and ``scale`` are one scalar loop on every backend.  A kernel's
 result, and that of ``reciprocal``, :func:`outer` and ``scale``, skips the
 constructor's backend check, which the operands passed.  The exact bivariate
 ``+`` and ``-`` do one scalar operation per shared key and skip that check
-too.
+too.  Elsewhere both constructors check every coefficient in one pass over
+the coefficients' types, against the backend's own scalar types; only when
+another type is among them (``bool``, a subclass, another backend's scalar)
+does each coefficient take ``backend_of`` in turn, so every error and its
+text stay the same.
 """
 
 from __future__ import annotations
@@ -42,6 +46,15 @@ from .scalars import (
 )
 
 
+# the scalar types of each backend: a coefficient of another type (bool, a subclass,
+# another backend's) takes the constructors' per-coefficient backend_of check
+_TYPES = {
+    Backend.RATIONAL: frozenset((int, Fraction)),
+    Backend.GAUSSIAN: frozenset((GaussianRational,)),
+    Backend.COMPLEX: frozenset((float, complex)),
+}
+
+
 class TruncatedSeries:
     """Series sum of a_n z^n for n <= order, coefficients in one backend."""
 
@@ -53,9 +66,10 @@ class TruncatedSeries:
             raise ValueError("a series needs at least the constant coefficient")
         if backend is None:
             backend = backend_of(coeffs[0])
-        for c in coeffs:
-            if backend_of(c) is not backend:
-                raise BackendMismatch("series coefficients must share one backend")
+        if not _TYPES[backend].issuperset(map(type, coeffs)):
+            for c in coeffs:
+                if backend_of(c) is not backend:
+                    raise BackendMismatch("series coefficients must share one backend")
         self.coeffs = coeffs
         self.backend = backend
 
@@ -198,10 +212,11 @@ class TruncatedSeries2:
         if order < 0:
             raise ValueError("a series needs at least the constant coefficient")
         store = {}
+        mixed = not _TYPES[backend].issuperset(map(type, coeffs.values()))
         for (j, k), c in coeffs.items():
             if j < 0 or k < 0 or j + k > order:
                 raise OrderMismatch(f"key ({j},{k}) outside triangle of order {order}")
-            if backend_of(c) is not backend:
+            if mixed and backend_of(c) is not backend:
                 raise BackendMismatch("series coefficients must share one backend")
             if c != 0:
                 store[(j, k)] = c

@@ -29,6 +29,7 @@ from lucascalc import (
     LucasError,
     SERIES_KINDS,
     VanishingFactor,
+    binom2,
     binomial_series2,
     deformed_power_coeffs,
     fn_series,
@@ -40,6 +41,7 @@ from lucascalc import (
     make_params,
     multinomial_series,
 )
+from lucascalc.deformed import power_coefficient
 
 
 def _outcome(call, *args):
@@ -201,6 +203,35 @@ def _gaussian_digest():
             series = _outcome(binomial_series2, kind, u, v, p, 8)
             feed("bivariate", series if isinstance(series, str) else sorted(series.coeffs.items()))
     return digest.hexdigest()
+
+
+@pytest.mark.parametrize("grid", ["rational", "gaussian"])
+def test_power_coefficient_is_the_signed_quotient_of_one_normalisation(grid):
+    # against u^T(m) / {m}! formed as Fraction or Gaussian operations, negated after;
+    # a vanishing {k} raises the factorial's error at the same degree
+    points = _exact_grid()[1] if grid == "rational" else _gaussian_grid()
+    exact = F if grid == "rational" else GaussianRational
+    for p, u, *_ in points[::3]:
+        for m in range(12):
+            for negative in (False, True):
+                try:
+                    expect = exact(u) ** binom2(m) / lucastorial(m, p)
+                except VanishingFactor as error:
+                    with pytest.raises(VanishingFactor) as raised:
+                        power_coefficient(u, p, m, negative)
+                    assert raised.value.index == error.index and str(raised.value) == str(error)
+                    continue
+                got = power_coefficient(u, p, m, negative)
+                assert type(got) is exact and got == (-expect if negative else expect)
+
+
+def test_power_coefficient_on_the_floats_is_the_power_over_the_factorial():
+    p = make_params(1.5, -0.5)
+    for u in (0.0, 0.7, -1.3, 0.5 - 0.25j):
+        for m in range(12):
+            expect = u ** binom2(m) / lucastorial(m, p)
+            assert repr(power_coefficient(u, p, m)) == repr(expect)
+            assert repr(power_coefficient(u, p, m, True)) == repr(-expect)
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,32 @@ class TestWeightedPath:
         # and a row at (x, y) = (0, 0) sums no term past degree 0
         assert call(make_params(1.0, 1.0)) == 1.0
 
+    @pytest.mark.parametrize(
+        "kind, slot, x, y, expect",
+        [
+            (COS, 0, 0.0, 0.0, 1.0),
+            (COS, 1, 0.5, 0.0, 0.7603516221112298),
+            (SIN, 0, 0.0, 0.5, 0.43853916353696454),
+        ],
+        ids=["x-family-at-origin", "y-family-at-y-zero", "x-family-at-x-zero"],
+    )
+    def test_zero_coordinate_grows_no_family_it_does_not_read(self, kind, slot, x, y, expect):
+        # the family's float power u^T(4) = 1e100**6 overflows; the row of a zero
+        # coordinate is read at degree 0 alone, so the family is asked for nothing more
+        p = make_params(1.0, 1.0)
+        family, asked = MultinomialWeights((1e100,), p), []
+
+        def recording(n):
+            asked.append(n)
+            return family(n)
+
+        families = [PowerWeights(1.0), PowerWeights(1.0)]
+        families[slot] = recording
+        value = weighted_binomial_value(kind, *families, x, y, p)
+        plain = weighted_binomial_value(kind, PowerWeights(1.0), PowerWeights(1.0), x, y, p)
+        assert repr(value) == repr(plain) == repr(expect)
+        assert asked == [0]
+
     def test_origin_value_on_the_exact_backend(self):
         # s = 1, t = -1 has {3} = 0, which the second cos term would divide by
         p = make_params(F(1), F(-1))
@@ -476,8 +502,42 @@ class TestWeightedPath:
 
     @pytest.mark.parametrize("kind", sorted(SERIES_KINDS))
     def test_power_weighted_series_is_fn_series(self, kind):
-        for u, p in ((F(2, 3), FIB), (F(-1, 2), make_params(F(2), F(-3)))):
+        gaussian = [(u, p) for p, u, _ in _exact_draws(Backend.GAUSSIAN)[:2]]
+        floats = [(0.7, make_params(1.5, -0.5)), (0.5 - 0.25j, make_params(1.0, 1.0))]
+        for u, p in [(F(2, 3), FIB), (F(-1, 2), make_params(F(2), F(-3)))] + gaussian + floats:
             assert weighted_fn_series(kind, PowerWeights(u), p, 10) == fn_series(kind, u, p, 10)
+
+    # a quotient forms its denominator's degrees, then its numerator's
+    @pytest.mark.parametrize(
+        "kind, parts", [(EXP, [EXP]), (SIN, [SIN]), (COS, [COS]), (TAN, [COS, SIN]), (FnKind.SECH, [COSH])]
+    )
+    @pytest.mark.parametrize("backend", [Backend.RATIONAL, Backend.GAUSSIAN])
+    def test_exact_series_forms_only_the_degrees_its_kind_reads(self, kind, parts, backend, monkeypatch):
+        formed, builder = [], lucascalc.functions.power_coefficient
+
+        def recording(u, params, m, negative=False):
+            formed.append((m, negative))
+            return builder(u, params, m, negative)
+
+        monkeypatch.setattr(lucascalc.functions, "power_coefficient", recording)
+        p, u, _ = _exact_draws(backend)[0]
+        fn_series(kind, u, p, 9)
+        expect = []
+        for part in parts:
+            first, step, alternating = PRIMARY[part]
+            expect += [(m, alternating and j % 2 == 1) for j, m in enumerate(range(first, 10, step))]
+        assert formed == expect
+
+    def test_exact_series_checks_type_kind_and_backend_in_order(self):
+        gaussian = make_params(GaussianRational(1, 1), GaussianRational(2))
+        with pytest.raises(TypeError, match="^unsupported scalar type: str$"):
+            fn_series(COT, "1/2", gaussian, 4)
+        with pytest.raises(PoleAtOrigin):
+            fn_series(COT, F(1, 2), gaussian, 4)
+        with pytest.raises(BackendMismatch, match=re.escape("mixed scalar backends: ['gaussian-rational', 'rational']")):
+            fn_series(EXP, F(1, 2), gaussian, 4)
+        with pytest.raises(BackendMismatch, match=re.escape("mixed scalar backends: ['gaussian-rational', 'rational']")):
+            fn_series(EXP, GaussianRational(1, 2), FIB, 4)
 
     @pytest.mark.parametrize("kind", list(FnKind))
     def test_power_weighted_value_is_fn_value(self, kind):

@@ -233,6 +233,55 @@ def test_series_guards(name):
         call()
 
 
+TRIANGLE_KEYS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
+GAUSS = GaussianRational(F(1, 2), -3)
+
+
+@pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "backend, good, foreign",
+    [
+        (RAT, F(1, 2), 0.5),
+        (RAT, 3, GAUSS),
+        (Backend.GAUSSIAN, GAUSS, F(1, 2)),
+        (Backend.GAUSSIAN, GAUSS, True),
+        (Backend.COMPLEX, 0.5, True),
+        (Backend.COMPLEX, 0.5 - 1j, GAUSS),
+    ],
+    ids=["rational-float", "rational-gaussian", "gaussian-fraction", "gaussian-bool", "float-bool", "complex-gaussian"],
+)
+def test_constructors_check_every_coefficient(backend, good, foreign, position):
+    coeffs = [good] * 5
+    coeffs[position] = foreign
+    with pytest.raises(BackendMismatch, match="^series coefficients must share one backend$"):
+        TruncatedSeries(coeffs, backend)
+    with pytest.raises(BackendMismatch, match="^series coefficients must share one backend$"):
+        TruncatedSeries2(dict(zip(TRIANGLE_KEYS, coeffs)), 2, backend)
+    if position:  # the first coefficient names the backend when none is given
+        with pytest.raises(BackendMismatch, match="^series coefficients must share one backend$"):
+            TruncatedSeries(coeffs)
+
+
+def test_constructors_take_ints_bools_and_subclasses_on_the_rationals():
+    class Sub(F):
+        pass
+
+    coeffs = [1, F(1, 2), True, Sub(3, 4), -2]
+    for backend in (RAT, None):
+        f = TruncatedSeries(coeffs, backend)
+        assert f.backend is RAT and f.coeffs == tuple(coeffs)
+    g = TruncatedSeries2(dict(zip(TRIANGLE_KEYS, coeffs)), 2, RAT)
+    assert g.backend is RAT and g.coeffs == dict(zip(TRIANGLE_KEYS, coeffs))
+
+
+def test_bivariate_constructor_reports_the_first_bad_coefficient_in_order():
+    # a key outside the triangle before a coefficient of another backend, and after it
+    with pytest.raises(OrderMismatch, match=r"^key \(3,0\) outside triangle of order 2$"):
+        TruncatedSeries2({(0, 0): F(1), (3, 0): F(1), (1, 0): 0.5}, 2, RAT)
+    with pytest.raises(BackendMismatch, match="^series coefficients must share one backend$"):
+        TruncatedSeries2({(0, 0): F(1), (1, 0): 0.5, (3, 0): F(1)}, 2, RAT)
+
+
 @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["+", "-"])
 @pytest.mark.parametrize("backend", [RAT, Backend.COMPLEX], ids=["exact", "float"])
 def test_bivariate_sum_and_difference_check_backend_and_order_once(backend, op):
