@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .errors import NonContractingNodes, NonConvergent, OrderMismatch, VanishingFactor
+from .errors import DivisionByZeroValue, NonContractingNodes, NonConvergent, OrderMismatch, VanishingFactor
 from .scalars import Backend, LucasParams, Scalar, backend_zero, magnitude
 from .series import TruncatedSeries, TruncatedSeries2
 
@@ -28,11 +28,16 @@ def derivative_value(f: RealFn, x: Scalar, params: LucasParams) -> Scalar:
 
     For float arguments with |x| below 1e-9 the symmetric difference
     quotient with step 1e-6 stands in for the derivative at the origin.
+    Elsewhere a repeated root, phi = phi', leaves the divided difference no
+    denominator and raises DivisionByZeroValue; parameters without roots in
+    their backend raise RootsUnavailable.
     """
     phi, phi_prime = params.require_roots()
     if params.backend is Backend.COMPLEX and magnitude(x) < _ZERO_CUTOFF:
         h = _DIFF_STEP
         return (f(h) - f(-h)) / (2 * h)
+    if phi == phi_prime:
+        raise DivisionByZeroValue(f"phi = phi' = {phi}: the divided difference has no denominator")
     if x == 0:
         raise ZeroDivisionError("exact derivative at 0 needs a series, not a point value")
     return (f(phi * x) - f(phi_prime * x)) / ((phi - phi_prime) * x)

@@ -7,19 +7,22 @@ the limit convention 0^0 = 1, so the k in {0, 1} terms survive u = 0.
 
 Each degree-n row is built in O(n): the Lucasnomials come from one
 telescoped pass (``SeqCache.lucasnomial_parts``), and the weights u^T(n-k),
-v^T(k) are read from two rows indexed by degree.  The row builders call no
-weight family: their callers grow the rows once, from one
-:class:`PowerWeights` per deformation parameter or from the families they are
-given, and hold them for every degree they build.  Over the exact backends
-each entry is normalised once, from integer parts.  Every point value of a
-row is one degree of :class:`DeformedPowerWeights`, whose slots take a
-deformation or a weight family and which forms only the degrees it is asked
-for.  :func:`power_coefficient` builds the one-parameter coefficient
-u^T(m) / {m}! the same way, for the exact function series and the parts'
-rows of a multinomial series.  Multinomial numbers multiply the parts' rows
-u_i^T(k) / {k}! one degree at a time, the lazy product the point path reads
-term by term; a multinomial series multiplies the same rows with the series
-``*`` instead.
+v^T(k) are read from two rows indexed by degree, which the callers hold for
+every degree they build: :func:`deformed_row` reads the powers a^T(m), b^T(m)
+of u = a/b that one :class:`PowerWeights` per deformation keeps, and the
+rational rows of :class:`DeformedPowerWeights` hold each weight's integer
+parts, read once as they grow.  Over the exact backends each entry is
+normalised once, from integer parts, with {n}! taken as the integer pair
+(F_n, c^T(n)) of ``SeqCache.factorial_parts`` where a series divides by it.
+Every point value of a row is one degree of :class:`DeformedPowerWeights`,
+whose slots take a deformation or a weight family and which forms only the
+degrees it is asked for.  :func:`power_coefficient` builds a function-series
+coefficient w(m) / {m}! the same way, for the power weights u^T(m) of the
+exact function series and the parts' rows of a multinomial series, and for
+any weight family of a weighted series.  Multinomial numbers multiply the
+parts' rows u_i^T(k) / {k}! one degree at a time, the lazy product the point
+path reads term by term; a multinomial series multiplies the same rows with
+the series ``*`` instead.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import add, methodcaller, mul
 from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange
@@ -46,6 +49,8 @@ from .scalars import (
 
 Weights = Callable[[int], Scalar]
 
+_INTEGER_PARTS = methodcaller("as_integer_ratio")  # a rational weight's (numerator, denominator)
+
 
 @dataclass(frozen=True)
 class DeformedBinomial:
@@ -57,18 +62,16 @@ class DeformedBinomial:
     coeffs: tuple
 
 
-def _rational_parts(
-    n: int, u_row: Sequence, v_row: Sequence, params: LucasParams, scale: Scalar = 1
-) -> tuple:
-    """Integer numerators and denominators of the rational row entries times scale, k = 0..n."""
+def _rational_parts(n: int, u_row: Sequence, v_row: Sequence, params: LucasParams) -> tuple:
+    """Integer numerators and denominators of C(n,k) u_row[n-k] v_row[k], k = 0..n,
+    from rows of the weights' integer parts (numerator, denominator)."""
     nums, dens = params.cache.lucasnomial_parts(n, n)
-    p, q = scale.as_integer_ratio()
     out_nums, out_dens = [], []
     for k, (num, den) in enumerate(zip(nums, dens)):
-        a, c = u_row[n - k].as_integer_ratio()
-        b, d = v_row[k].as_integer_ratio()
-        out_nums.append(num * a * b * p)
-        out_dens.append(den * c * d * q)
+        a, c = u_row[n - k]
+        b, d = v_row[k]
+        out_nums.append(num * a * b)
+        out_dens.append(den * c * d)
     return out_nums, out_dens
 
 
@@ -92,55 +95,89 @@ def _gaussian_power(a: int, b: int, n: int) -> tuple[int, int]:
     return ra, rb
 
 
-def power_coefficient(u: Scalar, params: LucasParams, m: int, negative: bool = False) -> Scalar:
-    """The degree-m coefficient u^T(m) / {m}! of the one-parameter functions, negated if asked.
+def power_coefficient(
+    u: Scalar | Weights, params: LucasParams, m: int, negative: bool = False
+) -> Scalar:
+    """The degree-m coefficient w(m) / {m}! of a function series, negated if asked.
 
-    Over the exact backends it is built with one normalisation, a Fraction
-    or a ``GaussianRational.from_triple``, from u's integer parts raised to
-    T(m) and the parts of {m}!, the sign folded into the numerator.  Over
-    the floats it is u ** T(m) / {m}!.  A vanishing {k}, k <= m, raises
-    VanishingFactor(k) as the factorial does.
+    The weight is w(m) = u^T(m) for a deformation parameter u, or u(m) for a
+    weight family u, any callable of the degree.  Over the exact backends the
+    coefficient is built with one normalisation from integer parts, the sign
+    folded into the numerator.  Over the rationals it is one Fraction from the
+    weight's parts and {m}! = F_m / c^T(m) (``SeqCache.factorial_parts``):
+    (a/b)^T(m) / {m}! is a^T(m) c^T(m) / (b^T(m) F_m).  Over the Gaussian
+    rationals it is one ``GaussianRational.from_triple``.  Over the floats,
+    and for a family value outside the parameters' exact backend, it is
+    w(m) / {m}!.  A vanishing {k}, k <= m, raises VanishingFactor(k) as the
+    factorial does.
     """
-    power = binom2(m)
+    family = callable(u)
+    weight = u(m) if family else u
+    power = 1 if family else binom2(m)
     backend = params.backend
-    if backend is Backend.COMPLEX:
-        value = u**power / params.cache.factorial(m)
-        return -value if negative else value
-    if backend is Backend.RATIONAL:
-        a, c = u.as_integer_ratio()
-        p, q = params.cache.factorial(m).as_integer_ratio()
-        num = a**power * q
-        return Fraction(-num if negative else num, c**power * p)
-    a, b, d = u.as_triple()
-    a, b = _gaussian_power(a, b, power)
-    p, q, e = params.cache.factorial(m).as_triple()
-    # (a+bi)/d^T over (p+qi)/e is (a+bi)(p-qi) e / (d^T (p^2 + q^2))
-    a, b, d = _gaussian_product((a, b, d**power), (p * e, -q * e, p * p + q * q))
-    return GaussianRational.from_triple(-a if negative else a, -b if negative else b, d)
+    if backend is Backend.RATIONAL and isinstance(weight, (int, Fraction)):
+        a, b = weight.as_integer_ratio()
+        f, g = params.cache.factorial_parts(m)
+        num = a**power * g
+        return Fraction(-num if negative else num, b**power * f)
+    if backend is Backend.GAUSSIAN and isinstance(weight, GaussianRational):
+        a, b, d = weight.as_triple()
+        a, b = _gaussian_power(a, b, power)
+        p, q, e = params.cache.factorial(m).as_triple()
+        # (a+bi)/d^T over (p+qi)/e is (a+bi)(p-qi) e / (d^T (p^2 + q^2))
+        a, b, d = _gaussian_product((a, b, d**power), (p * e, -q * e, p * p + q * q))
+        return GaussianRational.from_triple(-a if negative else a, -b if negative else b, d)
+    value = (weight if family else weight**power) / params.cache.factorial(m)
+    return -value if negative else value
 
 
 def deformed_row(
-    n: int, u_row: Sequence, v_row: Sequence, params: LucasParams, scale: Scalar | None = None
+    n: int,
+    u_weights: PowerWeights,
+    v_weights: PowerWeights,
+    params: LucasParams,
+    negative: bool | None = None,
 ) -> list:
-    """c_k = C(n,k) * u_row[n-k] * v_row[k] * scale, k = 0..n, in O(n).
+    """c_k = C(n,k) u^T(n-k) v^T(k), k = 0..n, in O(n); divided by {n}! and negated as asked.
 
-    The weights are rows indexed by degree, each longer than n: with the
-    powers u^T(m) and v^T(m) of :class:`PowerWeights` these are the deformed
-    power coefficients; other weight families give the weighted binomial rows.
-    Over the rationals each entry is one Fraction from the row's integer parts
-    and the scale's; over the Gaussian rationals one ``from_triple`` of the
-    product of the Lucasnomial's, the weights' and the scale's integer
-    triples; over the floats the row is multiplied by the scale last.  A
-    scale of None leaves the row as it is: over the complex floats even
-    ``c * 1.0`` can flip the sign of a zero part.
+    With negative None this is the degree-n deformed power; with False or
+    True it is row n of a bivariate function series, ±c_k / {n}!.  The slots
+    take the deformations' :class:`PowerWeights`, which the caller holds for
+    every degree it builds, so each power is formed once per series.  Over
+    the rationals each entry is one Fraction from integer parts: the powers
+    a^T(m) and b^T(m) of u = a/b and p^T(m), q^T(m) of v = p/q, the
+    Lucasnomial's Ĉ(n,k) / c^(k(n-k)) and {n}! = F_n / c^T(n).  As
+    T(n) = T(n-k) + T(k) + k(n-k), the series entry is
+    ±Ĉ(n,k) a^T(n-k) p^T(k) c^(T(n-k)+T(k)) / (b^T(n-k) q^T(k) F_n).  Over the
+    Gaussian rationals each entry is one ``from_triple`` of the product of the
+    Lucasnomial's, the weights' and the scale ±1/{n}!'s integer triples; over
+    the floats the row is multiplied by that scale last.  A vanishing {k},
+    k <= n, raises VanishingFactor in a series row before the Lucasnomial's
+    DivisionByZeroFactor.  A deformed power is not multiplied at all: over
+    the complex floats even ``c * 1.0`` can flip the sign of a zero part.
     """
     backend = params.backend
+    if negative is not None:
+        fact, fact_den = params.cache.factorial_parts(n)  # fact_den is None over the fields
     if backend is Backend.RATIONAL:
-        parts = _rational_parts(n, u_row, v_row, params, 1 if scale is None else scale)
-        return list(map(Fraction, *parts))
+        u_row, v_row = u_weights._integer_row(n), v_weights._integer_row(n)
+        if negative is None:
+            return list(map(Fraction, *_rational_parts(n, u_row, v_row, params)))
+        nums, dens = params.cache.lucasnomial_parts(n, n)
+        row = []
+        for k, (num, den) in enumerate(zip(nums, dens)):
+            a, b = u_row[n - k]
+            p, q = v_row[k]
+            num = num * a * p * (fact_den // den)  # c^T(n) / c^(k(n-k)) = c^(T(n-k)+T(k))
+            row.append(Fraction(-num if negative else num, b * q * fact))
+        return row
+    u_weights(n), v_weights(n)  # grow the value rows to degree n
+    u_row, v_row = u_weights._values, v_weights._values
+    if negative is not None:
+        scale = -1 / fact if negative else 1 / fact
     nums, _ = params.cache.lucasnomial_parts(n, n)
     if backend is Backend.GAUSSIAN:
-        factor = (1, 0, 1) if scale is None else scale.as_triple()
+        factor = (1, 0, 1) if negative is None else scale.as_triple()
         return [
             GaussianRational.from_triple(
                 *_gaussian_product(c.as_triple(), u_row[n - k].as_triple(), v_row[k].as_triple(), factor)
@@ -148,7 +185,7 @@ def deformed_row(
             for k, c in enumerate(nums)
         ]
     row = [c * u_row[n - k] * v_row[k] for k, c in enumerate(nums)]
-    return row if scale is None else [c * scale for c in row]
+    return row if negative is None else [c * scale for c in row]
 
 
 def row_value(
@@ -156,7 +193,8 @@ def row_value(
 ) -> Scalar:
     """The degree-n row at (x, y): sum over k of C(n,k) u_row[n-k] v_row[k] x^(n-k) y^k.
 
-    Read by :class:`DeformedPowerWeights` alone.  Over the fields each term
+    Read by :class:`DeformedPowerWeights` alone, whose rational rows hold
+    each weight's integer parts (numerator, denominator).  Over the fields each term
     is formed left to right and added in one pass, the same products in the
     same order as :func:`deformed_row`'s entries times x^(n-k) y^k; at a zero
     coordinate only the terms that do not vanish are summed (k = n at x = 0,
@@ -189,8 +227,7 @@ def deformed_power_coeffs(n: int, u: Scalar, v: Scalar, params: LucasParams) -> 
     if n < 0:
         raise IndexOutOfRange("n must be nonnegative")
     common_backend(u, v, params.s)
-    u_row, v_row = (list(map(PowerWeights(w), range(n + 1))) for w in (u, v))
-    return DeformedBinomial(n, u, v, tuple(deformed_row(n, u_row, v_row, params)))
+    return DeformedBinomial(n, u, v, tuple(deformed_row(n, PowerWeights(u), PowerWeights(v), params)))
 
 
 def deformed_power_value(
@@ -237,6 +274,9 @@ class PowerWeights:
 
     Grows by w(m+1) = w(m) * u^m, keeping the running power u^m; over the
     rationals w(n) = u ** T(n) directly, since a Fraction power needs no gcd.
+    Over the rationals :func:`deformed_row` reads the integer parts
+    (a^T(m), b^T(m)) of u = a/b instead, grown the same way and kept, so a
+    caller that holds one family builds each power once.
     """
 
     def __init__(self, u: Scalar):
@@ -246,6 +286,7 @@ class PowerWeights:
         self._values = [one]
         self._power = one
         self._rational = Fraction(u) if backend is Backend.RATIONAL else None
+        self._parts = [(1, 1)]
 
     def __call__(self, n: int) -> Scalar:
         if n < 0:
@@ -260,6 +301,16 @@ class PowerWeights:
             values.append(values[-1] * self._power)
             self._power = self._power * self.u
         return values[n]
+
+    def _integer_row(self, n: int) -> list[tuple[int, int]]:
+        """Over the rationals: (a^T(m), b^T(m)) for u = a/b, m = 0..n at least."""
+        parts = self._parts
+        a, b = self._rational.as_integer_ratio()
+        while len(parts) <= n:
+            m = len(parts) - 1  # T(m+1) = T(m) + m
+            num, den = parts[-1]
+            parts.append((num * a**m, den * b**m))
+        return parts
 
 
 class MultinomialWeights:
@@ -326,8 +377,12 @@ class DeformedPowerWeights:
         self._v_weights = v if callable(v) else PowerWeights(v)
         self._u_row, self._v_row = [self._u_weights(0)], [self._v_weights(0)]
         common_backend(x, y, self._u_row[0], self._v_row[0], params.s)
+        # over the rationals a row holds each weight's integer parts, read once as it grows;
         # over the fields row_value reads the row of a zero coordinate at degree 0 alone
         exact = params.backend is Backend.RATIONAL
+        self._read = _INTEGER_PARTS if exact else None
+        if exact:
+            self._u_row[0], self._v_row[0] = self._u_row[0].as_integer_ratio(), self._v_row[0].as_integer_ratio()
         self._growing = [
             (row, weights)
             for row, weights, coordinate in ((self._u_row, self._u_weights, x), (self._v_row, self._v_weights, y))
@@ -340,7 +395,8 @@ class DeformedPowerWeights:
             raise IndexOutOfRange("n must be nonnegative")
         if n not in self._values:
             for row, weights in self._growing:
-                row.extend(map(weights, range(len(row), n + 1)))
+                new = map(weights, range(len(row), n + 1))
+                row.extend(new if self._read is None else map(self._read, new))
             self._values[n] = row_value(n, self._u_row, self._v_row, self.x, self.y, self.params)
         return self._values[n]
 

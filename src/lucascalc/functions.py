@@ -10,10 +10,12 @@ deformation weight w(m) divided by the factorial analogue {m}!:
 With power weights w(m) = u^T(m) these are the one-parameter functions;
 the multinomial, deformed-zero and binomial-combination variants swap in
 another weight family.  Every series is one sign-and-degree pattern over a
-row of degree-m coefficients: w(m) / {m}! for :func:`weighted_fn_series`,
-the exact u^T(m) / {m}! of ``deformed.power_coefficient``, signed as it is
-built, for :func:`fn_series`, and for :func:`multinomial_series` the product
-of the parts' rows, which already carries the 1/{m}!.  :func:`fn_value_info`
+row of degree-m coefficients: ``deformed.power_coefficient``'s w(m) / {m}!,
+signed as it is built, of the family for :func:`weighted_fn_series` and of
+the power weights u^T(m) for the exact :func:`fn_series`, and for
+:func:`multinomial_series` the product of the parts' rows, which already
+carries the 1/{m}!.  Each series producer grows the sequence to its top
+degree once, before its loop.  :func:`fn_value_info`
 sums ratio-form terms on the ratio tables of (u, params), kept here under
 one module lock, and every weight family's value goes through
 :func:`weighted_fn_value`.
@@ -24,6 +26,7 @@ pole at 0 and exist as values only.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import enum
 import itertools
 import math
@@ -221,6 +224,16 @@ def _pattern_series(
     return TruncatedSeries(coeffs, backend)
 
 
+def _grow_sequence(params: LucasParams, order: int) -> None:
+    """Grow the sequence of params to degree order in one lock take, before a series' loop.
+
+    Only the sequence grows: a vanishing {k}, k <= order, raises
+    VanishingFactor at the first degree the series reads past it, not here.
+    """
+    with contextlib.suppress(VanishingFactor):
+        params.cache.factorial_parts(max(order, 0))
+
+
 def _negated_after(coefficient: Callable[[int], Scalar]) -> Callable[[int, bool], Scalar]:
     """coefficient(m), negated where the pattern asks, for :func:`_pattern_series`."""
     return lambda m, negative: -coefficient(m) if negative else coefficient(m)
@@ -229,11 +242,15 @@ def _negated_after(coefficient: Callable[[int], Scalar]) -> Callable[[int, bool]
 def weighted_fn_series(
     kind: FnKind, weights: Weights, params: LucasParams, order: int
 ) -> TruncatedSeries:
-    """Series of a kind with an arbitrary weight family: degree m carries w(m) / {m}!."""
+    """Series of a kind with an arbitrary weight family: degree m carries w(m) / {m}!.
+
+    Each coefficient is one :func:`~lucascalc.deformed.power_coefficient` of
+    the family, signed as it is built.
+    """
     _require_series_kind(kind)
     common_backend(weights(0), params.s)
-    coefficient = _negated_after(lambda m: weights(m) / params.cache.factorial(m))
-    return _pattern_series(kind, coefficient, order, params.backend)
+    _grow_sequence(params, order)
+    return _pattern_series(kind, partial(power_coefficient, weights, params), order, params.backend)
 
 
 def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> TruncatedSeries:
@@ -250,6 +267,7 @@ def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> Trunc
     backend_of(u)  # an unsupported type raises before the kind is checked, as PowerWeights(u) does
     _require_series_kind(kind)
     common_backend(u, params.s)
+    _grow_sequence(params, order)
     return _pattern_series(kind, partial(power_coefficient, u, params), order, params.backend)
 
 
@@ -460,6 +478,7 @@ def multinomial_series(
     _require_series_kind(kind)
     parts = [_PRIMARY[part] for part in _QUOTIENTS.get(kind, (kind,)) if part is not None]
     top = max(0, *(order - (order - first) % step for first, step, _ in parts))
+    _grow_sequence(params, top)
     rows = [TruncatedSeries([power_coefficient(u, params, m) for m in range(top + 1)], params.backend) for u in us]
     product = reduce(lambda product, row: row * product, rows)
     return _pattern_series(kind, _negated_after(product.coeffs.__getitem__), order, params.backend)
@@ -485,19 +504,20 @@ def binomial_series2(
 ) -> TruncatedSeries2:
     """Bivariate series built from the deformed powers of (x, y).
 
-    Entry (n-k, k) is ±C(n,k) u^T(n-k) v^T(k) / {n}!: row n is the deformed
-    row scaled by ±1/{n}!.
+    Entry (n-k, k) is ±C(n,k) u^T(n-k) v^T(k) / {n}!: row n is one
+    :func:`~lucascalc.deformed.deformed_row`, which builds each entry from
+    integer parts over the exact backends.  The powers of u and v are formed
+    once per series, and the sequence is grown to the order once.
     """
     if kind not in _PRIMARY:
         raise PoleAtOrigin(f"{kind.value} has no bivariate series form")
     common_backend(u, v, params.s)
     first, step, alternating = _PRIMARY[kind]
-    u_row, v_row = (list(map(PowerWeights(w), range(order + 1))) for w in (u, v))
+    u_weights, v_weights = PowerWeights(u), PowerWeights(v)
+    _grow_sequence(params, order)
     out: dict[tuple[int, int], Scalar] = {}
     for j, n in enumerate(range(first, order + 1, step)):
-        fact = params.cache.factorial(n)
-        scale = -1 / fact if alternating and j % 2 else 1 / fact
-        for k, c in enumerate(deformed_row(n, u_row, v_row, params, scale)):
+        for k, c in enumerate(deformed_row(n, u_weights, v_weights, params, alternating and j % 2 == 1)):
             out[(n - k, k)] = c
     return TruncatedSeries2(out, order, params.backend)
 

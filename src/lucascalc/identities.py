@@ -293,7 +293,7 @@ def _power2(n, u, v, params, minus=False) -> TruncatedSeries2:
 
 
 def _pascal(swap, rng, params, order):
-    phi, psi = params.phi, params.phi_prime
+    phi, psi = params.require_roots()
     a, b = (psi, phi) if swap else (phi, psi)
     n = rng.randint(2, 12)
     k = rng.randint(1, n - 1)
@@ -333,12 +333,12 @@ for _id, _anchor, _odd in (
 
 
 def _binom_props(item, rng, params, order):
-    phi, psi = params.phi, params.phi_prime
     u, v, x, y = (_frac(rng) for _ in range(4))
     # items 3 and 5 draw one more factor: a scales the parameters, z the slots
     extra = {"a": _frac(rng)} if item == 3 else {"z": _frac(rng)} if item == 5 else {}
     n = rng.randint(0, 8)
     if item in (1, 2):
+        phi, psi = params.require_roots()
         a, b = (phi, psi) if item == 1 else (psi, phi)
         lhs = deformed_power_value(n + 1, x, y, u, v, params)
         rhs = x * deformed_power_value(n, u * x, a * y, u, v, params) + y * deformed_power_value(
@@ -448,10 +448,9 @@ def _exp_product(rng, params, order):
 
 @_identity("exp-recip-pair", "exp-recip", "exp(z,phi) exp(-z,phi') = 1", SERIES_EXACT, _root_params)
 def _exp_recip_pair(rng, params, order):
+    phi, psi = params.require_roots()
     one = TruncatedSeries.constant(Fraction(1), order)
-    lhs = fn_series(EXP, params.phi, params, order) * fn_series(
-        EXP, params.phi_prime, params, order
-    ).dilate(Fraction(-1))
+    lhs = fn_series(EXP, phi, params, order) * fn_series(EXP, psi, params, order).dilate(Fraction(-1))
     yield _ctx(params=params), lhs, one
 
 
@@ -522,7 +521,7 @@ for _id, _anchor, _var, _integrate in (
     min_order=1,
 )
 def _exp_alpha_beta_functional(rng, params, order):
-    phi, psi = params.phi, params.phi_prime
+    phi, psi = params.require_roots()
     u, v, alpha, beta = (_frac(rng) for _ in range(4))
     ctx = _ctx(params=params, u=u, v=v, alpha=alpha, beta=beta)
     # general splitting of the weight recurrence
@@ -805,7 +804,7 @@ def _deformed_zero_form(kind, at, rng, params, order):
     at one ("uu"), or at the root pair ("roots"), where it is the constant
     1 for cos and 0 for sin."""
     if at == "roots":
-        lhs = _product_form(kind, True, params.phi, params.phi_prime, params, order)
+        lhs = _product_form(kind, True, *params.require_roots(), params, order)
         value = Fraction(1) if kind is COS else Fraction(0)
         yield _ctx(params=params), lhs, TruncatedSeries.constant(value, order)
         return
@@ -1214,7 +1213,7 @@ for _id, _anchor, _kind in (
 
 
 def _product_rule(swapped, rng, params, order):
-    phi, psi = params.phi, params.phi_prime
+    phi, psi = params.require_roots()
     f = _poly_series(rng, 5, order)
     g = _poly_series(rng, 5, order)
     first, second = (psi, phi) if swapped else (phi, psi)

@@ -358,17 +358,23 @@ class SeqCache:
         U_n = S U_(n-1) + T U_(n-2),  U_0 = 0, U_1 = 1,   {n} = U_n / c^(n-1),
 
     since multiplying {n} = s {n-1} + t {n-2} through by c^(n-1) gives it.
-    Over the rationals c = lcm(den s, den t), so the numerators are
-    integers, the recurrence needs no gcd, and each cached Fraction is built
-    once from its numerator and power of c.  The Gaussian and float backends
-    are the case c = 1: their numerator list is the value list.  The
-    factorial {n}! = {n-1}! {n} is extended only when a factorial is read,
-    so reading {n} costs no product of n terms.  The Lucasnomial rows come
-    from the same numerators (:meth:`lucasnomial_parts`), and the companion
-    from {n} itself (:meth:`v`).
+    So {n}! = F_n / c^T(n) with F_n = U_1 ... U_n and T(n) = n(n-1)/2.
+    Over the rationals c = lcm(den s, den t): the numerators U_n and F_n are
+    integers, the recurrence needs no gcd, and :meth:`factorial_parts` hands
+    out {n}! as the unreduced pair (F_n, c^T(n)), from which a caller builds
+    each coefficient with one normalisation.  The Fractions {n} and {n}! are
+    built only when :meth:`u` or :meth:`factorial` reads them, each once from
+    its numerator and power of c.  The Gaussian and float backends are the
+    case c = 1: their numerator lists are the value lists.  The Lucasnomial
+    rows come from the same numerators (:meth:`lucasnomial_parts`), and the
+    companion from {n} itself (:meth:`v`).
 
-    Extension happens under a lock; lists are append-only so concurrent
-    readers always observe a consistent prefix.
+    Growth happens under a lock.  Extension grows the numerators U_n alone;
+    F_n grows, up to the first vanishing {k}, only when a factorial is read,
+    so reading {n} costs no product of n terms.  A series producer grows the
+    sequence to its top degree before its loop, so it takes the lock for the
+    sequence once.  Lists are append-only, so concurrent readers always
+    observe a consistent prefix.
     """
 
     def __init__(self, s: Scalar, t: Scalar, backend: Backend):
@@ -377,19 +383,19 @@ class SeqCache:
         self._first_zero: Optional[int] = None
         self._lock = threading.Lock()
         one = backend_one(backend)
-        self._u = [backend_zero(backend), one]
-        self._fact = [one]
         self._value_slot: tuple = (None, None)  # functions' ratio tables of one u, never read here
         if backend is Backend.RATIONAL:
             c = math.lcm(s.denominator, t.denominator)
             self._scale = c
             self._scaled_s = s.numerator * (c // s.denominator)
             self._scaled_t = t.numerator * (c // t.denominator) * c
-            self._scaled_u = [0, 1]
+            self._scaled_u, self._scaled_fact = [0, 1], [1]
+            self._u, self._fact = [backend_zero(backend), one], [one]
         else:
             self._scale = 1
             self._scaled_s, self._scaled_t = s, t
-            self._scaled_u = self._u
+            self._scaled_u, self._scaled_fact = [backend_zero(backend), one], [one]
+            self._u, self._fact = self._scaled_u, self._scaled_fact
 
     def _extend(self, n: int) -> None:
         with self._lock:
@@ -400,16 +406,23 @@ class SeqCache:
                 if self._first_zero is None and term == 0:
                     self._first_zero = len(su)
                 su.append(term)
-            values, c = self._u, self._scale
-            # over the rationals: one Fraction per new numerator, over its power of c
-            while len(values) < len(su):
-                m = len(values)
-                values.append(Fraction(su[m], c ** (m - 1)))
+
+    def _fractions(self, values: list, nums: list, exponent, n: int) -> None:
+        """Over the rationals: append Fraction(nums[k], c ** exponent(k)) to values, k up to n."""
+        with self._lock:
+            c = self._scale
+            while len(values) <= n:
+                k = len(values)
+                values.append(Fraction(nums[k], c ** exponent(k)))
 
     def u(self, n: int) -> Scalar:
-        if n >= len(self._u):
-            self._extend(n)
-        return self._u[n]
+        values = self._u
+        if n >= len(values):
+            if n >= len(self._scaled_u):
+                self._extend(n)
+            if n >= len(values):  # over the rationals: the Fractions of the new numerators
+                self._fractions(values, self._scaled_u, lambda k: k - 1, n)
+        return values[n]
 
     def v(self, n: int) -> Scalar:
         """The companion <n> = {n+1} + t {n-1} (E. Lucas, Amer. J. Math. 1, 1878), <0> = 2."""
@@ -418,18 +431,49 @@ class SeqCache:
             return one + one
         return self.u(n + 1) + self._t * self.u(n - 1)
 
+    def factorial_parts(self, n: int) -> tuple:
+        """{n}! as the unreduced pair (F_n, c^T(n)), F_n = U_1 ... U_n and T(n) = n(n-1)/2.
+
+        Over the rationals both are integers and {n}! = F_n / c^T(n); the
+        fields, where c = 1, give ({n}!, None).  The first vanishing {k},
+        k <= n, raises VanishingFactor(k), as :meth:`factorial` does, and a
+        negative n raises IndexOutOfRange.
+        """
+        if n < 0:
+            raise IndexOutOfRange("n must be nonnegative")
+        sf = self._scaled_fact
+        if n >= len(sf):
+            self._grow_factorial(n)
+        if self._backend is not Backend.RATIONAL:
+            return sf[n], None
+        return sf[n], self._scale ** (n * (n - 1) // 2)
+
     def factorial(self, n: int) -> Scalar:
-        if n >= len(self._u):
-            self._extend(n)
-        if self._first_zero is not None and self._first_zero <= n:
-            raise VanishingFactor(self._first_zero)
         fact = self._fact
         if n >= len(fact):
-            with self._lock:
-                u = self._u
-                while len(fact) <= n:
-                    fact.append(fact[-1] * u[len(fact)])
+            if n >= len(self._scaled_fact):
+                self._grow_factorial(n)
+            if n >= len(fact):  # over the rationals: the Fractions of the new parts
+                self._fractions(fact, self._scaled_fact, binom2, n)
         return fact[n]
+
+    def _grow_factorial(self, n: int) -> None:
+        """Grow F_k to k = n; the first vanishing {k}, k <= n, raises VanishingFactor(k).
+
+        F_k exists below the first vanishing {k} only.
+        """
+        if n >= len(self._scaled_u):
+            self._extend(n)
+        zero = self._first_zero
+        top = n if zero is None or zero > n else zero - 1
+        sf = self._scaled_fact
+        if top >= len(sf):
+            with self._lock:
+                su = self._scaled_u
+                while len(sf) <= top:
+                    sf.append(sf[-1] * su[len(sf)])
+        if top < n:
+            raise VanishingFactor(zero)
 
     def lucasnomial_parts(self, n: int, k: int) -> tuple[list, Optional[list]]:
         """Numerators Ĉ(n,0..k) and denominators c^(j(n-j)) of C(n,0..k).
@@ -443,7 +487,7 @@ class SeqCache:
         out j <= n/2 only and mirror the rest, C(n,j) = C(n,n-j); floats run the
         whole product.  The first vanishing {j}, j <= k, raises DivisionByZeroFactor.
         """
-        if n >= len(self._u):
+        if n >= len(self._scaled_u):
             self._extend(n)
         zero = self._first_zero
         if zero is not None and zero <= k:

@@ -7,6 +7,7 @@ import pytest
 
 from lucascalc import (
     Backend,
+    DivisionByZeroValue,
     NonContractingNodes,
     NonConvergent,
     OrderMismatch,
@@ -65,6 +66,14 @@ class TestDerivativeValue:
         p = params_from_roots(F(2), F(-1))
         with pytest.raises(ZeroDivisionError):
             derivative_value(lambda x: x, F(0), p)
+
+    def test_repeated_root_has_no_divided_difference(self):
+        # s = 2, t = -1: phi = phi' = 1, so (f(phi x) - f(phi' x)) / ((phi - phi') x) is 0/0
+        for p in (make_params(F(2), F(-1)), make_params(2.0, -1.0)):
+            with pytest.raises(DivisionByZeroValue):
+                derivative_value(lambda x: x * x, p.s / 3, p)
+        # the float stand-in at the origin needs no second root
+        assert derivative_value(lambda x: 3.0 * x + x * x, 0.0, make_params(2.0, -1.0)) == pytest.approx(3.0)
 
 
 class TestSeriesOperators:

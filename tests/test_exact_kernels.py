@@ -21,11 +21,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lucascalc import (
+    BackendMismatch,
     DeformedPowerWeights,
     DeformedZeroWeights,
     DivisionByZeroFactor,
     FnKind,
     GaussianRational,
+    IndexOutOfRange,
     LucasError,
     SERIES_KINDS,
     VanishingFactor,
@@ -40,8 +42,10 @@ from lucascalc import (
     lucastorial,
     make_params,
     multinomial_series,
+    weighted_fn_series,
 )
-from lucascalc.deformed import power_coefficient
+from lucascalc.deformed import PowerWeights, power_coefficient
+from lucascalc.scalars import SeqCache
 
 
 def _outcome(call, *args):
@@ -389,3 +393,140 @@ def test_concurrent_scaled_extension():
                 assert all(r == expect for r in results), backend
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# integer factorial parts and the coefficients built on them
+# ---------------------------------------------------------------------------
+
+
+def test_factorial_parts_are_the_unreduced_factorial():
+    # {n}! = F_n / c^T(n), with F_n the product of the integer numerators U_1 .. U_n
+    pairs, _ = _exact_grid()
+    for s, t in pairs:
+        p = make_params(s, t)
+        c = math.lcm(s.denominator, t.denominator)
+        for n in range(41):
+            try:
+                expect = lucastorial(n, p)
+            except VanishingFactor:
+                break
+            num, den = p.cache.factorial_parts(n)
+            assert type(num) is int and den == c ** binom2(n) and F(num, den) == expect
+
+
+def test_factorial_parts_raise_the_factorials_vanishing_factor():
+    p = make_params(F(1), F(-1))  # {3} = s^2 + t = 0
+    assert p.cache.factorial_parts(2) == (1, 1)
+    for n in (3, 4, 17):
+        with pytest.raises(VanishingFactor) as parts_error:
+            p.cache.factorial_parts(n)
+        with pytest.raises(VanishingFactor) as error:
+            lucastorial(n, p)
+        assert parts_error.value.index == error.value.index == 3
+        assert str(parts_error.value) == str(error.value)
+
+
+def test_factorial_parts_refuse_a_negative_degree():
+    with pytest.raises(IndexOutOfRange):
+        make_params(F(1), F(1)).cache.factorial_parts(-1)
+
+
+def test_factorial_parts_over_the_fields_are_the_factorial():
+    for s, t in ((GaussianRational(F(3, 7), 1), GaussianRational(F(-5, 11), F(1, 2))), (3 / 7, -5 / 11)):
+        p = make_params(s, t)
+        for n in range(20):
+            assert p.cache.factorial_parts(n) == (lucastorial(n, p), None)
+
+
+@pytest.mark.parametrize("s, t", [(F(1), F(1)), (F(7, 11), F(-13, 17)), (F(3, 7), F(-9, 196))])
+def test_exact_bivariate_series_is_the_scalar_definition(s, t):
+    # entry (n-k, k) is ±C(n,k) u^T(n-k) v^T(k) / {n}!, signed by the kind's pattern
+    p = make_params(s, t)
+    patterns = {
+        FnKind.EXP: (0, 1, False),
+        FnKind.SIN: (1, 2, True),
+        FnKind.COS: (0, 2, True),
+        FnKind.SINH: (1, 2, False),
+        FnKind.COSH: (0, 2, False),
+    }
+    for u, v in ((F(0), F(2, 3)), (F(-5, 4), F(0)), (F(-3, 2), F(-7, 5)), (F(0), F(0))):
+        for kind, (first, step, alternating) in patterns.items():
+            for order in (0, 1, 9):
+                series = binomial_series2(kind, u, v, p, order)
+                expect = {}
+                for j, n in enumerate(range(first, order + 1, step)):
+                    sign = -1 if alternating and j % 2 else 1
+                    for k in range(n + 1):
+                        c = sign * lucasnomial(n, k, p) * u ** binom2(n - k) * v ** binom2(k) / lucastorial(n, p)
+                        if c:
+                            expect[(n - k, k)] = c
+                assert series.order == order and series.coeffs == expect
+                assert all(type(c) is F for c in series.coeffs.values())
+
+
+def test_weighted_coefficient_is_one_normalisation_of_the_family_value():
+    p = make_params(F(7, 11), F(-13, 17))
+    weights = DeformedZeroWeights(F(-3, 2), F(5, 7), p)
+    for m in range(12):
+        expect = weights(m) / lucastorial(m, p)
+        for negative in (False, True):
+            got = power_coefficient(weights, p, m, negative)
+            assert type(got) is F and got == (-expect if negative else expect)
+
+
+def test_weighted_series_of_a_float_family_on_rational_parameters_is_rejected():
+    # a family value outside the parameters' backend is divided as it is, and the
+    # series constructor names the mixed backends
+    with pytest.raises(BackendMismatch, match="series coefficients must share one backend"):
+        weighted_fn_series(FnKind.EXP, lambda m: F(1) if m == 0 else 0.5, make_params(F(1), F(1)), 4)
+
+
+def _extends(monkeypatch):
+    calls = []
+    extend = SeqCache._extend
+
+    def counted(self, n):
+        calls.append(n)
+        return extend(self, n)
+
+    monkeypatch.setattr(SeqCache, "_extend", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        lambda p: fn_series(FnKind.TAN, F(2, 3), p, 16),
+        lambda p: weighted_fn_series(FnKind.COS, DeformedZeroWeights(F(2, 3), F(-1, 2), p), p, 16),
+        lambda p: multinomial_series(FnKind.SIN, (F(2, 3), F(-1, 2)), p, 16),
+        lambda p: binomial_series2(FnKind.COSH, F(2, 3), F(-1, 2), p, 16),
+    ],
+    ids=["fn", "weighted", "multinomial", "bivariate"],
+)
+def test_a_series_grows_the_sequence_once_and_builds_no_term_fraction(series, monkeypatch):
+    calls = _extends(monkeypatch)
+    p = make_params(F(7, 11), F(-13, 17))
+    series(p)
+    assert len(calls) == 1 and calls[0] >= 15
+    # the {k} are read as integer numerators only: no Fraction {k} or {k}! is built
+    assert len(p.cache._u) == 2 and len(p.cache._fact) == 1
+
+
+def test_growing_past_a_vanishing_factor_raises_only_at_the_degrees_read():
+    # {4} = s (s^2 + 2t) = 0: a sine reads degrees 1 and 3 below order 5, a cosine reads 4
+    p = make_params(F(2, 3), F(-2, 9))
+    u = F(3, 5)
+    sine = fn_series(FnKind.SIN, u, p, 4)
+    assert sine.coeffs == (0, 1, 0, -(u**3) / lucastorial(3, p), 0)
+    assert weighted_fn_series(FnKind.SIN, PowerWeights(u), p, 4) == sine
+    assert binomial_series2(FnKind.SIN, u, u, p, 4).coefficient(1, 0) == 1
+    for call in (
+        lambda: fn_series(FnKind.SIN, u, p, 5),
+        lambda: fn_series(FnKind.COS, u, p, 4),
+        lambda: binomial_series2(FnKind.SIN, u, u, p, 5),
+        lambda: multinomial_series(FnKind.COS, (u, u), p, 4),
+    ):
+        with pytest.raises(VanishingFactor) as error:
+            call()
+        assert error.value.index == 4

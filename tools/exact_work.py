@@ -9,11 +9,12 @@ checkout).  For each seed from FIRST to LAST inclusive the script runs
 series-exact or bivariate-exact, and counts, over those runs: the
 ``Fraction`` objects constructed (arithmetic results included), the
 ``GaussianRational`` reductions (each one gcd over a triple), the
-``math.gcd`` calls and the ``backend_of`` calls.  It also hashes every
-record's outcome (id, status, failure count and the failures' params and
-sides) in order.  It prints one line:
+``math.gcd`` calls, the ``backend_of`` calls and the ``SeqCache._extend``
+calls (``extends``, one lock take each to grow a sequence).  It also
+hashes every record's outcome (id, status, failure count and the failures'
+params and sides) in order.  It prints one line:
 
-    fractions 449131 gaussian_reductions 100040 gcds 612881 backend_of 51560 outcomes b1f0b1500ff218e8
+    fractions 367760 gaussian_reductions 100040 gcds 521154 backend_of 51560 extends 3887 outcomes b1f0b1500ff218e8
 
 The counts do not depend on the machine's timing, so two trees can be
 compared on them; two trees whose records end alike print the same outcome
@@ -45,7 +46,7 @@ def main(argv=None) -> int:
     from lucascalc.identities import BIVARIATE_EXACT, CATALOG, SERIES_EXACT, run_suite
 
     ids = [id for id, record in CATALOG.items() if record.check_kind in (SERIES_EXACT, BIVARIATE_EXACT)]
-    counts = {"fractions": 0, "gaussian_reductions": 0, "gcds": 0, "backend_of": 0}
+    counts = {"fractions": 0, "gaussian_reductions": 0, "gcds": 0, "backend_of": 0, "extends": 0}
 
     def counted(name, call):
         def wrapper(*args, **kwargs):
@@ -58,6 +59,7 @@ def main(argv=None) -> int:
     fractions.Fraction.__new__ = counted("fractions", fraction_new)
     math.gcd = counted("gcds", math.gcd)
     scalars._reduced = counted("gaussian_reductions", scalars._reduced)
+    scalars.SeqCache._extend = counted("extends", scalars.SeqCache._extend)
     # every module that imported backend_of by name reads it from its own globals
     backend_of = counted("backend_of", scalars.backend_of)
     for name, module in list(sys.modules.items()):
