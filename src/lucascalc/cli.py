@@ -23,7 +23,7 @@ from .calculus import integral_value
 from .errors import LucasError, NoRootFound, UnknownIdentityId
 from .functions import FnKind, find_pi_u, fn_value_info
 from .identities import run_suite
-from .scalars import GaussianRational, lucas_u, lucas_v, make_params
+from .scalars import GaussianRational, exact_triple, lucas_u, lucas_v, make_params
 from .series import TruncatedSeries
 
 EXIT_OK = 0
@@ -61,8 +61,7 @@ def _jsonable(value):
         try:
             return str(value)
         except ValueError:  # an integer past the interpreter's int-to-str digit limit
-            parts = value.as_triple() if isinstance(value, GaussianRational) else value.as_integer_ratio()
-            digits = round(max(abs(p) for p in parts).bit_length() * math.log10(2))
+            digits = round(max(map(abs, exact_triple(value))).bit_length() * math.log10(2))
             raise LucasError(f"an exact value of about {digits} digits is too long to print") from None
     return value
 

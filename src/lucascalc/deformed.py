@@ -7,31 +7,24 @@ the limit convention 0^0 = 1, so the k in {0, 1} terms survive u = 0.
 
 Each degree-n row is built in O(n): the Lucasnomials come from one
 telescoped pass (``SeqCache.lucasnomial_parts``), and the weights u^T(n-k),
-v^T(k) are read from two rows indexed by degree, which the callers hold for
-every degree they build: :func:`deformed_row` reads the powers a^T(m), b^T(m)
-of u = a/b that one :class:`PowerWeights` per deformation keeps, and the
-rational rows of :class:`DeformedPowerWeights` hold each weight's integer
-parts, read once as they grow.  Over the exact backends each entry is
-normalised once, from integer parts, with {n}! taken as the integer pair
-(F_n, c^T(n)) of ``SeqCache.factorial_parts`` where a series divides by it.
-Every point value of a row is one degree of :class:`DeformedPowerWeights`,
-whose slots take a deformation or a weight family and which forms only the
-degrees it is asked for.  :func:`power_coefficient` builds a function-series
-coefficient w(m) / {m}! the same way, for the power weights u^T(m) of the
-exact function series and the parts' rows of a multinomial series, and for
-any weight family of a weighted series.  Multinomial numbers multiply the
-parts' rows u_i^T(k) / {k}! one degree at a time, the lazy product the point
-path reads term by term; a multinomial series multiplies the same rows with
-the series ``*`` instead.
+v^T(k) from two rows indexed by degree that the callers hold for every
+degree they build.  Over the exact backends a row is integer columns of
+``scalars``' triples, one :class:`PowerWeights` per deformation keeps its
+own, and :func:`deformed_row`, :func:`row_value` and
+:func:`power_coefficient` (a function series' w(m) / {m}!) are each written
+once for both backends and normalise each output once.  Every point value
+of a row is one degree of :class:`DeformedPowerWeights`.  Multinomial
+numbers multiply the parts' rows u_i^T(k) / {k}! one degree at a time; a
+multinomial series multiplies the same rows with the series ``*`` instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
-from operator import add, methodcaller, mul
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange
@@ -45,11 +38,12 @@ from .scalars import (
     backend_zero,
     binom2,
     common_backend,
+    exact_triple,
+    gaussian_integer_power,
+    triple_maker,
 )
 
 Weights = Callable[[int], Scalar]
-
-_INTEGER_PARTS = methodcaller("as_integer_ratio")  # a rational weight's (numerator, denominator)
 
 
 @dataclass(frozen=True)
@@ -62,37 +56,60 @@ class DeformedBinomial:
     coeffs: tuple
 
 
-def _rational_parts(n: int, u_row: Sequence, v_row: Sequence, params: LucasParams) -> tuple:
-    """Integer numerators and denominators of C(n,k) u_row[n-k] v_row[k], k = 0..n,
-    from rows of the weights' integer parts (numerator, denominator)."""
+def _columns(triples) -> tuple:
+    """Integer triples as the columns (re, im, den); im is None when every imaginary part is 0."""
+    re, im, den = zip(*triples)
+    return re, (im if any(im) else None), den
+
+
+def _times(xr, xi, yr, yi) -> tuple:
+    """Entrywise (xr + i xi)(yr + i yi) of integer columns, to the shorter; a None column is 0."""
+    re, im = list(map(mul, xr, yr)), None
+    if xi is not None:
+        im = list(map(mul, xi, yr))
+        if yi is not None:
+            re = list(map(sub, re, map(mul, xi, yi)))
+    if yi is not None:
+        t = map(mul, xr, yi)
+        im = list(t) if im is None else list(map(add, im, t))
+    return re, im
+
+
+def _powers(a: int, b: int, n: int) -> tuple:
+    """(a+bi)^j, j = 0..n, as integer columns (re, im); im is None for b = 0."""
+    if not b:
+        return list(accumulate(repeat(a, n), mul, initial=1)), None
+    return tuple(zip(*(gaussian_integer_power(a, b, j) for j in range(n + 1))))
+
+
+def _row_columns(n: int, u_row: tuple, v_row: tuple, params: LucasParams, negative: bool | None) -> tuple:
+    """C(n,k) u_row[n-k] v_row[k], k = 0..n, as columns; divided by {n}! and negated as asked.
+
+    Over the rationals C(n,k) is Ĉ(n,k) / c^(k(n-k)) and {n}! is F_n / c^T(n)
+    (``SeqCache``'s parts), so a series entry is ±Ĉ(n,k) c^(T(n-k)+T(k)) / F_n
+    times the weights; over the Gaussian rationals both are field values,
+    read as triples.  The weights' small products are formed first and meet
+    the large Lucasnomial factors once.  A vanishing {k}, k <= n, raises
+    VanishingFactor in a series row before the Lucasnomial's DivisionByZeroFactor.
+    """
+    (ur, ui, ud), (vr, vi, vd) = u_row, v_row
+    re, im = _times(ur[n::-1], ui and ui[n::-1], vr, vi)
+    den = list(map(mul, ud[n::-1], vd))
+    if negative is not None:
+        fact, fact_den = params.cache.factorial_parts(n)  # fact_den is None over the fields
     nums, dens = params.cache.lucasnomial_parts(n, n)
-    out_nums, out_dens = [], []
-    for k, (num, den) in enumerate(zip(nums, dens)):
-        a, c = u_row[n - k]
-        b, d = v_row[k]
-        out_nums.append(num * a * b)
-        out_dens.append(den * c * d)
-    return out_nums, out_dens
-
-
-def _gaussian_product(*triples: tuple) -> tuple[int, int, int]:
-    """The product of integer triples (a, b, d), each meaning (a+bi)/d, not reduced."""
-    a, b, d = 1, 0, 1
-    for p, q, r in triples:
-        a, b, d = a * p - b * q, a * q + b * p, d * r
-    return a, b, d
-
-
-def _gaussian_power(a: int, b: int, n: int) -> tuple[int, int]:
-    """(a+bi)^n for n >= 0 over the Gaussian integers, by squaring."""
-    ra, rb = 1, 0
-    while n:
-        if n & 1:
-            ra, rb = ra * a - rb * b, ra * b + rb * a
-        n >>= 1
-        if n:
-            a, b = a * a - b * b, 2 * a * b
-    return ra, rb
+    cr, ci = nums, None
+    if dens is None:
+        cr, ci, dens = _columns(map(exact_triple, nums))
+        if negative is not None:
+            a, b, d = exact_triple(-1 / fact if negative else 1 / fact)
+            cr, ci = _times(cr, ci, [a] * (n + 1), [b] * (n + 1) if b else None)
+            dens = [e * d for e in dens]
+    elif negative is not None:
+        scale = -fact_den if negative else fact_den
+        cr, dens = [num * (scale // d) for num, d in zip(nums, dens)], repeat(fact)
+    re, im = _times(re, im, cr, ci)
+    return re, im, list(map(mul, den, dens))
 
 
 def power_coefficient(
@@ -102,33 +119,30 @@ def power_coefficient(
 
     The weight is w(m) = u^T(m) for a deformation parameter u, or u(m) for a
     weight family u, any callable of the degree.  Over the exact backends the
-    coefficient is built with one normalisation from integer parts, the sign
-    folded into the numerator.  Over the rationals it is one Fraction from the
-    weight's parts and {m}! = F_m / c^T(m) (``SeqCache.factorial_parts``):
-    (a/b)^T(m) / {m}! is a^T(m) c^T(m) / (b^T(m) F_m).  Over the Gaussian
-    rationals it is one ``GaussianRational.from_triple``.  Over the floats,
-    and for a family value outside the parameters' exact backend, it is
-    w(m) / {m}!.  A vanishing {k}, k <= m, raises VanishingFactor(k) as the
-    factorial does.
+    coefficient is one normalisation of the weight's triple raised to T(m)
+    (to 1 for a family) over {m}!'s (``SeqCache.factorial_parts``), the sign
+    in the numerator.  Over the floats, and for a family value outside the
+    parameters' exact backend, it is w(m) / {m}!.  A vanishing {k}, k <= m,
+    raises VanishingFactor(k) as the factorial does.
     """
     family = callable(u)
     weight = u(m) if family else u
     power = 1 if family else binom2(m)
     backend = params.backend
-    if backend is Backend.RATIONAL and isinstance(weight, (int, Fraction)):
-        a, b = weight.as_integer_ratio()
-        f, g = params.cache.factorial_parts(m)
-        num = a**power * g
-        return Fraction(-num if negative else num, b**power * f)
-    if backend is Backend.GAUSSIAN and isinstance(weight, GaussianRational):
-        a, b, d = weight.as_triple()
-        a, b = _gaussian_power(a, b, power)
-        p, q, e = params.cache.factorial(m).as_triple()
-        # (a+bi)/d^T over (p+qi)/e is (a+bi)(p-qi) e / (d^T (p^2 + q^2))
-        a, b, d = _gaussian_product((a, b, d**power), (p * e, -q * e, p * p + q * q))
-        return GaussianRational.from_triple(-a if negative else a, -b if negative else b, d)
-    value = (weight if family else weight**power) / params.cache.factorial(m)
-    return -value if negative else value
+    wide = backend is Backend.RATIONAL and isinstance(weight, GaussianRational)
+    parts = None if backend is Backend.COMPLEX or wide else exact_triple(weight)
+    if parts is None:
+        value = (weight if family else weight**power) / params.cache.factorial(m)
+        return -value if negative else value
+    a, b, d = parts
+    a, b = gaussian_integer_power(a, b, power)
+    fact, fact_den = params.cache.factorial_parts(m)
+    if fact_den is None:  # over the Gaussian rationals (a+bi)/d over (p+qi)/e is (a+bi)(p-qi) e / (d (p^2 + q^2))
+        p, q, e = exact_triple(fact)
+        a, b, d = (a * p + b * q) * e, (b * p - a * q) * e, d**power * (p * p + q * q)
+    else:
+        a, d = a * fact_den, d**power * fact
+    return triple_maker(backend)(-a if negative else a, -b if negative else b, d)
 
 
 def deformed_row(
@@ -144,82 +158,50 @@ def deformed_row(
     True it is row n of a bivariate function series, ±c_k / {n}!.  The slots
     take the deformations' :class:`PowerWeights`, which the caller holds for
     every degree it builds, so each power is formed once per series.  Over
-    the rationals each entry is one Fraction from integer parts: the powers
-    a^T(m) and b^T(m) of u = a/b and p^T(m), q^T(m) of v = p/q, the
-    Lucasnomial's Ĉ(n,k) / c^(k(n-k)) and {n}! = F_n / c^T(n).  As
-    T(n) = T(n-k) + T(k) + k(n-k), the series entry is
-    ±Ĉ(n,k) a^T(n-k) p^T(k) c^(T(n-k)+T(k)) / (b^T(n-k) q^T(k) F_n).  Over the
-    Gaussian rationals each entry is one ``from_triple`` of the product of the
-    Lucasnomial's, the weights' and the scale ±1/{n}!'s integer triples; over
-    the floats the row is multiplied by that scale last.  A vanishing {k},
-    k <= n, raises VanishingFactor in a series row before the Lucasnomial's
-    DivisionByZeroFactor.  A deformed power is not multiplied at all: over
-    the complex floats even ``c * 1.0`` can flip the sign of a zero part.
+    the floats the row is multiplied by the scale ±1/{n}! last, and a
+    deformed power not at all: even ``c * 1.0`` can flip a zero's sign.
     """
     backend = params.backend
+    if backend is not Backend.COMPLEX:
+        re, im, den = _row_columns(n, u_weights._columns(n), v_weights._columns(n), params, negative)
+        return list(map(triple_maker(backend), re, im or repeat(0), den))
     if negative is not None:
-        fact, fact_den = params.cache.factorial_parts(n)  # fact_den is None over the fields
-    if backend is Backend.RATIONAL:
-        u_row, v_row = u_weights._integer_row(n), v_weights._integer_row(n)
-        if negative is None:
-            return list(map(Fraction, *_rational_parts(n, u_row, v_row, params)))
-        nums, dens = params.cache.lucasnomial_parts(n, n)
-        row = []
-        for k, (num, den) in enumerate(zip(nums, dens)):
-            a, b = u_row[n - k]
-            p, q = v_row[k]
-            num = num * a * p * (fact_den // den)  # c^T(n) / c^(k(n-k)) = c^(T(n-k)+T(k))
-            row.append(Fraction(-num if negative else num, b * q * fact))
-        return row
+        scale = (-1 if negative else 1) / params.cache.factorial(n)
     u_weights(n), v_weights(n)  # grow the value rows to degree n
     u_row, v_row = u_weights._values, v_weights._values
-    if negative is not None:
-        scale = -1 / fact if negative else 1 / fact
     nums, _ = params.cache.lucasnomial_parts(n, n)
-    if backend is Backend.GAUSSIAN:
-        factor = (1, 0, 1) if negative is None else scale.as_triple()
-        return [
-            GaussianRational.from_triple(
-                *_gaussian_product(c.as_triple(), u_row[n - k].as_triple(), v_row[k].as_triple(), factor)
-            )
-            for k, c in enumerate(nums)
-        ]
     row = [c * u_row[n - k] * v_row[k] for k, c in enumerate(nums)]
     return row if negative is None else [c * scale for c in row]
 
 
-def row_value(
-    n: int, u_row: Sequence, v_row: Sequence, x: Scalar, y: Scalar, params: LucasParams
-) -> Scalar:
+def row_value(n: int, u_row, v_row, x: Scalar, y: Scalar, params: LucasParams) -> Scalar:
     """The degree-n row at (x, y): sum over k of C(n,k) u_row[n-k] v_row[k] x^(n-k) y^k.
 
-    Read by :class:`DeformedPowerWeights` alone, whose rational rows hold
-    each weight's integer parts (numerator, denominator).  Over the fields each term
-    is formed left to right and added in one pass, the same products in the
-    same order as :func:`deformed_row`'s entries times x^(n-k) y^k; at a zero
-    coordinate only the terms that do not vanish are summed (k = n at x = 0,
-    k = 0 at y = 0, none past degree 0 at both), so a weight that overflows
-    to inf meets no vanishing power of 0.  Over the rationals the terms are
-    summed as integers over one common denominator, lcm(entry denominators) *
-    (den x * den y)^n, from the row's integer parts, and reduced once; no
-    entry is built as a Fraction.
+    Read by :class:`DeformedPowerWeights` alone.  Over the exact backends
+    the rows are integer columns; with x = X/dx and y = Y/dy, x^(n-k) y^k is
+    P^(n-k) Q^k / (dx dy)^n for P = X dy and Q = Y dx, so the terms are summed
+    as integers over lcm(entry denominators) * (dx dy)^n.  Over the floats
+    each term is formed left to right, as :func:`deformed_row`'s entries
+    times x^(n-k) y^k, and at a zero coordinate only the terms that do not
+    vanish are summed, so a weight that overflows to inf meets no 0 power.
     """
-    if params.backend is not Backend.RATIONAL:
+    backend = params.backend
+    if backend is Backend.COMPLEX:
         nums, _ = params.cache.lucasnomial_parts(n, n)
-        total = backend_zero(params.backend)
+        total = 0.0
         for k in range(n if x == 0 else 0, 1 if y == 0 else n + 1):
             total = total + nums[k] * u_row[n - k] * v_row[k] * x ** (n - k) * y**k
         return total
-    nums, dens = _rational_parts(n, u_row, v_row, params)
+    re, im, dens = _row_columns(n, u_row, v_row, params, None)
     den = math.lcm(*dens)
-    # term k is its numerator * (den / dens[k]) * p^(n-k) * q^k over den * (den x * den y)^n
-    p = x.numerator * y.denominator
-    q = y.numerator * x.denominator
-    total, q_pow = 0, 1
-    for num, d in zip(nums, dens):
-        total = total * p + num * (den // d) * q_pow
-        q_pow *= q
-    return Fraction(total, den * (x.denominator * y.denominator) ** n)
+    xa, xb, xd = exact_triple(x)
+    ya, yb, yd = exact_triple(y)
+    pr, pi = _powers(xa * yd, xb * yd, n)
+    qr, qi = _powers(ya * xd, yb * xd, n)
+    pr, pi = _times(pr[::-1], pi and pi[::-1], qr, qi)  # P^(n-k) Q^k, before the row's large entries
+    pr, pi = _times(pr, pi, [den // d for d in dens], None)
+    re, im = _times(re, im, pr, pi)
+    return triple_maker(backend)(sum(re), sum(im or ()), den * (xd * yd) ** n)
 
 
 def deformed_power_coeffs(n: int, u: Scalar, v: Scalar, params: LucasParams) -> DeformedBinomial:
@@ -272,45 +254,42 @@ def multinomial_number(us: Sequence[Scalar], n: int, params: LucasParams) -> Sca
 class PowerWeights:
     """Weight family w(n) = u^T(n) used by the plain one-deformation functions.
 
-    Grows by w(m+1) = w(m) * u^m, keeping the running power u^m; over the
-    rationals w(n) = u ** T(n) directly, since a Fraction power needs no gcd.
-    Over the rationals :func:`deformed_row` reads the integer parts
-    (a^T(m), b^T(m)) of u = a/b instead, grown the same way and kept, so a
-    caller that holds one family builds each power once.
+    Over the floats it grows by w(m+1) = w(m) * u^m, keeping the running
+    power u^m.  Over the exact backends it keeps the integer columns of the
+    triples u^T(m), which the deformed rows read directly; w(n) is one
+    normalisation of its entry.
     """
 
     def __init__(self, u: Scalar):
         self.u = u
         backend = backend_of(u)
-        one = backend_one(backend)
-        self._values = [one]
-        self._power = one
-        self._rational = Fraction(u) if backend is Backend.RATIONAL else None
-        self._parts = [(1, 1)]
+        self._values = [backend_one(backend)]
+        self._power = self._values[0]
+        self._triple = None if backend is Backend.COMPLEX else exact_triple(u)
+        self._make = None if self._triple is None else triple_maker(backend)
+        self._row = ([], [], [])
 
     def __call__(self, n: int) -> Scalar:
         if n < 0:
             raise IndexOutOfRange("n must be nonnegative")
+        if self._triple is not None:
+            re, im, den = self._columns(n)
+            return self._make(re[n], im[n] if im else 0, den[n])
         values = self._values
-        if self._rational is not None:
-            u = self._rational
-            while len(values) <= n:
-                values.append(u ** binom2(len(values)))
-            return values[n]
         while len(values) <= n:
             values.append(values[-1] * self._power)
             self._power = self._power * self.u
         return values[n]
 
-    def _integer_row(self, n: int) -> list[tuple[int, int]]:
-        """Over the rationals: (a^T(m), b^T(m)) for u = a/b, m = 0..n at least."""
-        parts = self._parts
-        a, b = self._rational.as_integer_ratio()
-        while len(parts) <= n:
-            m = len(parts) - 1  # T(m+1) = T(m) + m
-            num, den = parts[-1]
-            parts.append((num * a**m, den * b**m))
-        return parts
+    def _columns(self, n: int) -> tuple:
+        """Over the exact backends: the columns of w(m), m = 0..n at least; im is None for a real u."""
+        (re, im, den), (a, b, d) = self._row, self._triple
+        for m in range(len(re), n + 1):
+            p, q = gaussian_integer_power(a, b, binom2(m))
+            re.append(p)
+            im.append(q)
+            den.append(d ** binom2(m))
+        return re, (im if b else None), den
 
 
 class MultinomialWeights:
@@ -363,30 +342,21 @@ class DeformedPowerWeights:
     a weight family, any callable of the degree.  Each call forms the row of
     its own degree alone, so a sum that reads every other degree forms half
     the rows, and each family is asked for each degree once, as the two rows
-    grow to the highest degree asked for.  Over the fields the row of a zero
-    coordinate stays at degree 0, the one entry :func:`row_value` reads from
-    it there, so a family that would overflow past it is never asked.  Each
-    row starts with its family's degree-0 value; the point, those values and
-    the parameters must share one backend.
+    grow to the highest degree asked for.  Each row starts with its
+    family's degree-0 value; the point, those values and the parameters
+    must share one backend.
     """
 
     def __init__(self, x: Scalar, y: Scalar, u: Scalar | Weights, v: Scalar | Weights, params: LucasParams):
         self.x, self.y, self.u, self.v = x, y, u, v
         self.params = params
-        self._u_weights = u if callable(u) else PowerWeights(u)
-        self._v_weights = v if callable(v) else PowerWeights(v)
-        self._u_row, self._v_row = [self._u_weights(0)], [self._v_weights(0)]
-        common_backend(x, y, self._u_row[0], self._v_row[0], params.s)
-        # over the rationals a row holds each weight's integer parts, read once as it grows;
-        # over the fields row_value reads the row of a zero coordinate at degree 0 alone
-        exact = params.backend is Backend.RATIONAL
-        self._read = _INTEGER_PARTS if exact else None
-        if exact:
-            self._u_row[0], self._v_row[0] = self._u_row[0].as_integer_ratio(), self._v_row[0].as_integer_ratio()
-        self._growing = [
-            (row, weights)
-            for row, weights, coordinate in ((self._u_row, self._u_weights, x), (self._v_row, self._v_weights, y))
-            if exact or coordinate != 0
+        slots = [(w if callable(w) else PowerWeights(w), coordinate) for w, coordinate in ((u, x), (v, y))]
+        firsts = [weights(0) for weights, _ in slots]
+        common_backend(x, y, *firsts, params.s)
+        exact = params.backend is not Backend.COMPLEX
+        self._rows = [
+            _slot_row(weights, first, exact, exact or coordinate != 0)
+            for (weights, coordinate), first in zip(slots, firsts)
         ]
         self._values: dict[int, Scalar] = {}
 
@@ -394,11 +364,31 @@ class DeformedPowerWeights:
         if n < 0:
             raise IndexOutOfRange("n must be nonnegative")
         if n not in self._values:
-            for row, weights in self._growing:
-                new = map(weights, range(len(row), n + 1))
-                row.extend(new if self._read is None else map(self._read, new))
-            self._values[n] = row_value(n, self._u_row, self._v_row, self.x, self.y, self.params)
+            u_row, v_row = self._rows
+            self._values[n] = row_value(n, u_row(n), v_row(n), self.x, self.y, self.params)
         return self._values[n]
+
+
+def _slot_row(weights: Weights, first: Scalar, exact: bool, grows: bool) -> Callable[[int], Sequence]:
+    """A :class:`DeformedPowerWeights` slot's reader: degree n -> its row to degree n at least.
+
+    Over the exact backends a :class:`PowerWeights` slot's row is its own
+    columns, and another family's holds each value's triple.  Over the
+    floats the row of a zero coordinate stays at degree 0, the one entry
+    :func:`row_value` reads there, so a family that would overflow past it
+    is never asked.
+    """
+    if exact and isinstance(weights, PowerWeights):
+        return weights._columns
+    row = [exact_triple(first) if exact else first]
+
+    def grow(n: int) -> Sequence:
+        if grows and len(row) <= n:
+            new = map(weights, range(len(row), n + 1))
+            row.extend(map(exact_triple, new) if exact else new)
+        return _columns(row) if exact else row
+
+    return grow
 
 
 class DeformedZeroWeights(DeformedPowerWeights):

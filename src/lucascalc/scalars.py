@@ -9,6 +9,14 @@ Three backends are supported and never mix implicitly:
 Promotion between backends is explicit (:func:`promote`).  All derived
 values (sequences, factorials, binomial analogues) are computed in the
 backend of their parameters.
+
+The exact backends share one integer format, the triple (a, b, d) meaning
+(a+bi)/d; a rational n/d is (n, 0, d).  :func:`exact_triple` reads a value's
+canonical triple, :func:`triple_maker` builds a value from any triple with
+one normalisation, and :func:`gaussian_integer_power` raises a+bi to a power.
+The integer kernels of ``series`` and ``deformed`` read and build exact
+scalars through these alone; they multiply triples unreduced, normalise
+once per output, and skip the imaginary products where every b is 0.
 """
 
 from __future__ import annotations
@@ -45,8 +53,6 @@ class GaussianRational:
 
     The triple is canonical (d > 0 and gcd(a, b, d) = 1), so equality
     compares integers and each operation reduces with one ``math.gcd``.
-    Integer kernels read the triple with :meth:`as_triple` and build their
-    results with :meth:`from_triple`.
     The real and imaginary parts are available as the Fractions ``re`` and
     ``im``.  Arithmetic with ints and Fractions is supported; floats and
     complex numbers are rejected so the exact backends cannot silently
@@ -91,7 +97,7 @@ class GaussianRational:
         return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        o = _parts(other)
+        o = exact_triple(other)
         if o is None:
             return NotImplemented
         return _sum(self._a, self._b, self._d, *o)
@@ -99,19 +105,19 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _parts(other)
+        o = exact_triple(other)
         if o is None:
             return NotImplemented
         return _sum(self._a, self._b, self._d, -o[0], -o[1], o[2])
 
     def __rsub__(self, other):
-        o = _parts(other)
+        o = exact_triple(other)
         if o is None:
             return NotImplemented
         return _sum(*o, -self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = _parts(other)
+        o = exact_triple(other)
         if o is None:
             return NotImplemented
         a, b, d = o
@@ -121,13 +127,13 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _parts(other)
+        o = exact_triple(other)
         if o is None:
             return NotImplemented
         return _quotient(self._a, self._b, self._d, *o)
 
     def __rtruediv__(self, other):
-        o = _parts(other)
+        o = exact_triple(other)
         if o is None:
             return NotImplemented
         return _quotient(*o, self._a, self._b, self._d)
@@ -142,20 +148,11 @@ class GaussianRational:
         if not isinstance(exponent, int):
             return NotImplemented
         base = self if exponent >= 0 else _quotient(1, 0, 1, self._a, self._b, self._d)
-        a, b, d = base._a, base._b, base._d
         n = abs(exponent)
-        den = d**n
-        ra, rb = 1, 0
-        while n:
-            if n & 1:
-                ra, rb = ra * a - rb * b, ra * b + rb * a
-            n >>= 1
-            if n:
-                a, b = a * a - b * b, 2 * a * b
-        return _reduced(ra, rb, den)
+        return _reduced(*gaussian_integer_power(base._a, base._b, n), base._d**n)
 
     def __eq__(self, other):
-        o = _parts(other)
+        o = exact_triple(other)
         if o is None:
             return NotImplemented
         return self._a == o[0] and self._b == o[1] and self._d == o[2]
@@ -215,15 +212,46 @@ def _quotient(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianR
     return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * norm)
 
 
-def _parts(value):
-    """Canonical triple of a Gaussian, int or Fraction operand; None for any other type."""
+def exact_triple(value) -> Optional[tuple[int, int, int]]:
+    """The integer triple (a, b, d), meaning (a+bi)/d, of an exact scalar; None for any other type.
+
+    A GaussianRational gives its canonical triple and an int or a Fraction
+    n/d gives (n, 0, d), so d > 0 and gcd(a, b, d) = 1.
+    """
     if isinstance(value, GaussianRational):
         return value._a, value._b, value._d
-    if isinstance(value, int):
-        return int(value), 0, 1
-    if isinstance(value, Fraction):
-        return value.numerator, 0, value.denominator
+    # an exact Fraction skips the isinstance check, which asks Fraction's ABC metaclass
+    if type(value) is Fraction or isinstance(value, (int, Fraction)):
+        a, d = value.as_integer_ratio()
+        return a, 0, d
     return None
+
+
+def _fraction_of_triple(a: int, b: int, d: int) -> Fraction:
+    return Fraction(a, d)  # b is 0: a rational triple has no imaginary part
+
+
+def triple_maker(backend: Backend):
+    """The maker (a, b, d) -> (a+bi)/d of an exact backend, one normalisation per value.
+
+    Over the rationals it is Fraction(a, d), for a triple whose b is 0; over
+    the Gaussian rationals it is :meth:`GaussianRational.from_triple`.
+    """
+    return GaussianRational.from_triple if backend is Backend.GAUSSIAN else _fraction_of_triple
+
+
+def gaussian_integer_power(a: int, b: int, n: int) -> tuple[int, int]:
+    """(a+bi)^n for n >= 0 over the Gaussian integers, by squaring; a real base is one int power."""
+    if not b:
+        return a**n, 0
+    ra, rb = 1, 0
+    while n:
+        if n & 1:
+            ra, rb = ra * a - rb * b, ra * b + rb * a
+        n >>= 1
+        if n:
+            a, b = a * a - b * b, 2 * a * b
+    return ra, rb
 
 
 Scalar = Union[int, Fraction, GaussianRational, float, complex]
@@ -417,7 +445,9 @@ class SeqCache:
 
     def u(self, n: int) -> Scalar:
         values = self._u
-        if n >= len(values):
+        if not 0 <= n < len(values):
+            if n < 0:
+                raise IndexOutOfRange("n must be nonnegative")
             if n >= len(self._scaled_u):
                 self._extend(n)
             if n >= len(values):  # over the rationals: the Fractions of the new numerators
@@ -450,7 +480,9 @@ class SeqCache:
 
     def factorial(self, n: int) -> Scalar:
         fact = self._fact
-        if n >= len(fact):
+        if not 0 <= n < len(fact):
+            if n < 0:
+                raise IndexOutOfRange("n must be nonnegative")
             if n >= len(self._scaled_fact):
                 self._grow_factorial(n)
             if n >= len(fact):  # over the rationals: the Fractions of the new parts

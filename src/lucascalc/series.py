@@ -5,15 +5,12 @@ truncated ring arithmetic; equality compares coefficient-wise on the
 common truncation order.
 
 Over the exact backends the kernels, the univariate ``*`` and ``dilate`` and
-the bivariate ``dilate``, run on integers, the way FLINT's ``fmpq_poly`` does:
-an operand whose coefficients are summed is brought to integer numerators
-over one common denominator (Gaussian ones to pairs of integers, read with
-``GaussianRational.as_triple``), the sums run on those integers, and each
-output coefficient is built with one normalisation, a ``Fraction`` or a
-``GaussianRational.from_triple``.  Each kernel is written once over integer
-triples (a, b, d) meaning (a+bi)/d: a rational is (a, 0, d), and the
-imaginary products are skipped when every imaginary part is 0.  A coefficient
-multiplied by 1 or -1 needs no normalisation.  The float backend keeps its
+the bivariate ``dilate``, run on the integer triples of ``scalars``, the way
+FLINT's ``fmpq_poly`` does: an operand whose coefficients are summed is
+brought to integer numerators over one common denominator, the sums run on
+those integers, and each output coefficient is normalised once.  Each kernel
+is written once for both exact backends, and a coefficient multiplied by 1
+or -1 needs no normalisation.  The float backend keeps its
 scalar loops, and ``reciprocal``, :func:`outer`, the bivariate ``*``,
 negation and ``scale`` are one scalar loop on every backend.  A kernel's
 result, and that of ``reciprocal``, :func:`outer` and ``scale``, skips the
@@ -42,7 +39,10 @@ from .scalars import (
     backend_of,
     backend_one,
     backend_zero,
+    exact_triple,
+    gaussian_integer_power,
     promote,
+    triple_maker,
 )
 
 
@@ -151,11 +151,9 @@ class TruncatedSeries:
                 out.append(a * acc)
                 acc = acc * c
             return TruncatedSeries(out, Backend.COMPLEX)
-        parts, make = _EXACT[self.backend]
-        powers = _power_parts(c, self.order, parts)
-        return _series(
-            tuple(_scaled(a, *p, parts, make) for a, p in zip(self.coeffs, powers)), self.backend
-        )
+        make = triple_maker(self.backend)
+        powers = _power_parts(c, self.order)
+        return _series(tuple(_scaled(a, *p, make) for a, p in zip(self.coeffs, powers)), self.backend)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -303,15 +301,15 @@ class TruncatedSeries2:
             return TruncatedSeries2(
                 {(j, k): v * px[j] * py[k] for (j, k), v in self.coeffs.items()}, n, Backend.COMPLEX
             )
-        parts, make = _EXACT[self.backend]
-        px, py = _power_parts(cx, n, parts), _power_parts(cy, n, parts)
+        make = triple_maker(self.backend)
+        px, py = _power_parts(cx, n), _power_parts(cy, n)
         out = {}
         for (j, k), v in self.coeffs.items():
             a1, b1, d1 = px[j]
             a2, b2, d2 = py[k]
             a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
             if a or b:  # a zero factor's powers vanish, and no zero is stored
-                out[(j, k)] = _scaled(v, a, b, d1 * d2, parts, make)
+                out[(j, k)] = _scaled(v, a, b, d1 * d2, make)
         return _series2(out, n, self.backend)
 
     def substitute_diagonal(self, c: Scalar) -> TruncatedSeries:
@@ -387,47 +385,27 @@ def _series2(coeffs: dict, order: int, backend: Backend) -> TruncatedSeries2:
     return out
 
 
-def _rational_parts(c) -> tuple[int, int, int]:
-    return c.numerator, 0, c.denominator
+def _power_parts(c: Scalar, n: int) -> list[tuple[int, int, int]]:
+    """c^m, m = 0..n, as integer triples, not reduced."""
+    p, q, r = exact_triple(c)
+    return [(*gaussian_integer_power(p, q, m), r**m) for m in range(n + 1)]
 
 
-def _rational_make(a: int, b: int, d: int) -> Fraction:
-    return Fraction(a, d)  # b is 0: a rational kernel's imaginary parts all vanish
-
-
-# per exact backend: read a coefficient as its integer triple (a, b, d), meaning
-# (a+bi)/d, and build a coefficient from a triple with one normalisation
-_EXACT = {
-    Backend.RATIONAL: (_rational_parts, _rational_make),
-    Backend.GAUSSIAN: (GaussianRational.as_triple, GaussianRational.from_triple),
-}
-
-
-def _power_parts(c: Scalar, n: int, parts) -> list[tuple[int, int, int]]:
-    """c^m, m = 0..n, as integer triples (a, b, d) meaning (a+bi)/d, not reduced."""
-    p, q, r = parts(c)
-    out = [(1, 0, 1)]
-    for _ in range(n):
-        a, b, d = out[-1]
-        out.append((a * p - b * q, a * q + b * p, d * r))
-    return out
-
-
-def _scaled(v, a: int, b: int, d: int, parts, make):
+def _scaled(v, a: int, b: int, d: int, make):
     """v * (a+bi)/d with one normalisation, or none when (a+bi)/d is 1 or -1."""
     if d == 1 and b == 0 and (a == 1 or a == -1):
         return v if a == 1 else -v
-    x, y, e = parts(v)
+    x, y, e = exact_triple(v)
     return make(x * a - y * b, x * b + y * a, e * d)
 
 
-def _over_lcm(coeffs, parts) -> tuple[list[int], list[int] | None, int]:
+def _over_lcm(coeffs) -> tuple[list[int], list[int] | None, int]:
     """Real and imaginary integer numerators over the least common denominator.
 
     The imaginary list is None when every imaginary part is 0, so the kernels
     skip its products; on the rationals it always is.
     """
-    triples = list(map(parts, coeffs))
+    triples = list(map(exact_triple, coeffs))
     den = math.lcm(*[d for _, _, d in triples])
     re = [a * (den // d) for a, _, d in triples]
     im = [b * (den // d) for _, b, d in triples]
@@ -459,8 +437,7 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 
 def _mul(a: tuple, b: tuple, backend: Backend) -> tuple:
     """Coefficients of the product of two series of equal order: one convolution per part."""
-    parts, make = _EXACT[backend]
-    ar, ai, ad = _over_lcm(a, parts)
-    br, bi, bd = _over_lcm(b, parts)
+    ar, ai, ad = _over_lcm(a)
+    br, bi, bd = _over_lcm(b)
     re, im = _product(ar, ai, br, bi)
-    return tuple(map(make, re, im, repeat(ad * bd)))
+    return tuple(map(triple_maker(backend), re, im, repeat(ad * bd)))

@@ -143,6 +143,29 @@ class TestValues:
             )
 
 
+def test_rational_rows_take_no_fraction_power(monkeypatch):
+    # a deformation slot, or a PowerWeights family in a slot, reads the family's
+    # integer row directly, not u^T(m) as a Fraction power per degree
+    calls = []
+    power = F.__pow__
+
+    def counted(base, exponent):
+        calls.append(exponent)
+        return power(base, exponent)
+
+    p = make_params(F(7, 11), F(-13, 17))
+    x, y, u, v = F(2, 3), F(-5, 4), F(-3, 2), F(5, 7)
+    expect = [
+        sum(lucasnomial(n, k, p) * u ** binom2(n - k) * v ** binom2(k) * x ** (n - k) * y**k for k in range(n + 1))
+        for n in range(12)
+    ]
+    monkeypatch.setattr(F, "__pow__", counted)
+    for u_slot, v_slot in ((u, v), (PowerWeights(u), PowerWeights(v))):
+        weights = DeformedPowerWeights(x, y, u_slot, v_slot, p)
+        assert [weights(n) for n in range(12)] == expect
+    assert calls == []
+
+
 class TestPhiProduct:
     def test_empty_product(self):
         p = params_from_roots(F(2), F(-1))

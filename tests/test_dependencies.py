@@ -102,6 +102,22 @@ def test_functions_build_no_rational_rows():
     assert found == []
 
 
+def test_only_scalars_reads_or_builds_exact_triples():
+    # deformed and series read and build exact scalars through scalars' triple layer alone
+    package = Path(lucascalc.__file__).resolve().parent
+    forbidden = {"as_triple", "from_triple", "as_integer_ratio", "numerator", "denominator"}
+    found = []
+    for name in ("deformed.py", "series.py"):
+        for node in ast.walk(ast.parse((package / name).read_text(), name)):
+            if isinstance(node, ast.Attribute) and node.attr in forbidden:
+                found.append(f"{name}: {ast.unparse(node)}")
+            elif isinstance(node, ast.Name) and node.id in forbidden:
+                found.append(f"{name}: {node.id}")
+            elif isinstance(node, ast.Constant) and node.value in forbidden:  # methodcaller("...")
+                found.append(f"{name}: {node.value!r}")
+    assert found == []
+
+
 def test_every_private_module_name_is_used_in_its_module():
     # a helper or constant that a deletion leaves behind is dead code; a function
     # registered by a decorator of its module counts as used

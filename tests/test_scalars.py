@@ -40,8 +40,11 @@ from lucascalc.scalars import (
     backend_one,
     backend_zero,
     common_backend,
+    exact_triple,
+    gaussian_integer_power,
     gaussian_sqrt,
     rational_sqrt,
+    triple_maker,
 )
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -745,3 +748,90 @@ def test_reading_a_term_builds_no_factorial():
     lucasnomial_row(40, p)
     assert len(p.cache._fact) == 1
     assert lucastorial(5, p) == 1 * 1 * 2 * 3 * 5 and len(p.cache._fact) == 6
+
+
+@pytest.mark.parametrize("read", ["u", "factorial"])
+@pytest.mark.parametrize("s, t", [(F(1), F(1)), (GaussianRational(1), GaussianRational(0, 1)), (1.0, 1.0)])
+def test_cache_readers_refuse_a_negative_index_cold_and_warm(read, s, t):
+    # a negative n was read as a Python index: factorial(-1) gave {5}! = 30 on Fibonacci
+    cache = make_params(s, t).cache
+    for warm in (False, True):
+        if warm:
+            cache.factorial(5)
+        with pytest.raises(IndexOutOfRange):
+            getattr(cache, read)(-1)
+    assert cache.factorial(5) == lucastorial(5, make_params(s, t))
+
+
+def _rational(rng):
+    """A seeded rational: zero a fifth of the time, otherwise either sign over a small denominator."""
+    if rng.random() < 0.2:
+        return F(0)
+    return F(rng.randint(-40, 40) or 1, rng.randint(1, 30))
+
+
+def _gaussian_int_power_oracle(a, b, n):
+    ra, rb = 1, 0
+    for _ in range(n):
+        ra, rb = ra * a - rb * b, ra * b + rb * a
+    return ra, rb
+
+
+class TestTripleLayer:
+    """scalars' exact triple layer against Fraction and GaussianRational arithmetic."""
+
+    def test_reader_gives_the_canonical_triple(self):
+        rng = random.Random(3301)
+        for _ in range(400):
+            re, im = _rational(rng), _rational(rng)
+            a, b, d = exact_triple(GaussianRational(re, im))
+            assert d > 0 and math.gcd(a, b, d) == 1
+            assert (F(a, d), F(b, d)) == (re, im)
+            assert exact_triple(re) == (re.numerator, 0, re.denominator)
+            n = rng.randint(-10**30, 10**30)
+            assert exact_triple(n) == (n, 0, 1) and exact_triple(F(n)) == (n, 0, 1)
+        assert exact_triple(True) == (1, 0, 1)
+        for other in (0.5, 1j, "1", None):
+            assert exact_triple(other) is None
+
+    def test_makers_normalise_any_triple_once(self):
+        rng = random.Random(3302)
+        gaussian, rational = triple_maker(Backend.GAUSSIAN), triple_maker(Backend.RATIONAL)
+        for _ in range(400):
+            a, b = rng.choice((0, rng.randint(-500, 500))), rng.choice((0, rng.randint(-500, 500)))
+            d = rng.choice((-1, 1)) * rng.randint(1, 400)
+            g = gaussian(a, b, d)
+            assert type(g) is GaussianRational and g == GaussianRational(F(a, d), F(b, d))
+            assert exact_triple(g) == exact_triple(GaussianRational(F(a, d), F(b, d)))
+            q = rational(a, 0, d)
+            assert type(q) is F and q == F(a, d)
+            assert triple_maker(Backend.GAUSSIAN)(*exact_triple(g)) == g
+            assert rational(*exact_triple(q)) == q
+        with pytest.raises(ZeroDivisionError):
+            gaussian(1, 1, 0)
+        with pytest.raises(ZeroDivisionError):
+            rational(1, 0, 0)
+
+    def test_power_is_repeated_multiplication(self):
+        rng = random.Random(3303)
+        bases = [(0, 0), (0, 1), (1, 0), (-1, 0), (0, -3), (5, 0), (-2, 7)]
+        bases += [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(30)]
+        for a, b in bases:
+            for n in (0, 1, 2, 3, rng.randint(4, 40), 150):
+                assert gaussian_integer_power(a, b, n) == _gaussian_int_power_oracle(a, b, n)
+
+    def test_gaussian_rational_powers_are_repeated_products(self):
+        rng = random.Random(3304)
+        values = [GaussianRational(0, F(-3, 4)), GaussianRational(F(-5, 6)), GaussianRational(2, -1)]
+        values += [GaussianRational(_rational(rng), _rational(rng)) for _ in range(40)]
+        for g in values:
+            for n in (0, 1, 2, rng.randint(3, 25), 90):
+                product = GaussianRational(1)
+                for _ in range(n):
+                    product = product * g
+                assert g**n == product and exact_triple(g**n) == exact_triple(product)
+                if g:
+                    inverse = g ** -n
+                    assert inverse == GaussianRational(1) / product and inverse * product == 1
+        with pytest.raises(ZeroDivisionError):
+            GaussianRational(0) ** -2

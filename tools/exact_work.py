@@ -12,7 +12,10 @@ series-exact or bivariate-exact, and counts, over those runs: the
 ``math.gcd`` calls, the ``backend_of`` calls and the ``SeqCache._extend``
 calls (``extends``, one lock take each to grow a sequence).  It also
 hashes every record's outcome (id, status, failure count and the failures'
-params and sides) in order.  It prints one line:
+params and sides) in order.  The counters wrap ``scalars._reduced`` and
+``SeqCache._extend`` by name, so a counter that reads 0 over the run means
+the name no longer counts the work: the script then says which on stderr and
+exits with status 1.  It prints one line:
 
     fractions 367760 gaussian_reductions 100040 gcds 521154 backend_of 51560 extends 3887 outcomes b1f0b1500ff218e8
 
@@ -72,6 +75,10 @@ def main(argv=None) -> int:
             failures = [[f.params, f.lhs, f.rhs, f.delta] for f in r.failures]
             outcomes.update(f"{seed} {r.id} {r.status} {len(r.failures)} {failures!r}\n".encode())
     print(" ".join(f"{name} {count}" for name, count in counts.items()), "outcomes", outcomes.hexdigest()[:16])
+    unread = [name for name, count in counts.items() if count == 0]
+    if unread:
+        print(f"counters that read 0 (a wrapped name no longer does the work): {', '.join(unread)}", file=sys.stderr)
+        return 1
     return 0
 
 
