@@ -2,7 +2,9 @@
 
 The derivative of f at x is (f(phi x) - f(phi' x)) / ((phi - phi') x),
 exact on truncated series (power rule a_n -> a_n {n}) and numeric on
-black-box functions.  The definite integral sums f over the contracting
+black-box functions.  On an exact series whose backend the parameters share,
+the power rule and its inverse run on the series' integer form and the
+triples of {n} (``SeqCache.u_triple``), and build no scalar.  The definite integral sums f over the contracting
 node family r^k / lead, a geometric-type quadrature that inverts the
 derivative for integrable functions.
 """
@@ -10,10 +12,12 @@ derivative for integrable functions.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import mul
 from typing import Callable
 
 from .errors import DivisionByZeroValue, NonContractingNodes, NonConvergent, OrderMismatch, VanishingFactor
-from .scalars import Backend, LucasParams, Scalar, backend_zero, magnitude
+from .scalars import Backend, LucasParams, Scalar, backend_zero, magnitude, times_columns
 from .series import TruncatedSeries, TruncatedSeries2
 
 RealFn = Callable[[Scalar], Scalar]
@@ -46,26 +50,38 @@ def derivative_value(f: RealFn, x: Scalar, params: LucasParams) -> Scalar:
 def derivative_series(f: TruncatedSeries, params: LucasParams) -> TruncatedSeries:
     """Power rule on coefficients: a_n z^n -> a_n {n} z^(n-1); order drops by one.
 
-    Raises OrderMismatch on an order-0 series, whose derivative has no
-    known coefficient.
+    Over an exact backend shared with the parameters it runs on the integer
+    form of the series and the triples of {n}.  Raises OrderMismatch on an
+    order-0 series, whose derivative has no known coefficient.
     """
-    cache = params.cache
     if f.order == 0:
         raise OrderMismatch("the derivative of an order-0 series has no known coefficient")
-    out = [f.coeffs[n] * cache.u(n) for n in range(1, f.order + 1)]
-    return TruncatedSeries(out, f.backend)
+    if not _integer(f, params):
+        cache = params.cache
+        return TruncatedSeries([f.coeffs[n] * cache.u(n) for n in range(1, f.order + 1)], f.backend)
+    re, im, den = f.columns()
+    ur, ui, ud = _u_columns(params, range(1, f.order + 1))
+    re, im = times_columns(re[1:], im and im[1:], ur, ui)
+    return TruncatedSeries.from_columns(re, im, [den * d for d in ud], f.backend)
 
 
 def antiderivative_series(f: TruncatedSeries, params: LucasParams) -> TruncatedSeries:
-    """Inverse power rule with zero constant term; order grows by one."""
-    cache = params.cache
-    out = [backend_zero(f.backend)]
-    for n, a in enumerate(f.coeffs):
-        term = cache.u(n + 1)
-        if term == 0:
-            raise VanishingFactor(n + 1)
-        out.append(a / term)
-    return TruncatedSeries(out, f.backend)
+    """Inverse power rule with zero constant term; order grows by one.
+
+    A vanishing {n+1} under a coefficient a_n raises VanishingFactor(n+1) for the first such n.
+    """
+    if not _integer(f, params):
+        cache = params.cache
+        out = [backend_zero(f.backend)]
+        for n, a in enumerate(f.coeffs):
+            term = cache.u(n + 1)
+            if term == 0:
+                raise VanishingFactor(n + 1)
+            out.append(a / term)
+        return TruncatedSeries(out, f.backend)
+    re, im, den = f.columns()
+    re, im, dens = _over_u(re, im, den, params, range(1, f.order + 2))
+    return TruncatedSeries.from_columns([0, *re], im and [0, *im], [1, *dens], f.backend)
 
 
 def derivative_series2(F: TruncatedSeries2, params: LucasParams, var: int = 0) -> TruncatedSeries2:
@@ -77,32 +93,80 @@ def derivative_series2(F: TruncatedSeries2, params: LucasParams, var: int = 0) -
     _check_var(var)
     if F.order == 0:
         raise OrderMismatch("the derivative of an order-0 series has no known coefficient")
-    cache = params.cache
-    out = {}
-    for (j, k), c in F.coeffs.items():
-        if var == 0 and j > 0:
-            out[(j - 1, k)] = c * cache.u(j)
-        elif var == 1 and k > 0:
-            out[(j, k - 1)] = c * cache.u(k)
-    return TruncatedSeries2(out, F.order - 1, F.backend)
+    if not _integer(F, params):
+        cache = params.cache
+        out = {}
+        for (j, k), c in F.coeffs.items():
+            if var == 0 and j > 0:
+                out[(j - 1, k)] = c * cache.u(j)
+            elif var == 1 and k > 0:
+                out[(j, k - 1)] = c * cache.u(k)
+        return TruncatedSeries2(out, F.order - 1, F.backend)
+    keys, re, im, den = F.columns()
+    kept = [i for i, key in enumerate(keys) if key[var] > 0]
+    ur, ui, ud = _u_columns(params, [keys[i][var] for i in kept])
+    re, im = times_columns([re[i] for i in kept], im and [im[i] for i in kept], ur, ui)
+    keys = [_moved(keys[i], var, -1) for i in kept]
+    return TruncatedSeries2.from_columns(keys, re, im, [den * d for d in ud], F.order - 1, F.backend)
 
 
 def antiderivative_series2(F: TruncatedSeries2, params: LucasParams, var: int = 0) -> TruncatedSeries2:
     """Partial antiderivative in x (var 0) or y (var 1), zero constant slice.
 
-    Raises ValueError for any other ``var``.
+    A vanishing {m} under a coefficient of degree m - 1 in the variable
+    raises VanishingFactor(m) for the first such key, in the order the
+    coefficients are stored.  Raises ValueError for any other ``var``.
     """
     _check_var(var)
-    cache = params.cache
-    out = {}
-    for (j, k), c in F.coeffs.items():
-        m = (j if var == 0 else k) + 1
-        term = cache.u(m)
-        if term == 0:
+    if not _integer(F, params):
+        cache = params.cache
+        out = {}
+        for (j, k), c in F.coeffs.items():
+            m = (j if var == 0 else k) + 1
+            term = cache.u(m)
+            if term == 0:
+                raise VanishingFactor(m)
+            key = (j + 1, k) if var == 0 else (j, k + 1)
+            out[key] = c / term
+        return TruncatedSeries2(out, F.order + 1, F.backend)
+    keys, re, im, den = F.columns()
+    re, im, dens = _over_u(re, im, den, params, [key[var] + 1 for key in keys])
+    keys = [_moved(key, var, 1) for key in keys]
+    return TruncatedSeries2.from_columns(keys, re, im, dens, F.order + 1, F.backend)
+
+
+def _integer(f, params: LucasParams) -> bool:
+    """Whether the power rule runs on the integer form: f and the parameters share an exact backend."""
+    return f.backend is params.backend and f.backend is not Backend.COMPLEX
+
+
+def _u_columns(params: LucasParams, degrees) -> tuple:
+    """{n} at the degrees as integer columns (re, im, dens) of ``SeqCache.u_triple``; im None where all are real."""
+    triples = list(map(params.cache.u_triple, degrees))
+    im = [b for _, b, _ in triples]
+    return [a for a, _, _ in triples], (im if any(im) else None), [d for _, _, d in triples]
+
+
+def _over_u(re: list, im: list | None, den: int, params: LucasParams, degrees) -> tuple:
+    """(re[i] + i im[i]) / den divided by {degrees[i]}, as integer columns (re, im, dens).
+
+    (x/den) / ((p+qi)/e) is x (p-qi) e / (den (p^2+q^2)), and x e / (den p)
+    where every q is 0.  The first vanishing {m} raises VanishingFactor(m).
+    """
+    ur, ui, ud = _u_columns(params, degrees)
+    for m, p, q in zip(degrees, ur, ui or repeat(0)):
+        if not p and not q:
             raise VanishingFactor(m)
-        key = (j + 1, k) if var == 0 else (j, k + 1)
-        out[key] = c / term
-    return TruncatedSeries2(out, F.order + 1, F.backend)
+    if ui is None:
+        re, im = times_columns(re, im, ud, None)
+        return re, im, [den * p for p in ur]
+    re, im = times_columns(re, im, list(map(mul, ur, ud)), [-q * e for q, e in zip(ui, ud)])
+    return re, im, [den * (p * p + q * q) for p, q in zip(ur, ui)]
+
+
+def _moved(key: tuple[int, int], var: int, step: int) -> tuple[int, int]:
+    """The key with its var-th degree moved by step."""
+    return (key[0] + step, key[1]) if var == 0 else (key[0], key[1] + step)
 
 
 def _check_var(var: int) -> None:

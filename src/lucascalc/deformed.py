@@ -9,13 +9,17 @@ Each degree-n row is built in O(n): the Lucasnomials come from one
 telescoped pass (``SeqCache.lucasnomial_parts``), and the weights u^T(n-k),
 v^T(k) from two rows indexed by degree that the callers hold for every
 degree they build.  Over the exact backends a row is integer columns of
-``scalars``' triples, one :class:`PowerWeights` per deformation keeps its
-own, and :func:`deformed_row`, :func:`row_value` and
-:func:`power_coefficient` (a function series' w(m) / {m}!) are each written
-once for both backends and normalise each output once.  Every point value
-of a row is one degree of :class:`DeformedPowerWeights`.  Multinomial
-numbers multiply the parts' rows u_i^T(k) / {k}! one degree at a time; a
-multinomial series multiplies the same rows with the series ``*`` instead.
+``scalars``' triples, and one :class:`PowerWeights` per deformation keeps
+its own.  The series producers of ``functions`` take their coefficients as
+those columns, not normalised: :func:`deformed_row_columns` for a bivariate
+row and :func:`coefficient_columns` for a function series' w(m) / {m}! at
+the degrees its kind reads.  What leaves as values, :func:`deformed_row`,
+:func:`row_value` and :func:`power_coefficient`, is normalised once per
+value by ``scalars.exact_column``; each is written once for both exact
+backends.  Every point value of a row is one degree of
+:class:`DeformedPowerWeights`.  Multinomial numbers multiply the parts' rows
+u_i^T(k) / {k}! one degree at a time; a multinomial series multiplies the
+same rows with the series ``*`` instead.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, repeat
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange
@@ -38,9 +41,11 @@ from .scalars import (
     backend_zero,
     binom2,
     common_backend,
+    exact_column,
     exact_triple,
     gaussian_integer_power,
-    triple_maker,
+    power_columns,
+    times_columns,
 )
 
 Weights = Callable[[int], Scalar]
@@ -62,26 +67,6 @@ def _columns(triples) -> tuple:
     return re, (im if any(im) else None), den
 
 
-def _times(xr, xi, yr, yi) -> tuple:
-    """Entrywise (xr + i xi)(yr + i yi) of integer columns, to the shorter; a None column is 0."""
-    re, im = list(map(mul, xr, yr)), None
-    if xi is not None:
-        im = list(map(mul, xi, yr))
-        if yi is not None:
-            re = list(map(sub, re, map(mul, xi, yi)))
-    if yi is not None:
-        t = map(mul, xr, yi)
-        im = list(t) if im is None else list(map(add, im, t))
-    return re, im
-
-
-def _powers(a: int, b: int, n: int) -> tuple:
-    """(a+bi)^j, j = 0..n, as integer columns (re, im); im is None for b = 0."""
-    if not b:
-        return list(accumulate(repeat(a, n), mul, initial=1)), None
-    return tuple(zip(*(gaussian_integer_power(a, b, j) for j in range(n + 1))))
-
-
 def _row_columns(n: int, u_row: tuple, v_row: tuple, params: LucasParams, negative: bool | None) -> tuple:
     """C(n,k) u_row[n-k] v_row[k], k = 0..n, as columns; divided by {n}! and negated as asked.
 
@@ -93,7 +78,7 @@ def _row_columns(n: int, u_row: tuple, v_row: tuple, params: LucasParams, negati
     VanishingFactor in a series row before the Lucasnomial's DivisionByZeroFactor.
     """
     (ur, ui, ud), (vr, vi, vd) = u_row, v_row
-    re, im = _times(ur[n::-1], ui and ui[n::-1], vr, vi)
+    re, im = times_columns(ur[n::-1], ui and ui[n::-1], vr, vi)
     den = list(map(mul, ud[n::-1], vd))
     if negative is not None:
         fact, fact_den = params.cache.factorial_parts(n)  # fact_den is None over the fields
@@ -102,14 +87,57 @@ def _row_columns(n: int, u_row: tuple, v_row: tuple, params: LucasParams, negati
     if dens is None:
         cr, ci, dens = _columns(map(exact_triple, nums))
         if negative is not None:
-            a, b, d = exact_triple(-1 / fact if negative else 1 / fact)
-            cr, ci = _times(cr, ci, [a] * (n + 1), [b] * (n + 1) if b else None)
-            dens = [e * d for e in dens]
+            p, q, e = exact_triple(fact)  # ±1/{n}! = ±e (p - qi) / (p^2 + q^2), not reduced
+            a, b = (-e * p, e * q) if negative else (e * p, -e * q)
+            cr, ci = times_columns(cr, ci, [a] * (n + 1), [b] * (n + 1) if b else None)
+            dens = [f * (p * p + q * q) for f in dens]
     elif negative is not None:
         scale = -fact_den if negative else fact_den
-        cr, dens = [num * (scale // d) for num, d in zip(nums, dens)], repeat(fact)
-    re, im = _times(re, im, cr, ci)
+        cr, dens = [num * (scale // d) for num, d in zip(nums, dens)], [fact] * (n + 1)
+    re, im = times_columns(re, im, cr, ci)
     return re, im, list(map(mul, den, dens))
+
+
+def coefficient_columns(u: Scalar | Weights, params: LucasParams, degrees, negatives) -> tuple | None:
+    """Integer columns (re, im, dens) of the function-series coefficients ±w(m) / {m}! at the degrees.
+
+    Entry j is the degree degrees[j], negated where negatives[j] is true.  The
+    weight is w(m) = u^T(m) for a deformation parameter u, or u(m) for a
+    weight family u, any callable of the degree.  Each entry is the weight's
+    triple raised to T(m) (to 1 for a family) over {m}!'s
+    (``SeqCache.factorial_parts``), the sign in the numerator, and nothing is
+    normalised; im is None where every imaginary part is 0.  Over the exact
+    backends only: a weight outside the parameters' exact backend (a float,
+    or a Gaussian rational over the rationals) gives None, and
+    :func:`power_coefficient` divides it as a value.  A vanishing {k}, k <= m,
+    raises VanishingFactor(k) at the first degree m past it, as the factorial does.
+    """
+    family = callable(u)
+    rational = params.backend is Backend.RATIONAL
+    cache = params.cache
+    parts = None if family else exact_triple(u)
+    if not family and (parts is None or (rational and isinstance(u, GaussianRational))):
+        return None
+    re, im, dens = [], [], []
+    for m, negative in zip(degrees, negatives):
+        power = m * (m - 1) // 2  # T(m)
+        if family:
+            weight, power = u(m), 1
+            parts = exact_triple(weight)
+            if parts is None or (rational and isinstance(weight, GaussianRational)):
+                return None
+        a, b, d = parts
+        a, b = gaussian_integer_power(a, b, power)
+        fact, fact_den = cache.factorial_parts(m)
+        if fact_den is None:  # over the Gaussian rationals (a+bi)/d over (p+qi)/e is (a+bi)(p-qi) e / (d (p^2 + q^2))
+            p, q, e = exact_triple(fact)
+            a, b, d = (a * p + b * q) * e, (b * p - a * q) * e, d**power * (p * p + q * q)
+        else:
+            a, d = a * fact_den, d**power * fact
+        re.append(-a if negative else a)
+        im.append(-b if negative else b)
+        dens.append(d)
+    return re, (im if any(im) else None), dens
 
 
 def power_coefficient(
@@ -117,32 +145,34 @@ def power_coefficient(
 ) -> Scalar:
     """The degree-m coefficient w(m) / {m}! of a function series, negated if asked.
 
-    The weight is w(m) = u^T(m) for a deformation parameter u, or u(m) for a
-    weight family u, any callable of the degree.  Over the exact backends the
-    coefficient is one normalisation of the weight's triple raised to T(m)
-    (to 1 for a family) over {m}!'s (``SeqCache.factorial_parts``), the sign
-    in the numerator.  Over the floats, and for a family value outside the
-    parameters' exact backend, it is w(m) / {m}!.  A vanishing {k}, k <= m,
-    raises VanishingFactor(k) as the factorial does.
+    Over the exact backends it is one normalisation of the entry of
+    :func:`coefficient_columns`.  Over the floats, and for a family value
+    outside the parameters' exact backend, it is w(m) / {m}!.  A vanishing
+    {k}, k <= m, raises VanishingFactor(k) as the factorial does.
     """
-    family = callable(u)
-    weight = u(m) if family else u
-    power = 1 if family else binom2(m)
     backend = params.backend
-    wide = backend is Backend.RATIONAL and isinstance(weight, GaussianRational)
-    parts = None if backend is Backend.COMPLEX or wide else exact_triple(weight)
-    if parts is None:
-        value = (weight if family else weight**power) / params.cache.factorial(m)
-        return -value if negative else value
-    a, b, d = parts
-    a, b = gaussian_integer_power(a, b, power)
-    fact, fact_den = params.cache.factorial_parts(m)
-    if fact_den is None:  # over the Gaussian rationals (a+bi)/d over (p+qi)/e is (a+bi)(p-qi) e / (d (p^2 + q^2))
-        p, q, e = exact_triple(fact)
-        a, b, d = (a * p + b * q) * e, (b * p - a * q) * e, d**power * (p * p + q * q)
-    else:
-        a, d = a * fact_den, d**power * fact
-    return triple_maker(backend)(-a if negative else a, -b if negative else b, d)
+    if backend is not Backend.COMPLEX:
+        columns = coefficient_columns(u, params, (m,), (negative,))
+        if columns is not None:
+            return exact_column(backend, *columns)[0]
+    weight = u(m) if callable(u) else u ** binom2(m)
+    value = weight / params.cache.factorial(m)
+    return -value if negative else value
+
+
+def deformed_row_columns(
+    n: int,
+    u_weights: PowerWeights,
+    v_weights: PowerWeights,
+    params: LucasParams,
+    negative: bool | None = None,
+) -> tuple:
+    """Over the exact backends: the row of :func:`deformed_row` as integer columns (re, im, dens).
+
+    Entry k is (re[k] + i im[k]) / dens[k], not normalised; im is None where
+    every imaginary part is 0.
+    """
+    return _row_columns(n, u_weights._columns(n), v_weights._columns(n), params, negative)
 
 
 def deformed_row(
@@ -163,8 +193,7 @@ def deformed_row(
     """
     backend = params.backend
     if backend is not Backend.COMPLEX:
-        re, im, den = _row_columns(n, u_weights._columns(n), v_weights._columns(n), params, negative)
-        return list(map(triple_maker(backend), re, im or repeat(0), den))
+        return exact_column(backend, *deformed_row_columns(n, u_weights, v_weights, params, negative))
     if negative is not None:
         scale = (-1 if negative else 1) / params.cache.factorial(n)
     u_weights(n), v_weights(n)  # grow the value rows to degree n
@@ -196,12 +225,12 @@ def row_value(n: int, u_row, v_row, x: Scalar, y: Scalar, params: LucasParams) -
     den = math.lcm(*dens)
     xa, xb, xd = exact_triple(x)
     ya, yb, yd = exact_triple(y)
-    pr, pi = _powers(xa * yd, xb * yd, n)
-    qr, qi = _powers(ya * xd, yb * xd, n)
-    pr, pi = _times(pr[::-1], pi and pi[::-1], qr, qi)  # P^(n-k) Q^k, before the row's large entries
-    pr, pi = _times(pr, pi, [den // d for d in dens], None)
-    re, im = _times(re, im, pr, pi)
-    return triple_maker(backend)(sum(re), sum(im or ()), den * (xd * yd) ** n)
+    pr, pi = power_columns(xa * yd, xb * yd, n)
+    qr, qi = power_columns(ya * xd, yb * xd, n)
+    pr, pi = times_columns(pr[::-1], pi and pi[::-1], qr, qi)  # P^(n-k) Q^k, before the row's large entries
+    pr, pi = times_columns(pr, pi, [den // d for d in dens], None)
+    re, im = times_columns(re, im, pr, pi)
+    return exact_column(backend, (sum(re),), (sum(im or ()),), (den * (xd * yd) ** n,))[0]
 
 
 def deformed_power_coeffs(n: int, u: Scalar, v: Scalar, params: LucasParams) -> DeformedBinomial:
@@ -265,8 +294,8 @@ class PowerWeights:
         backend = backend_of(u)
         self._values = [backend_one(backend)]
         self._power = self._values[0]
+        self._backend = backend
         self._triple = None if backend is Backend.COMPLEX else exact_triple(u)
-        self._make = None if self._triple is None else triple_maker(backend)
         self._row = ([], [], [])
 
     def __call__(self, n: int) -> Scalar:
@@ -274,7 +303,7 @@ class PowerWeights:
             raise IndexOutOfRange("n must be nonnegative")
         if self._triple is not None:
             re, im, den = self._columns(n)
-            return self._make(re[n], im[n] if im else 0, den[n])
+            return exact_column(self._backend, (re[n],), (im[n] if im else 0,), (den[n],))[0]
         values = self._values
         while len(values) <= n:
             values.append(values[-1] * self._power)

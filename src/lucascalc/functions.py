@@ -10,12 +10,15 @@ deformation weight w(m) divided by the factorial analogue {m}!:
 With power weights w(m) = u^T(m) these are the one-parameter functions;
 the multinomial, deformed-zero and binomial-combination variants swap in
 another weight family.  Every series is one sign-and-degree pattern over a
-row of degree-m coefficients: ``deformed.power_coefficient``'s w(m) / {m}!,
-signed as it is built, of the family for :func:`weighted_fn_series` and of
-the power weights u^T(m) for the exact :func:`fn_series`, and for
-:func:`multinomial_series` the product of the parts' rows, which already
-carries the 1/{m}!.  Each series producer grows the sequence to its top
-degree once, before its loop.  :func:`fn_value_info`
+row of degree-m coefficients: w(m) / {m}!, signed as it is built, of the
+family for :func:`weighted_fn_series` and of the power weights u^T(m) for
+the exact :func:`fn_series`, and for :func:`multinomial_series` the product
+of the parts' rows, which already carries the 1/{m}!.  Over the exact
+backends the row is the integer columns of
+``deformed.coefficient_columns``, or of the product, which
+``TruncatedSeries.from_columns`` takes with no value built; over the floats
+it is ``deformed.power_coefficient``'s values.  Each series producer grows
+the sequence to its top degree once, before its loop.  :func:`fn_value_info`
 sums ratio-form terms on the ratio tables of (u, params), kept here under
 one module lock, and every weight family's value goes through
 :func:`weighted_fn_value`.
@@ -32,7 +35,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from typing import Callable, Sequence
 
 from .deformed import (
@@ -41,7 +44,9 @@ from .deformed import (
     MultinomialWeights,
     PowerWeights,
     Weights,
+    coefficient_columns,
     deformed_row,
+    deformed_row_columns,
     power_coefficient,
 )
 from .errors import (
@@ -201,11 +206,11 @@ def _require_series_kind(kind: FnKind) -> None:
 
 
 def _pattern_series(
-    kind: FnKind, coefficient: Callable[[int, bool], Scalar], order: int, backend: Backend
+    kind: FnKind, coefficients: Callable[[range, list], list | tuple], order: int, backend: Backend
 ) -> TruncatedSeries:
-    """Series of a series kind whose primary kinds take their degree-m
-    coefficient from coefficient(m, negative), negative where their pattern's
-    sign is -1.
+    """Series of a series kind whose primary kinds take their coefficients
+    from coefficients(degrees, negatives), with negatives[j] true where the
+    pattern's sign at degrees[j] is -1.
 
     Only the degrees a primary kind's pattern reaches are read.  Quotient
     kinds multiply the numerator series by the reciprocal of the denominator
@@ -213,15 +218,32 @@ def _pattern_series(
     """
     if kind in _QUOTIENTS:
         numerator, denominator = _QUOTIENTS[kind]
-        recip = _pattern_series(denominator, coefficient, order, backend).reciprocal()
+        recip = _pattern_series(denominator, coefficients, order, backend).reciprocal()
         if numerator is None:
             return recip
-        return _pattern_series(numerator, coefficient, order, backend) * recip
+        return _pattern_series(numerator, coefficients, order, backend) * recip
     first, step, alternating = _PRIMARY[kind]
-    coeffs = [backend_zero(backend)] * (order + 1)
-    for j, m in enumerate(range(first, order + 1, step)):
-        coeffs[m] = coefficient(m, alternating and j % 2 == 1)
-    return TruncatedSeries(coeffs, backend)
+    degrees = range(first, order + 1, step)
+    negatives = [alternating and j % 2 == 1 for j in range(len(degrees))]
+    return _placed(coefficients(degrees, negatives), first, step, order, backend)
+
+
+def _placed(formed: list | tuple, first: int, step: int, order: int, backend: Backend) -> TruncatedSeries:
+    """The series with formed at the degrees first, first + step, ... up to order, and 0 elsewhere.
+
+    formed is a list of values, or integer columns (re, im, dens) from
+    ``deformed.coefficient_columns``, which go to ``TruncatedSeries.from_columns``.
+    """
+    if isinstance(formed, list):
+        coeffs = [backend_zero(backend)] * (order + 1)
+        coeffs[first::step] = formed
+        return TruncatedSeries(coeffs, backend)
+    re, dens, im = [0] * (order + 1), [1] * (order + 1), None
+    re[first::step], dens[first::step] = formed[0], formed[2]
+    if formed[1] is not None:
+        im = [0] * (order + 1)
+        im[first::step] = formed[1]
+    return TruncatedSeries.from_columns(re, im, dens, backend)
 
 
 def _grow_sequence(params: LucasParams, order: int) -> None:
@@ -234,9 +256,23 @@ def _grow_sequence(params: LucasParams, order: int) -> None:
         params.cache.factorial_parts(max(order, 0))
 
 
-def _negated_after(coefficient: Callable[[int], Scalar]) -> Callable[[int, bool], Scalar]:
-    """coefficient(m), negated where the pattern asks, for :func:`_pattern_series`."""
-    return lambda m, negative: -coefficient(m) if negative else coefficient(m)
+def _coefficients(u: Scalar | Weights, params: LucasParams) -> Callable[[range, list], list | tuple]:
+    """The signed coefficients w(m) / {m}! of a deformation or weight family u, for :func:`_pattern_series`.
+
+    Over the exact backends they are the integer columns of
+    :func:`~lucascalc.deformed.coefficient_columns`; over the floats, and for
+    a family value outside the parameters' exact backend, a list of
+    :func:`~lucascalc.deformed.power_coefficient` values.
+    """
+
+    def formed(degrees: range, negatives: list) -> list | tuple:
+        if params.backend is not Backend.COMPLEX:
+            columns = coefficient_columns(u, params, degrees, negatives)
+            if columns is not None:
+                return columns
+        return [power_coefficient(u, params, m, negative) for m, negative in zip(degrees, negatives)]
+
+    return formed
 
 
 def weighted_fn_series(
@@ -244,13 +280,12 @@ def weighted_fn_series(
 ) -> TruncatedSeries:
     """Series of a kind with an arbitrary weight family: degree m carries w(m) / {m}!.
 
-    Each coefficient is one :func:`~lucascalc.deformed.power_coefficient` of
-    the family, signed as it is built.
+    The coefficients come from :func:`_coefficients`, signed as they are built.
     """
     _require_series_kind(kind)
     common_backend(weights(0), params.s)
     _grow_sequence(params, order)
-    return _pattern_series(kind, partial(power_coefficient, weights, params), order, params.backend)
+    return _pattern_series(kind, _coefficients(weights, params), order, params.backend)
 
 
 def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> TruncatedSeries:
@@ -258,9 +293,9 @@ def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> Trunc
 
     The u = 0 limits come out of the same formula via the 0^0 = 1
     convention: only the degree 0 and 1 weights survive.  Over the exact
-    backends each coefficient the kind reads is one
-    :func:`~lucascalc.deformed.power_coefficient`, signed as it is built; the
-    floats keep the running product of :class:`PowerWeights`.
+    backends the degrees the kind reads are one call of
+    :func:`~lucascalc.deformed.coefficient_columns`, signed as they are
+    built; the floats keep the running product of :class:`PowerWeights`.
     """
     if params.backend is Backend.COMPLEX:
         return weighted_fn_series(kind, PowerWeights(u), params, order)
@@ -268,7 +303,7 @@ def fn_series(kind: FnKind, u: Scalar, params: LucasParams, order: int) -> Trunc
     _require_series_kind(kind)
     common_backend(u, params.s)
     _grow_sequence(params, order)
-    return _pattern_series(kind, partial(power_coefficient, u, params), order, params.backend)
+    return _pattern_series(kind, _coefficients(u, params), order, params.backend)
 
 
 _TABLE_LOCK = threading.Lock()  # the ratio tables' slots and growth; never nests with a SeqCache lock
@@ -466,22 +501,37 @@ def multinomial_series(
     """Series of the multinomial-weighted family member: the kind's pattern over
     the product of the parts' rows u^T(m) z^m / {m}!.
 
-    Each row entry is one :func:`~lucascalc.deformed.power_coefficient`, over
-    the floats the u ** T(m) / {m}! that :class:`MultinomialWeights` forms, and
-    the rows are multiplied as ``row * product`` from the first part on, so
-    the exact backends run the integer kernel of ``*`` and each float
-    coefficient adds its terms in the order the point path does.  The rows
-    stop at the last degree the kind reads, so a vanishing {k} past it is
-    never divided by.
+    Each row is one :func:`_coefficients` call, over the floats the
+    u ** T(m) / {m}! that :class:`MultinomialWeights` forms, and the rows are
+    multiplied as ``row * product`` from the first part on, so the exact
+    backends run the integer kernel of ``*`` and each float coefficient adds
+    its terms in the order the point path does.  The pattern is read from the
+    product's integer columns over the exact backends.  The rows stop at the
+    last degree the kind reads, so a vanishing {k} past it is never divided by.
     """
     us = MultinomialWeights(us, params).us  # no parts, or parts of another backend, raise here
     _require_series_kind(kind)
     parts = [_PRIMARY[part] for part in _QUOTIENTS.get(kind, (kind,)) if part is not None]
     top = max(0, *(order - (order - first) % step for first, step, _ in parts))
     _grow_sequence(params, top)
-    rows = [TruncatedSeries([power_coefficient(u, params, m) for m in range(top + 1)], params.backend) for u in us]
+    backend = params.backend
+    degrees = range(top + 1)
+    rows = [_placed(_coefficients(u, params)(degrees, [False] * (top + 1)), 0, 1, top, backend) for u in us]
     product = reduce(lambda product, row: row * product, rows)
-    return _pattern_series(kind, _negated_after(product.coeffs.__getitem__), order, params.backend)
+    if backend is Backend.COMPLEX:
+        coeffs = product.coeffs
+
+        def picked(degrees: range, negatives: list) -> list:
+            return [-coeffs[m] if negative else coeffs[m] for m, negative in zip(degrees, negatives)]
+
+    else:
+        re, im, den = product.columns()
+
+        def picked(degrees: range, negatives: list) -> tuple:
+            signed = [(m, -1 if negative else 1) for m, negative in zip(degrees, negatives)]
+            return [re[m] * sign for m, sign in signed], im and [im[m] * sign for m, sign in signed], [den] * len(signed)
+
+    return _pattern_series(kind, picked, order, backend)
 
 
 def multinomial_value(kind: FnKind, us: Sequence[Scalar], x: Scalar, params: LucasParams) -> Scalar:
@@ -505,9 +555,10 @@ def binomial_series2(
     """Bivariate series built from the deformed powers of (x, y).
 
     Entry (n-k, k) is ±C(n,k) u^T(n-k) v^T(k) / {n}!: row n is one
-    :func:`~lucascalc.deformed.deformed_row`, which builds each entry from
-    integer parts over the exact backends.  The powers of u and v are formed
-    once per series, and the sequence is grown to the order once.
+    :func:`~lucascalc.deformed.deformed_row`, over the exact backends as its
+    integer columns (:func:`~lucascalc.deformed.deformed_row_columns`), which
+    go over one denominator together.  The powers of u and v are formed once
+    per series, and the sequence is grown to the order once.
     """
     if kind not in _PRIMARY:
         raise PoleAtOrigin(f"{kind.value} has no bivariate series form")
@@ -515,11 +566,21 @@ def binomial_series2(
     first, step, alternating = _PRIMARY[kind]
     u_weights, v_weights = PowerWeights(u), PowerWeights(v)
     _grow_sequence(params, order)
-    out: dict[tuple[int, int], Scalar] = {}
-    for j, n in enumerate(range(first, order + 1, step)):
-        for k, c in enumerate(deformed_row(n, u_weights, v_weights, params, alternating and j % 2 == 1)):
-            out[(n - k, k)] = c
-    return TruncatedSeries2(out, order, params.backend)
+    rows = range(first, order + 1, step)
+    if params.backend is Backend.COMPLEX:
+        out: dict[tuple[int, int], Scalar] = {}
+        for j, n in enumerate(rows):
+            for k, c in enumerate(deformed_row(n, u_weights, v_weights, params, alternating and j % 2 == 1)):
+                out[(n - k, k)] = c
+        return TruncatedSeries2(out, order, params.backend)
+    keys, re, im, dens = [], [], [], []
+    for j, n in enumerate(rows):
+        row_re, row_im, row_dens = deformed_row_columns(n, u_weights, v_weights, params, alternating and j % 2 == 1)
+        keys += [(n - k, k) for k in range(n + 1)]
+        re += row_re
+        im += [0] * (n + 1) if row_im is None else row_im
+        dens += row_dens
+    return TruncatedSeries2.from_columns(keys, re, im if any(im) else None, dens, order, params.backend)
 
 
 def weighted_binomial_value(

@@ -11,12 +11,16 @@ values (sequences, factorials, binomial analogues) are computed in the
 backend of their parameters.
 
 The exact backends share one integer format, the triple (a, b, d) meaning
-(a+bi)/d; a rational n/d is (n, 0, d).  :func:`exact_triple` reads a value's
-canonical triple, :func:`triple_maker` builds a value from any triple with
-one normalisation, and :func:`gaussian_integer_power` raises a+bi to a power.
-The integer kernels of ``series`` and ``deformed`` read and build exact
-scalars through these alone; they multiply triples unreduced, normalise
-once per output, and skip the imaginary products where every b is 0.
+(a+bi)/d; a rational n/d is (n, 0, d).  Triples go by columns: re, im and
+den, each a sequence of integers, im None where every b is 0.
+:func:`exact_triple` reads a value's canonical triple, :func:`exact_column`
+builds the values of integer columns with one normalisation each,
+:func:`gaussian_integer_power` raises a+bi to a power and
+:func:`power_columns` to every power up to n, and :func:`times_columns`
+multiplies two columns entry by entry.  The integer kernels of ``series``,
+``deformed`` and ``calculus`` read and build exact scalars through these
+alone; they multiply triples unreduced, normalise only what leaves as
+values, and skip the imaginary products where every b is 0.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import operator
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Optional, Union
 
 from .errors import (
@@ -227,17 +232,44 @@ def exact_triple(value) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _fraction_of_triple(a: int, b: int, d: int) -> Fraction:
-    return Fraction(a, d)  # b is 0: a rational triple has no imaginary part
+def exact_column(backend: Backend, re, im, den) -> list:
+    """The values (re_k + i im_k) / den_k of integer columns in an exact backend, one normalisation each.
 
-
-def triple_maker(backend: Backend):
-    """The maker (a, b, d) -> (a+bi)/d of an exact backend, one normalisation per value.
-
-    Over the rationals it is Fraction(a, d), for a triple whose b is 0; over
-    the Gaussian rationals it is :meth:`GaussianRational.from_triple`.
+    The columns are iterables of integers with every den_k != 0, and im None
+    is 0.  Over the rationals, whose im is 0, each value is Fraction(re_k,
+    den_k); over the Gaussian rationals it is :meth:`GaussianRational.from_triple`.
     """
-    return GaussianRational.from_triple if backend is Backend.GAUSSIAN else _fraction_of_triple
+    if backend is Backend.GAUSSIAN:
+        return list(map(GaussianRational.from_triple, re, repeat(0) if im is None else im, den))
+    return list(map(Fraction, re, den))
+
+
+def times_columns(xr, xi, yr, yi) -> tuple:
+    """Entrywise (xr + i xi)(yr + i yi) of integer columns, to the shorter, as lists (re, im).
+
+    A None column is 0 and costs no product; im is None when xi and yi are.
+    """
+    re, im = list(map(operator.mul, xr, yr)), None
+    if xi is not None:
+        im = list(map(operator.mul, xi, yr))
+        if yi is not None:
+            re = list(map(operator.sub, re, map(operator.mul, xi, yi)))
+    if yi is not None:
+        t = map(operator.mul, xr, yi)
+        im = list(t) if im is None else list(map(operator.add, im, t))
+    return re, im
+
+
+def power_columns(a: int, b: int, n: int) -> tuple:
+    """(a+bi)^j, j = 0..n, as integer columns (re, im); im is None for b = 0."""
+    if not b:
+        return list(accumulate(repeat(a, n), operator.mul, initial=1)), None
+    re, im = [1], [0]
+    for _ in range(n):
+        x, y = re[-1], im[-1]
+        re.append(x * a - y * b)
+        im.append(x * b + y * a)
+    return re, im
 
 
 def gaussian_integer_power(a: int, b: int, n: int) -> tuple[int, int]:
@@ -460,6 +492,20 @@ class SeqCache:
             one = backend_one(self._backend)
             return one + one
         return self.u(n + 1) + self._t * self.u(n - 1)
+
+    def u_triple(self, n: int) -> tuple[int, int, int]:
+        """Over the exact backends: {n} as an integer triple (a, b, d), meaning (a+bi)/d.
+
+        Over the rationals it is (U_n, 0, c^(n-1)), not reduced ((0, 0, 1) at
+        n = 0); over the Gaussian rationals it is the canonical triple of {n}.
+        """
+        if n < 0:
+            raise IndexOutOfRange("n must be nonnegative")
+        if n >= len(self._scaled_u):
+            self._extend(n)
+        if self._backend is Backend.RATIONAL:
+            return self._scaled_u[n], 0, self._scale ** max(n - 1, 0)
+        return exact_triple(self._scaled_u[n])
 
     def factorial_parts(self, n: int) -> tuple:
         """{n}! as the unreduced pair (F_n, c^T(n)), F_n = U_1 ... U_n and T(n) = n(n-1)/2.

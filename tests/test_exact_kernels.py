@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lucascalc import (
+    Backend,
     BackendMismatch,
     DeformedPowerWeights,
     DeformedZeroWeights,
@@ -44,8 +45,21 @@ from lucascalc import (
     multinomial_series,
     weighted_fn_series,
 )
-from lucascalc.deformed import PowerWeights, power_coefficient
+from lucascalc.calculus import (
+    antiderivative_series,
+    antiderivative_series2,
+    derivative_series,
+    derivative_series2,
+)
+from lucascalc.deformed import (
+    PowerWeights,
+    coefficient_columns,
+    deformed_row,
+    deformed_row_columns,
+    power_coefficient,
+)
 from lucascalc.scalars import SeqCache
+from lucascalc.series import TruncatedSeries, TruncatedSeries2, outer
 
 
 def _outcome(call, *args):
@@ -530,3 +544,175 @@ def test_growing_past_a_vanishing_factor_raises_only_at_the_degrees_read():
         with pytest.raises(VanishingFactor) as error:
             call()
         assert error.value.index == 4
+
+
+# ---------------------------------------------------------------------------
+# producers and calculus on the integer form
+# ---------------------------------------------------------------------------
+
+
+def _exact_points(grid):
+    return _exact_grid()[1][::2] if grid == "rational" else _gaussian_grid()[::2]
+
+
+def _value(backend, a, b, d):
+    return F(a, d) if backend is Backend.RATIONAL else GaussianRational(F(a, d), F(b, d))
+
+
+@pytest.mark.parametrize("grid", ["rational", "gaussian"])
+def test_coefficient_columns_are_the_power_coefficients(grid):
+    # each entry, not normalised, is the value power_coefficient builds; denominators
+    # F_n < 0 occur on the grid, and a vanishing {k} raises at the first degree past it
+    negative_dens = 0
+    for p, u, *_ in _exact_points(grid):
+        for family in (u, PowerWeights(u), DeformedZeroWeights(u, u, p)):
+            for first, step in ((0, 1), (1, 2), (0, 2)):
+                degrees = range(first, 12, step)
+                negatives = [j % 2 == 1 for j in range(len(degrees))]
+                expect = []
+                for m, negative in zip(degrees, negatives):
+                    expect.append(_outcome(power_coefficient, family, p, m, negative))
+                    if isinstance(expect[-1], str):
+                        break
+                columns = _outcome(coefficient_columns, family, p, degrees, negatives)
+                if isinstance(expect[-1], str):
+                    assert columns == expect[-1]
+                    continue
+                re, im, dens = columns
+                assert im is None or any(im)
+                got = [_value(p.backend, a, b, d) for a, b, d in zip(re, im or [0] * len(re), dens)]
+                assert got == expect
+                negative_dens += sum(d < 0 for d in dens)
+    # over the rationals an entry's denominator carries F_m, negative for some m
+    # on the grid; the Gaussian ones carry the norm of {m}!, always positive
+    assert (negative_dens > 0) is (grid == "rational")
+
+
+def test_coefficient_columns_defer_a_weight_outside_the_backend():
+    rational, gaussian = make_params(F(1), F(1)), make_params(GaussianRational(1), GaussianRational(1))
+    assert coefficient_columns(lambda m: 0.5, rational, range(3), [False] * 3) is None
+    assert coefficient_columns(lambda m: GaussianRational(1), rational, range(3), [False] * 3) is None
+    assert coefficient_columns(GaussianRational(1), rational, range(3), [False] * 3) is None
+    assert coefficient_columns(lambda m: 0.5, gaussian, range(3), [False] * 3) is None
+    re, im, dens = coefficient_columns(lambda m: F(1, 2), gaussian, range(3), [False, True, False])
+    assert [F(a, d) for a, d in zip(re, dens)] == [F(1, 2), F(-1, 2), F(1, 2)] and im is None  # {2}! = 1
+
+
+@pytest.mark.parametrize("grid", ["rational", "gaussian"])
+def test_deformed_row_columns_are_the_deformed_row(grid):
+    for p, u, v, *_ in _exact_points(grid):
+        uw, vw = PowerWeights(u), PowerWeights(v)
+        for n in range(10):
+            for negative in (None, False, True):
+                row = _outcome(deformed_row, n, uw, vw, p, negative)
+                columns = _outcome(deformed_row_columns, n, uw, vw, p, negative)
+                if isinstance(row, str):
+                    assert columns == row
+                    continue
+                re, im, dens = columns
+                assert [_value(p.backend, a, b, d) for a, b, d in zip(re, im or [0] * len(re), dens)] == row
+
+
+@pytest.mark.parametrize("grid", ["rational", "gaussian"])
+def test_u_triple_is_the_sequence_term(grid):
+    for p, *_ in _exact_points(grid):
+        for n in range(20):
+            a, b, d = p.cache.u_triple(n)
+            assert _value(p.backend, a, b, d) == lucas_u(n, p)
+        with pytest.raises(IndexOutOfRange):
+            p.cache.u_triple(-1)
+
+
+def _scalar_calculus(name, f, p, var=0):
+    """The power rule and its inverse as scalar loops over the coefficient values."""
+    u = p.cache.u
+    if name == "derivative":
+        return [f.coeffs[n] * u(n) for n in range(1, f.order + 1)]
+    if name == "antiderivative":
+        out = [0 * f.coeffs[0]]
+        for n, a in enumerate(f.coeffs):
+            if u(n + 1) == 0:
+                raise VanishingFactor(n + 1)
+            out.append(a / u(n + 1))
+        return out
+    out = {}
+    for (j, k), c in f.coeffs.items():
+        m = (j, k)[var]
+        if name == "derivative2" and m > 0:
+            out[(j - (var == 0), k - (var == 1))] = c * u(m)
+        elif name == "antiderivative2":
+            if u(m + 1) == 0:
+                raise VanishingFactor(m + 1)
+            out[(j + (var == 0), k + (var == 1))] = c / u(m + 1)
+    return {key: c for key, c in out.items() if c != 0}
+
+
+@pytest.mark.parametrize("grid", ["rational", "gaussian"])
+def test_calculus_on_the_integer_form_is_the_scalar_power_rule(grid):
+    # produced series and series made from values, and a vanishing {k} raising the
+    # index the scalar loop raises ({3} = 0 on both grids)
+    operators = {
+        "derivative": derivative_series,
+        "antiderivative": antiderivative_series,
+        "derivative2": derivative_series2,
+        "antiderivative2": antiderivative_series2,
+    }
+    for p, u, v, x, y in _exact_points(grid):
+        one = p.s / p.s
+        univariate = [fn_series(FnKind.COSH, u, p, order) for order in (1, 2, 9) if _ok(fn_series, FnKind.COSH, u, p, order)]
+        univariate += [TruncatedSeries([x, y, 0 * one, x * y], p.backend), TruncatedSeries([one], p.backend)]
+        bivariate = [binomial_series2(FnKind.EXP, u, v, p, 6)] if _ok(binomial_series2, FnKind.EXP, u, v, p, 6) else []
+        bivariate += [TruncatedSeries2({(0, 0): x, (2, 1): y, (0, 3): x * y}, 3, p.backend)]
+        for name, operator in operators.items():
+            for f in bivariate if name.endswith("2") else univariate:
+                for var in (0, 1) if name.endswith("2") else (None,):
+                    args = () if var is None else (var,)
+                    expect = _outcome(_scalar_calculus, name, f, p, *args)
+                    got = _outcome(operator, f, p, *args)
+                    if isinstance(expect, str):
+                        assert got == expect
+                    elif isinstance(got, TruncatedSeries2):
+                        assert got.coeffs == expect and all(type(c) is type(one) for c in got.coeffs.values())
+                    elif f.order == 0 and name == "derivative":
+                        assert got == "OrderMismatch: the derivative of an order-0 series has no known coefficient"
+                    else:
+                        assert list(got.coeffs) == expect and all(type(c) is type(one) for c in got.coeffs)
+
+
+def test_calculus_off_the_integer_form_is_the_scalar_power_rule():
+    # float series, and series whose exact backend the parameters do not share, keep
+    # the scalar loop: its values and its errors
+    floats = make_params(1.5, -0.5)
+    rational, gaussian = make_params(F(3, 2), F(-1, 2)), make_params(GaussianRational(1), GaussianRational(1))
+    cases = [
+        (TruncatedSeries([0.5, -1.25, 2.0, 0.0], Backend.COMPLEX), floats),
+        (TruncatedSeries([GaussianRational(1, 2), GaussianRational(F(-1, 3)), GaussianRational(0, 5)]), rational),
+    ]
+    for f, p in cases:
+        assert list(derivative_series(f, p).coeffs) == _scalar_calculus("derivative", f, p)
+        assert list(antiderivative_series(f, p).coeffs) == _scalar_calculus("antiderivative", f, p)
+        F2 = outer(f, f)
+        for var in (0, 1):
+            assert derivative_series2(F2, p, var).coeffs == _scalar_calculus("derivative2", F2, p, var)
+            assert antiderivative_series2(F2, p, var).coeffs == _scalar_calculus("antiderivative2", F2, p, var)
+    vanishing = make_params(1.0, -1.0)  # {3} = 0 on the floats too
+    f = TruncatedSeries([1.0, 2.0, 3.0], Backend.COMPLEX)
+    for call in (lambda: antiderivative_series(f, vanishing), lambda: antiderivative_series2(outer(f, f), vanishing, 1)):
+        with pytest.raises(VanishingFactor) as error:
+            call()
+        assert error.value.index == 3
+    exact = fn_series(FnKind.EXP, F(1, 2), rational, 4)
+    for call in (derivative_series, antiderivative_series):
+        with pytest.raises(BackendMismatch, match="series coefficients must share one backend"):
+            call(exact, gaussian)
+    for call in (derivative_series2, antiderivative_series2):
+        with pytest.raises(BackendMismatch, match="series coefficients must share one backend"):
+            call(outer(exact, exact), gaussian)
+
+
+def _ok(call, *args):
+    try:
+        call(*args)
+    except LucasError:
+        return False
+    return True

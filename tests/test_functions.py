@@ -513,13 +513,13 @@ class TestWeightedPath:
     )
     @pytest.mark.parametrize("backend", [Backend.RATIONAL, Backend.GAUSSIAN])
     def test_exact_series_forms_only_the_degrees_its_kind_reads(self, kind, parts, backend, monkeypatch):
-        formed, builder = [], lucascalc.functions.power_coefficient
+        formed, builder = [], lucascalc.functions.coefficient_columns
 
-        def recording(u, params, m, negative=False):
-            formed.append((m, negative))
-            return builder(u, params, m, negative)
+        def recording(u, params, degrees, negatives):
+            formed.extend(zip(degrees, negatives))
+            return builder(u, params, degrees, negatives)
 
-        monkeypatch.setattr(lucascalc.functions, "power_coefficient", recording)
+        monkeypatch.setattr(lucascalc.functions, "coefficient_columns", recording)
         p, u, _ = _exact_draws(backend)[0]
         fn_series(kind, u, p, 9)
         expect = []

@@ -40,11 +40,11 @@ from lucascalc.scalars import (
     backend_one,
     backend_zero,
     common_backend,
+    exact_column,
     exact_triple,
     gaussian_integer_power,
     gaussian_sqrt,
     rational_sqrt,
-    triple_maker,
 )
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -795,22 +795,26 @@ class TestTripleLayer:
             assert exact_triple(other) is None
 
     def test_makers_normalise_any_triple_once(self):
+        # the column maker builds every entry of integer columns with one normalisation
         rng = random.Random(3302)
-        gaussian, rational = triple_maker(Backend.GAUSSIAN), triple_maker(Backend.RATIONAL)
+        re, im, den = [], [], []
         for _ in range(400):
-            a, b = rng.choice((0, rng.randint(-500, 500))), rng.choice((0, rng.randint(-500, 500)))
-            d = rng.choice((-1, 1)) * rng.randint(1, 400)
-            g = gaussian(a, b, d)
+            re.append(rng.choice((0, rng.randint(-500, 500))))
+            im.append(rng.choice((0, rng.randint(-500, 500))))
+            den.append(rng.choice((-1, 1)) * rng.randint(1, 400))
+        gaussian = exact_column(Backend.GAUSSIAN, re, im, den)
+        rational = exact_column(Backend.RATIONAL, re, None, den)
+        for a, b, d, g, q in zip(re, im, den, gaussian, rational):
             assert type(g) is GaussianRational and g == GaussianRational(F(a, d), F(b, d))
             assert exact_triple(g) == exact_triple(GaussianRational(F(a, d), F(b, d)))
-            q = rational(a, 0, d)
             assert type(q) is F and q == F(a, d)
-            assert triple_maker(Backend.GAUSSIAN)(*exact_triple(g)) == g
-            assert rational(*exact_triple(q)) == q
+        assert exact_column(Backend.GAUSSIAN, *zip(*map(exact_triple, gaussian))) == gaussian
+        assert exact_column(Backend.RATIONAL, *zip(*map(exact_triple, rational))) == rational
+        assert exact_column(Backend.GAUSSIAN, re, None, den) == [GaussianRational(F(a, d)) for a, d in zip(re, den)]
         with pytest.raises(ZeroDivisionError):
-            gaussian(1, 1, 0)
+            exact_column(Backend.GAUSSIAN, [1], [1], [0])
         with pytest.raises(ZeroDivisionError):
-            rational(1, 0, 0)
+            exact_column(Backend.RATIONAL, [1], None, [0])
 
     def test_power_is_repeated_multiplication(self):
         rng = random.Random(3303)

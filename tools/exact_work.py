@@ -9,15 +9,22 @@ checkout).  For each seed from FIRST to LAST inclusive the script runs
 series-exact or bivariate-exact, and counts, over those runs: the
 ``Fraction`` objects constructed (arithmetic results included), the
 ``GaussianRational`` reductions (each one gcd over a triple), the
-``math.gcd`` calls, the ``backend_of`` calls and the ``SeqCache._extend``
-calls (``extends``, one lock take each to grow a sequence).  It also
-hashes every record's outcome (id, status, failure count and the failures'
-params and sides) in order.  The counters wrap ``scalars._reduced`` and
-``SeqCache._extend`` by name, so a counter that reads 0 over the run means
-the name no longer counts the work: the script then says which on stderr and
-exits with status 1.  It prints one line:
+``math.gcd`` calls, the ``backend_of`` calls, the ``SeqCache._extend``
+calls (``extends``, one lock take each to grow a sequence), the content-gcd
+reductions of an exact series' integer form (``reductions``, calls of
+``series._reduced``) and the largest denominator bit length an exact series
+held (``max_bits``, read from every form that passes ``series._held``).  It
+also hashes every record's outcome (id, status, failure count and the
+failures' params and sides) in order.  The counters wrap
+``scalars._reduced``, ``SeqCache._extend`` and ``series._held`` by name, so
+one of the first five counts or ``max_bits`` that reads 0 over the run
+means the name no longer does the work: the script then says which on stderr
+and exits with status 1.  ``reductions`` may read 0 on a correct run, as a
+reduction happens only when a denominator grows past its bound, and a tree
+whose series hold no integer form (no ``series._held``) prints neither
+``reductions`` nor ``max_bits``.  It prints one line:
 
-    fractions 367760 gaussian_reductions 100040 gcds 521154 backend_of 51560 extends 3887 outcomes b1f0b1500ff218e8
+    fractions 97899 gaussian_reductions 40840 gcds 145666 backend_of 51520 extends 3887 reductions 0 max_bits 1262 outcomes b1f0b1500ff218e8
 
 The counts do not depend on the machine's timing, so two trees can be
 compared on them; two trees whose records end alike print the same outcome
@@ -45,11 +52,14 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, args.src)
     import lucascalc
-    from lucascalc import scalars
+    from lucascalc import scalars, series
     from lucascalc.identities import BIVARIATE_EXACT, CATALOG, SERIES_EXACT, run_suite
 
     ids = [id for id, record in CATALOG.items() if record.check_kind in (SERIES_EXACT, BIVARIATE_EXACT)]
     counts = {"fractions": 0, "gaussian_reductions": 0, "gcds": 0, "backend_of": 0, "extends": 0}
+    forms = hasattr(series, "_held")  # a tree from before the integer form has neither count
+    if forms:
+        counts |= {"reductions": 0, "max_bits": 0}
 
     def counted(name, call):
         def wrapper(*args, **kwargs):
@@ -63,6 +73,16 @@ def main(argv=None) -> int:
     math.gcd = counted("gcds", math.gcd)
     scalars._reduced = counted("gaussian_reductions", scalars._reduced)
     scalars.SeqCache._extend = counted("extends", scalars.SeqCache._extend)
+    if forms:
+        series._reduced = counted("reductions", series._reduced)
+        held = series._held
+
+        def holding(*args):
+            form = held(*args)
+            counts["max_bits"] = max(counts["max_bits"], form[2].bit_length())
+            return form
+
+        series._held = holding
     # every module that imported backend_of by name reads it from its own globals
     backend_of = counted("backend_of", scalars.backend_of)
     for name, module in list(sys.modules.items()):
@@ -75,7 +95,7 @@ def main(argv=None) -> int:
             failures = [[f.params, f.lhs, f.rhs, f.delta] for f in r.failures]
             outcomes.update(f"{seed} {r.id} {r.status} {len(r.failures)} {failures!r}\n".encode())
     print(" ".join(f"{name} {count}" for name, count in counts.items()), "outcomes", outcomes.hexdigest()[:16])
-    unread = [name for name, count in counts.items() if count == 0]
+    unread = [name for name, count in counts.items() if count == 0 and name != "reductions"]
     if unread:
         print(f"counters that read 0 (a wrapped name no longer does the work): {', '.join(unread)}", file=sys.stderr)
         return 1
